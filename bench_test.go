@@ -5,6 +5,7 @@
 package provabs_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +16,9 @@ import (
 	"provabs/internal/hypo"
 	"provabs/internal/provenance"
 	"provabs/internal/sampling"
+	"provabs/internal/session"
 	"provabs/internal/summarize"
+	"provabs/internal/telco"
 	"provabs/internal/tpch"
 	"provabs/internal/treegen"
 )
@@ -657,6 +660,50 @@ func BenchmarkChainedStream(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkQueryTopK runs ScenQL top-k statements on a telco-s session
+// (2,000 customers over 200 zips): a chained grid sweep over two plan
+// leaves and a SAMPLE over the twelve months, each ranked by one zip's
+// answer. It reports scenarios/s and allocs/scenario; a ranked sweep tags
+// and boxes only the k rows it returns, so the allocation count does not
+// grow with the number of polynomials.
+func BenchmarkQueryTopK(b *testing.B) {
+	set, err := telco.SyntheticProvenance(telco.Config{Customers: 2000, Zips: 200, Plans: 128, Months: 12, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := session.Open(set, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, st := range []struct{ name, src string }{
+		{"grid", "pl3 IN [0.5:1.5:0.05] pl7 IN [0.5:1.5:0.05] ORDER BY ans[17] DESC LIMIT 10"},
+		{"sample", "SAMPLE 80 m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12 IN [0.5:1.5] SEED 7 " +
+			"ORDER BY ans[17] DESC LIMIT 10"},
+	} {
+		b.Run(st.name, func(b *testing.B) {
+			// One warm-up run compiles the kernel and its delta baseline.
+			if _, err := eng.Query(st.src); err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			scenarios := int64(0)
+			for i := 0; i < b.N; i++ {
+				res, err := eng.Query(st.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				scenarios += res.Scenarios
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(scenarios)/b.Elapsed().Seconds(), "scenarios/s")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(scenarios), "allocs/scenario")
 		})
 	}
 }

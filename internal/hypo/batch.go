@@ -770,7 +770,7 @@ func EvalBatch[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C], scena
 }
 
 // evalResolvedBatch is the evaluation core shared by EvalBatch and
-// AnswersBatchEach: route each already-resolved scenario through the
+// EvalBatchEach: route each already-resolved scenario through the
 // delta/full/sharded machinery on the configured pool, chained in
 // overlap order when the options (and the carrier) ask for it.
 func evalResolvedBatch[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C], resolved []resolvedScenario[T], opts BatchOptions) [][]T {
@@ -907,12 +907,14 @@ func evalChainedBatch[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C]
 	wg.Wait()
 }
 
-// AnswersBatchEach is the per-scenario error-isolating batch used by
-// streaming callers: a scenario that fails to resolve yields a non-nil
-// *UnknownVarsError or *BadAssignmentError (indexed by batch position) at
-// its slot while the rest are evaluated together in one pass — names are
-// resolved exactly once.
-func AnswersBatchEach[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C], scenarios []*Scenario, opts BatchOptions) ([][]AnswerOf[T], []error) {
+// EvalBatchEach is the per-scenario error-isolating batch used by
+// streaming callers: a scenario that fails to resolve yields a nil row and
+// a non-nil *UnknownVarsError or *BadAssignmentError (indexed by batch
+// position) at its slot, while the rest are evaluated together in one pass
+// — names are resolved exactly once. Rows are raw answer vectors, as from
+// EvalBatch: callers tag only the rows they emit (TagAnswers, EraseValues),
+// so a ranked sweep boxes k rows, not every scenario's.
+func EvalBatchEach[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C], scenarios []*Scenario, opts BatchOptions) ([][]T, []error) {
 	errs := make([]error, len(scenarios))
 	r := newResolver[T, C](c.Carrier(), c.Vocab, scenarios)
 	valid := make([]resolvedScenario[T], 0, len(scenarios))
@@ -932,9 +934,9 @@ func AnswersBatchEach[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C]
 		pos = append(pos, i)
 	}
 	rows := evalResolvedBatch(c, valid, opts)
-	out := make([][]AnswerOf[T], len(scenarios))
+	out := make([][]T, len(scenarios))
 	for k, i := range pos {
-		out[i] = tagAnswers(c.Tags, rows[k])
+		out[i] = rows[k]
 	}
 	return out, errs
 }
@@ -947,22 +949,36 @@ func AnswersBatch[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C], sc
 	}
 	out := make([][]AnswerOf[T], len(rows))
 	for i, vals := range rows {
-		out[i] = tagAnswers(c.Tags, vals)
+		out[i] = TagAnswers(c.Tags, vals)
 	}
 	return out, nil
 }
 
-// tagAnswers pairs one answer vector with the set's polynomial tags.
-func tagAnswers[T any](tags []string, vals []T) []AnswerOf[T] {
+// TagAnswers pairs one answer vector with the set's polynomial tags.
+func TagAnswers[T any](tags []string, vals []T) []AnswerOf[T] {
 	ans := make([]AnswerOf[T], len(vals))
 	for j, v := range vals {
-		tag := ""
-		if j < len(tags) {
-			tag = tags[j]
-		}
-		ans[j] = AnswerOf[T]{Tag: tag, Value: v}
+		ans[j] = AnswerOf[T]{Tag: tagAt(tags, j), Value: v}
 	}
 	return ans
+}
+
+// EraseValues is TagAnswers then Erase in one pass: one answer vector,
+// paired with the set's tags, in the carrier-erased form.
+func EraseValues[T any](tags []string, vals []T) []ValueAnswer {
+	ans := make([]ValueAnswer, len(vals))
+	for j, v := range vals {
+		ans[j] = ValueAnswer{Tag: tagAt(tags, j), Value: v}
+	}
+	return ans
+}
+
+// tagAt is polynomial j's tag, "" when the set carries none.
+func tagAt(tags []string, j int) string {
+	if j < len(tags) {
+		return tags[j]
+	}
+	return ""
 }
 
 // EvalCompiled applies a single scenario to pre-compiled provenance. Callers

@@ -121,10 +121,11 @@ func makeKey(vp []VarPow) MonomialKey {
 	return MonomialKey(buf)
 }
 
-// parseKey decodes a MonomialKey back into (Var, Pow) pairs.
+// parseKey decodes a MonomialKey back into (Var, Pow) pairs. Every pair
+// takes at least two bytes, so the result is allocated once.
 func parseKey(k MonomialKey) []VarPow {
 	b := []byte(k)
-	var out []VarPow
+	out := make([]VarPow, 0, len(b)/2)
 	for len(b) > 0 {
 		v, n := binary.Varint(b)
 		if n <= 0 {

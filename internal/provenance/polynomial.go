@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -155,11 +156,18 @@ func (p *Polynomial) Scale(c float64) *Polynomial {
 // Substitute returns P↓S for the variable mapping subst (leaf variable →
 // abstracting meta-variable). Variables absent from subst stay intact.
 // Monomials that become identical merge, summing coefficients; this is
-// exactly the paper's abstraction semantics (Example 2).
+// exactly the paper's abstraction semantics (Example 2). Source terms are
+// visited in key order, so merged coefficients are summed in a fixed order
+// and two substitutions of one polynomial agree to the last bit.
 func (p *Polynomial) Substitute(subst map[Var]Var) *Polynomial {
+	keys := make([]MonomialKey, 0, len(p.terms))
+	for k := range p.terms {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
 	out := &Polynomial{terms: make(map[MonomialKey]float64, len(p.terms))}
-	for k, c := range p.terms {
-		out.addKey(substKey(k, subst), c)
+	for _, k := range keys {
+		out.addKey(substKey(k, subst), p.terms[k])
 	}
 	return out
 }

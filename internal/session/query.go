@@ -5,15 +5,16 @@ package session
 // snake-order iterator in micro-batches and pushed through the same
 // chained, delta-routed stream path Engine.Stream uses — consecutive grid
 // points differ in one axis, so almost every scenario is a chained delta —
-// and ORDER BY runs as a streaming top-k, so a million-point sweep holds k
-// rows, not a million. EXPLAIN stops before evaluation and reports the plan
-// tree annotated with this executor's routing and live cost model.
+// and ORDER BY runs as a streaming top-k on the raw answer vectors, so a
+// million-point sweep holds k vectors, not a million, and tags and boxes
+// only the k rows it returns. EXPLAIN stops before evaluation and reports
+// the plan tree annotated with this executor's routing and live cost model.
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"provabs/internal/hypo"
@@ -87,22 +88,12 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*QueryResult, er
 		res.Explain, err = e.explain(p, src)
 		return res, err
 	}
-	if p.Order != nil {
-		top := newTopK(p.Order)
-		err = e.runPlan(ctx, p, func(row QueryRow) bool {
-			if row.Err != nil {
-				res.Errors++
-				return true
-			}
-			top.offer(row)
-			return true
-		})
-		res.Rows = top.ranked()
-		return res, err
-	}
-	err = e.runPlan(ctx, p, func(row QueryRow) bool {
+	ranked, err := e.runPlan(ctx, p, func(row QueryRow) bool {
 		if row.Err != nil {
 			res.Errors++
+			if p.Order != nil {
+				return true // a failed scenario has nothing to rank
+			}
 		}
 		if len(res.Rows) >= maxQueryRows {
 			res.Truncated = true
@@ -111,6 +102,9 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*QueryResult, er
 		res.Rows = append(res.Rows, row)
 		return true
 	})
+	if p.Order != nil {
+		res.Rows = ranked
+	}
 	return res, err
 }
 
@@ -147,45 +141,59 @@ func (e *Engine) QueryStream(ctx context.Context, src string) (*QueryInfo, <-cha
 	}
 	go func() {
 		defer close(out)
-		if p.Order != nil {
-			top := newTopK(p.Order)
-			if e.runPlan(ctx, p, func(row QueryRow) bool {
-				if row.Err != nil {
-					return emit(row) // errors stream in-band even under top-k
-				}
-				top.offer(row)
-				return true
-			}) != nil {
-				return
-			}
-			for _, row := range top.ranked() {
-				if !emit(row) {
-					return
-				}
-			}
+		// Failed scenarios stream in-band even under top-k.
+		ranked, err := e.runPlan(ctx, p, emit)
+		if err != nil {
 			return
 		}
-		e.runPlan(ctx, p, emit) //nolint:errcheck // cancellation just ends the stream
+		for _, row := range ranked {
+			if !emit(row) {
+				return
+			}
+		}
 	}()
 	return info, out, nil
 }
 
-// runPlan drains the plan's iterator in micro-batches through the chained
-// stream-evaluation path (one RLock per batch, the chain state carried
-// across), invoking emit per scenario in generation order. emit returning
-// false stops the sweep. Returns ctx's error on cancellation.
-func (e *Engine) runPlan(ctx context.Context, p *scenql.Plan, emit func(QueryRow) bool) error {
+// runPlan sweeps the plan on its carrier's kernel (see sweep). A carrier
+// the active set cannot compile into fails every scenario in-band, as on a
+// stream.
+func (e *Engine) runPlan(ctx context.Context, p *scenql.Plan, emit func(QueryRow) bool) ([]QueryRow, error) {
+	if p.Kind == semiring.KindFloat {
+		return sweep(ctx, e, p, e.floatBatch, emit)
+	}
+	e.mu.RLock()
+	rt, err := e.runtimeLocked(p.Kind)
+	e.mu.RUnlock()
+	if err != nil {
+		return sweep(ctx, e, p, func(_ int, scs []*hypo.Scenario, _ *hypo.ChainState) rawBatch[float64] {
+			return failedBatch[float64](err, len(scs))
+		}, emit)
+	}
+	return rt.query(ctx, e, p, emit)
+}
+
+// sweep drains the plan's iterator in micro-batches through batch (one
+// RLock per batch, the chain state carried across) in generation order.
+// Without ORDER BY every row is tagged, erased and passed to emit. With it,
+// failed rows go to emit, the rest are ranked on their raw answer vectors,
+// and the k best come back tagged and erased once the sweep is done. emit
+// returning false stops the sweep. Returns ctx's error on cancellation.
+func sweep[T any](ctx context.Context, e *Engine, p *scenql.Plan, batch func(int, []*hypo.Scenario, *hypo.ChainState) rawBatch[T], emit func(QueryRow) bool) ([]QueryRow, error) {
 	it := p.Iter()
 	cs := &hypo.ChainState{}
 	defer cs.Release()
 	maxBatch, _ := e.streamParams()
-	isFloat := p.Kind == semiring.KindFloat
+	var top *topK[T]
+	if p.Order != nil {
+		top = newTopK[T](p.Order)
+	}
 	scs := make([]*hypo.Scenario, 0, maxBatch)
 	base := 0
 	for {
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		default:
 		}
 		scs = scs[:0]
@@ -197,18 +205,23 @@ func (e *Engine) runPlan(ctx context.Context, p *scenql.Plan, emit func(QueryRow
 			scs = append(scs, sc)
 		}
 		if len(scs) == 0 {
-			return nil
+			if top == nil {
+				return nil, nil
+			}
+			return top.ranked(), nil
 		}
-		var results []ValueStreamResult
-		if isFloat {
-			results = eraseResults(e.evalStream(base, scs, cs))
-		} else {
-			results = e.evalStreamIn(p.Kind, base, scs, cs)
-		}
-		for i, res := range results {
-			row := QueryRow{Index: int64(res.Index), Assign: scs[i].Assign, Answers: res.Answers, Err: res.Err}
+		b := batch(base, scs, cs)
+		for i, sc := range scs {
+			row := QueryRow{Index: int64(base + i), Assign: sc.Assign, Err: b.errs[i]}
+			if row.Err == nil {
+				if top != nil {
+					top.offer(row.Index, row.Assign, b.tags, b.rows[i])
+					continue
+				}
+				row.Answers = hypo.EraseValues(b.tags, b.rows[i])
+			}
 			if !emit(row) {
-				return nil
+				return nil, nil
 			}
 		}
 		base += len(scs)
@@ -358,118 +371,133 @@ func routeLabel(class string, affected, threshold int, deltaOn, chainable bool, 
 	return "full"
 }
 
-// topK is the streaming ORDER BY ... LIMIT k accumulator: a bounded heap
-// whose root is the currently worst kept row, so a sweep of any size holds
-// k rows. Answer values order on their natural float mapping (bool as 0/1,
-// counts as magnitude); a NaN answer always loses.
-type topK struct {
-	index int // polynomial whose answer is the key
-	desc  bool
-	k     int
-	keys  []float64
-	rows  []QueryRow
+// topK is the streaming ORDER BY ... LIMIT k accumulator over raw answer
+// vectors: a bounded heap whose root is the currently worst kept row, so a
+// sweep of any size holds k vectors. A row that makes the cut is copied
+// into the buffer of the row it evicts; nothing is tagged or boxed until
+// ranked returns the winners. One implementation serves every carrier.
+type topK[T any] struct {
+	col  int // polynomial whose answer is the key
+	desc bool
+	k    int
+	key  func(T) float64
+	rows []keptRow[T] // heap-ordered: every row ranks ahead of its parent
 }
 
-func newTopK(o *scenql.Order) *topK {
-	return &topK{index: o.Index, desc: o.Desc, k: o.K}
+// keptRow is one of the k best rows so far: its key and generation index,
+// the scenario's assignments, the tags of the kernel that answered it, and
+// a private copy of its answers.
+type keptRow[T any] struct {
+	key    float64
+	index  int64
+	assign map[string]float64
+	tags   []string
+	vals   []T
 }
 
-func (t *topK) Len() int { return len(t.rows) }
+func newTopK[T any](o *scenql.Order) *topK[T] {
+	return &topK[T]{col: o.Index, desc: o.Desc, k: o.K, key: rankKey[T]()}
+}
 
-// Less puts the worst kept row at the root: the smallest key when keeping
-// the largest (DESC), the largest key when keeping the smallest (ASC);
-// among equal keys the later scenario is worse, so ties keep the earliest.
-func (t *topK) Less(i, j int) bool {
-	if t.keys[i] != t.keys[j] {
-		if t.desc {
-			return t.keys[i] < t.keys[j]
+// rankKey maps a carrier's answer to its ORDER BY key: floats as
+// themselves, counts by magnitude, bool as 0/1. Values of any other type
+// key as NaN, which always loses.
+func rankKey[T any]() func(T) float64 {
+	var key any
+	switch any(*new(T)).(type) {
+	case float64:
+		key = func(x float64) float64 { return x }
+	case int64:
+		key = func(n int64) float64 { return float64(n) }
+	case bool:
+		key = func(b bool) float64 {
+			if b {
+				return 1
+			}
+			return 0
 		}
-		return t.keys[i] > t.keys[j]
 	}
-	return t.rows[i].Index > t.rows[j].Index
+	if f, ok := key.(func(T) float64); ok {
+		return f
+	}
+	return func(T) float64 { return math.NaN() }
 }
 
-func (t *topK) Swap(i, j int) {
-	t.keys[i], t.keys[j] = t.keys[j], t.keys[i]
-	t.rows[i], t.rows[j] = t.rows[j], t.rows[i]
+// ahead reports whether a row keyed (ka, ia) ranks before one keyed
+// (kb, ib): the larger key under DESC, the smaller under ASC, a NaN key
+// behind every number, and among equal keys the earlier scenario.
+func (t *topK[T]) ahead(ka float64, ia int64, kb float64, ib int64) bool {
+	aNaN, bNaN := math.IsNaN(ka), math.IsNaN(kb)
+	switch {
+	case aNaN != bNaN:
+		return bNaN
+	case !aNaN && ka != kb:
+		return (ka > kb) == t.desc
+	}
+	return ia < ib
 }
 
-func (t *topK) Push(x any) {
-	p := x.(struct {
-		key float64
-		row QueryRow
-	})
-	t.keys = append(t.keys, p.key)
-	t.rows = append(t.rows, p.row)
+// before reports whether kept row i ranks ahead of kept row j.
+func (t *topK[T]) before(i, j int) bool {
+	a, b := &t.rows[i], &t.rows[j]
+	return t.ahead(a.key, a.index, b.key, b.index)
 }
 
-func (t *topK) Pop() any {
-	n := len(t.rows) - 1
-	out := t.rows[n]
-	t.keys, t.rows = t.keys[:n], t.rows[:n]
-	return out
-}
-
-// offer considers one row for the top k.
-func (t *topK) offer(row QueryRow) {
-	key := t.keyOf(row)
+// offer considers one evaluated scenario for the top k.
+func (t *topK[T]) offer(index int64, assign map[string]float64, tags []string, vals []T) {
+	key := math.NaN()
+	if t.col < len(vals) {
+		key = t.key(vals[t.col])
+	}
 	if len(t.rows) < t.k {
-		heap.Push(t, struct {
-			key float64
-			row QueryRow
-		}{key, row})
+		t.rows = append(t.rows, keptRow[T]{key: key, index: index, assign: assign, tags: tags, vals: slices.Clone(vals)})
+		t.up(len(t.rows) - 1)
 		return
 	}
-	// Better than the worst kept? Strictly, with earlier index on ties.
-	worst := t.keys[0]
-	better := key > worst
-	if !t.desc {
-		better = key < worst
-	}
-	if !better && !(key == worst && row.Index < t.rows[0].Index) {
+	worst := &t.rows[0]
+	if !t.ahead(key, index, worst.key, worst.index) {
 		return
 	}
-	t.keys[0], t.rows[0] = key, row
-	heap.Fix(t, 0)
+	worst.key, worst.index, worst.assign, worst.tags = key, index, assign, tags
+	worst.vals = append(worst.vals[:0], vals...)
+	t.down(0)
 }
 
-// keyOf maps the row's ordering answer to a float; NaN (and non-numeric
-// values that should not occur) map to the always-losing infinity.
-func (t *topK) keyOf(row QueryRow) float64 {
-	var f float64 = math.NaN()
-	if t.index < len(row.Answers) {
-		switch x := row.Answers[t.index].Value.(type) {
-		case float64:
-			f = x
-		case int64:
-			f = float64(x)
-		case bool:
-			f = 0
-			if x {
-				f = 1
-			}
+// up restores the heap after row i was appended.
+func (t *topK[T]) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.before(parent, i) {
+			return
 		}
+		t.rows[parent], t.rows[i] = t.rows[i], t.rows[parent]
+		i = parent
 	}
-	if math.IsNaN(f) {
-		if t.desc {
-			return math.Inf(-1)
-		}
-		return math.Inf(1)
-	}
-	return f
 }
 
-// ranked returns the kept rows best-first (ties by generation order).
-func (t *topK) ranked() []QueryRow {
-	rows, keys := t.rows, t.keys
-	sort.SliceStable(rows, func(i, j int) bool {
-		if keys[i] != keys[j] {
-			if t.desc {
-				return keys[i] > keys[j]
+// down restores the heap after row i was replaced by a better one.
+func (t *topK[T]) down(i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(t.rows) && t.before(worst, c) {
+				worst = c
 			}
-			return keys[i] < keys[j]
 		}
-		return rows[i].Index < rows[j].Index
-	})
-	return rows
+		if worst == i {
+			return
+		}
+		t.rows[i], t.rows[worst] = t.rows[worst], t.rows[i]
+		i = worst
+	}
+}
+
+// ranked returns the kept rows best-first, tagged and carrier-erased.
+func (t *topK[T]) ranked() []QueryRow {
+	sort.Slice(t.rows, t.before)
+	out := make([]QueryRow, len(t.rows))
+	for i, r := range t.rows {
+		out[i] = QueryRow{Index: r.index, Assign: r.assign, Answers: hypo.EraseValues(r.tags, r.vals)}
+	}
+	return out
 }

@@ -185,6 +185,44 @@ func TestQueryInBandErrors(t *testing.T) {
 	}
 }
 
+// TestQueryCarrierCannotCompile: the running example has fractional
+// coefficients, so it does not compile under counting. Every scenario then
+// fails in-band, ranked or not, through Query and QueryStream alike.
+func TestQueryCarrierCannotCompile(t *testing.T) {
+	e := queryFixture(t)
+	for _, src := range []string{
+		"p1 IN [0:2:1] USING count",
+		"p1 IN [0:2:1] USING count ORDER BY ans[0] DESC LIMIT 2",
+	} {
+		res, err := e.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Errors != 3 {
+			t.Errorf("%s: errors=%d, want 3", src, res.Errors)
+		}
+		for _, row := range res.Rows {
+			if row.Err == nil {
+				t.Errorf("%s: row %d answered", src, row.Index)
+			}
+		}
+		_, rows, err := e.QueryStream(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for row := range rows {
+			if row.Err == nil || row.Index != int64(n) {
+				t.Errorf("%s: streamed row %d = index %d, err %v", src, n, row.Index, row.Err)
+			}
+			n++
+		}
+		if n != 3 {
+			t.Errorf("%s: streamed %d rows, want 3 in-band failures", src, n)
+		}
+	}
+}
+
 func TestQueryCompileAndParseErrors(t *testing.T) {
 	e := queryFixture(t)
 	if _, err := e.Query("p1 IN [0:1:"); err == nil {

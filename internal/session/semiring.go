@@ -13,11 +13,13 @@ package session
 // Lock order: e.mu before e.semMu, everywhere.
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
 	"provabs/internal/hypo"
 	"provabs/internal/provenance"
+	"provabs/internal/scenql"
 	"provabs/internal/semiring"
 )
 
@@ -63,6 +65,8 @@ type semRuntime interface {
 	// evalStreamBatch is the error-isolating chained micro-batch used by
 	// StreamIn; cs carries the chain across micro-batches.
 	evalStreamBatch(e *Engine, base int, scs []*hypo.Scenario, cs *hypo.ChainState) []ValueStreamResult
+	// query runs a ScenQL plan on this carrier (see Engine.runPlan).
+	query(ctx context.Context, e *Engine, p *scenql.Plan, emit func(QueryRow) bool) ([]QueryRow, error)
 	// mirror appends one tagged polynomial incrementally, reporting false
 	// when the kernel must be rebuilt (the caller then drops the runtime
 	// and the next use recompiles).
@@ -122,30 +126,35 @@ func (st *semState[T, C]) answers(e *Engine, scs []*hypo.Scenario) ([][]hypo.Val
 	return out, nil
 }
 
-func (st *semState[T, C]) evalStreamBatch(e *Engine, base int, scs []*hypo.Scenario, cs *hypo.ChainState) []ValueStreamResult {
+// raw evaluates one error-isolating chained micro-batch on this carrier's
+// kernel; cs carries the chain across micro-batches. Callers hold e.mu.
+func (st *semState[T, C]) raw(e *Engine, base int, scs []*hypo.Scenario, cs *hypo.ChainState) rawBatch[T] {
 	opts := st.batchOptions(e)
 	opts.Chain = true
 	opts.ChainState = cs
-	rows, errs := hypo.AnswersBatchEach(st.kernel, scs, opts)
-	out := make([]ValueStreamResult, len(scs))
-	evaluated := int64(0)
-	for i := range scs {
-		out[i].Index = base + i
-		switch err := errs[i].(type) {
-		case nil:
-			out[i].Answers = hypo.Erase(rows[i])
-			evaluated++
-		case *hypo.UnknownVarsError:
-			out[i].Err = hypo.ErrUnknownVars(base+i, err.Names)
-		case *hypo.BadAssignmentError:
-			out[i].Err = &hypo.BadAssignmentError{Scenario: base + i, Name: err.Name, Err: err.Err}
-		default:
-			out[i].Err = err
-		}
-	}
+	b, evaluated := evalRawBatch(st.kernel, opts, base, scs)
 	st.scenarios.Add(evaluated)
 	e.observeStreamBatch(len(scs))
-	return out
+	return b
+}
+
+func (st *semState[T, C]) evalStreamBatch(e *Engine, base int, scs []*hypo.Scenario, cs *hypo.ChainState) []ValueStreamResult {
+	return st.raw(e, base, scs, cs).erase(base)
+}
+
+// query sweeps the plan on this carrier's kernel. The receiver only fixes
+// the carrier: each micro-batch looks the runtime up again, since an Add
+// may drop it and a Compress replace it between batches.
+func (st *semState[T, C]) query(ctx context.Context, e *Engine, p *scenql.Plan, emit func(QueryRow) bool) ([]QueryRow, error) {
+	return sweep(ctx, e, p, func(base int, scs []*hypo.Scenario, cs *hypo.ChainState) rawBatch[T] {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		rt, err := e.runtimeLocked(p.Kind)
+		if err != nil {
+			return failedBatch[T](err, len(scs))
+		}
+		return rt.(*semState[T, C]).raw(e, base, scs, cs)
+	}, emit)
 }
 
 func (st *semState[T, C]) mirror(tag string, p *provenance.Polynomial) bool {

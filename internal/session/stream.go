@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"provabs/internal/hypo"
+	"provabs/internal/provenance"
 	"provabs/internal/semiring"
 )
 
@@ -59,7 +60,15 @@ func (e *Engine) Stream(ctx context.Context, in <-chan *hypo.Scenario) <-chan St
 	maxBatch, buf := e.streamParams()
 	return streamLoop(ctx, in, maxBatch, buf,
 		func(base int, scs []*hypo.Scenario) []StreamResult {
-			return e.evalStream(base, scs, cs)
+			b := e.floatBatch(base, scs, cs)
+			out := make([]StreamResult, len(scs))
+			for i, err := range b.errs {
+				out[i] = StreamResult{Index: base + i, Err: err}
+				if err == nil {
+					out[i].Answers = hypo.TagAnswers(b.tags, b.rows[i])
+				}
+			}
+			return out
 		},
 		cs.Release)
 }
@@ -75,18 +84,15 @@ func (e *Engine) Stream(ctx context.Context, in <-chan *hypo.Scenario) <-chan St
 func (e *Engine) StreamIn(ctx context.Context, kind semiring.Kind, in <-chan *hypo.Scenario) <-chan ValueStreamResult {
 	cs := &hypo.ChainState{}
 	maxBatch, buf := e.streamParams()
-	if kind == semiring.KindFloat || kind == "" {
-		return streamLoop(ctx, in, maxBatch, buf,
-			func(base int, scs []*hypo.Scenario) []ValueStreamResult {
-				return eraseResults(e.evalStream(base, scs, cs))
-			},
-			cs.Release)
+	eval := func(base int, scs []*hypo.Scenario) []ValueStreamResult {
+		return e.evalStreamIn(kind, base, scs, cs)
 	}
-	return streamLoop(ctx, in, maxBatch, buf,
-		func(base int, scs []*hypo.Scenario) []ValueStreamResult {
-			return e.evalStreamIn(kind, base, scs, cs)
-		},
-		cs.Release)
+	if kind == semiring.KindFloat || kind == "" {
+		eval = func(base int, scs []*hypo.Scenario) []ValueStreamResult {
+			return e.floatBatch(base, scs, cs).erase(base)
+		}
+	}
+	return streamLoop(ctx, in, maxBatch, buf, eval, cs.Release)
 }
 
 // streamParams resolves the configured micro-batch cap and output-channel
@@ -158,47 +164,84 @@ func streamLoop[R any](ctx context.Context, in <-chan *hypo.Scenario, maxBatch, 
 	return out
 }
 
-// evalStream answers one micro-batch through the error-isolating batch
-// path: scenarios that fail to resolve get in-band errors re-indexed to
-// their arrival position (base+i), the rest are evaluated in one call with
-// names resolved exactly once. cs chains the batch onto the previous one.
-func (e *Engine) evalStream(base int, scs []*hypo.Scenario, cs *hypo.ChainState) []StreamResult {
+// rawBatch is one evaluated micro-batch in its kernel's own value type:
+// per scenario, the raw answer vector (set order, untagged) or the in-band
+// error that replaced it, plus the tags the vectors pair with. Tagging is
+// left to whoever emits a row, so a ranked sweep tags only the k rows it
+// returns.
+type rawBatch[T any] struct {
+	rows [][]T
+	errs []error
+	tags []string
+}
+
+// evalRawBatch answers one micro-batch on kernel k through the
+// error-isolating batch path: scenarios that fail to resolve get in-band
+// errors re-indexed to their arrival position (base+i), the rest are
+// evaluated in one call with names resolved exactly once. It also reports
+// how many scenarios were evaluated.
+func evalRawBatch[T any, C provenance.Carrier[T]](k *provenance.Kernel[T, C], opts hypo.BatchOptions, base int, scs []*hypo.Scenario) (rawBatch[T], int64) {
+	rows, errs := hypo.EvalBatchEach(k, scs, opts)
+	evaluated := int64(len(scs))
+	for i, err := range errs {
+		switch err := err.(type) {
+		case nil:
+			continue
+		case *hypo.UnknownVarsError:
+			err.Scenario = base + i
+		case *hypo.BadAssignmentError:
+			err.Scenario = base + i
+		}
+		evaluated--
+	}
+	return rawBatch[T]{rows: rows, errs: errs, tags: k.Tags}, evaluated
+}
+
+// failedBatch fails all n scenarios of a micro-batch with err (T is
+// immaterial: no row was evaluated).
+func failedBatch[T any](err error, n int) rawBatch[T] {
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = err
+	}
+	return rawBatch[T]{errs: errs}
+}
+
+// erase converts the batch to carrier-erased stream results, indexed from
+// base.
+func (b rawBatch[T]) erase(base int) []ValueStreamResult {
+	out := make([]ValueStreamResult, len(b.errs))
+	for i, err := range b.errs {
+		out[i] = ValueStreamResult{Index: base + i, Err: err}
+		if err == nil {
+			out[i].Answers = hypo.EraseValues(b.tags, b.rows[i])
+		}
+	}
+	return out
+}
+
+// floatBatch evaluates one micro-batch on the float kernel, raw; cs chains
+// the batch onto the previous one.
+func (e *Engine) floatBatch(base int, scs []*hypo.Scenario, cs *hypo.ChainState) rawBatch[float64] {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	opts := e.streamBatchOptions()
 	opts.ChainState = cs
-	rows, errs := hypo.AnswersBatchEach(e.compiledLocked(), scs, opts)
-	out := make([]StreamResult, len(scs))
-	evaluated := 0
-	for i := range scs {
-		out[i].Index = base + i
-		switch err := errs[i].(type) {
-		case nil:
-			out[i].Answers = rows[i]
-			evaluated++
-		case *hypo.UnknownVarsError:
-			out[i].Err = hypo.ErrUnknownVars(base+i, err.Names)
-		default:
-			out[i].Err = err
-		}
-	}
-	e.scenarios.Add(int64(evaluated))
+	b, evaluated := evalRawBatch(e.compiledLocked(), opts, base, scs)
+	e.scenarios.Add(evaluated)
 	e.observeStreamBatch(len(scs))
-	return out
+	return b
 }
 
-// evalStreamIn is evalStream on a non-float carrier's kernel. A carrier the
-// active set cannot compile into fails every scenario of the batch in-band.
+// evalStreamIn answers one micro-batch on a non-float carrier's kernel. A
+// carrier the active set cannot compile into fails every scenario of the
+// batch in-band.
 func (e *Engine) evalStreamIn(kind semiring.Kind, base int, scs []*hypo.Scenario, cs *hypo.ChainState) []ValueStreamResult {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	rt, err := e.runtimeLocked(kind)
 	if err != nil {
-		out := make([]ValueStreamResult, len(scs))
-		for i := range scs {
-			out[i] = ValueStreamResult{Index: base + i, Err: err}
-		}
-		return out
+		return failedBatch[float64](err, len(scs)).erase(base)
 	}
 	return rt.evalStreamBatch(e, base, scs, cs)
 }
@@ -213,16 +256,4 @@ func (e *Engine) observeStreamBatch(n int) {
 			break
 		}
 	}
-}
-
-// eraseResults converts float stream results to the carrier-erased form.
-func eraseResults(rs []StreamResult) []ValueStreamResult {
-	out := make([]ValueStreamResult, len(rs))
-	for i, r := range rs {
-		out[i] = ValueStreamResult{Index: r.Index, Err: r.Err}
-		if r.Err == nil {
-			out[i].Answers = hypo.Erase(r.Answers)
-		}
-	}
-	return out
 }

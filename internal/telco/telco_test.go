@@ -211,3 +211,48 @@ func TestPlansTreeRejectsOversizedShape(t *testing.T) {
 		t.Error("256-leaf shape accepted for 128 plan variables")
 	}
 }
+
+// TestCompressionBitDeterministic compresses the same telco provenance
+// several times in one process: the abstracted coefficients must be
+// Float64bits-identical every time, whatever order the polynomials' terms
+// are stored in.
+func TestCompressionBitDeterministic(t *testing.T) {
+	set, err := SyntheticProvenance(Config{Customers: 2000, Plans: 128, Months: 12, Zips: 50, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := PlansTree(treegen.Shape{Type: 1, Fanouts: []int{2, 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest, err := abstree.NewForest(plans, QuarterTree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []uint64
+	for run := 0; run < 4; run++ {
+		comp, err := core.GreedyCompressor().Compress(set, forest, set.Size()/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []uint64
+		for _, p := range comp.Abstracted.Polys {
+			for _, m := range p.Monomials() {
+				bits = append(bits, math.Float64bits(m.Coeff))
+			}
+		}
+		if run == 0 {
+			first = bits
+			continue
+		}
+		if len(bits) != len(first) {
+			t.Fatalf("run %d: %d monomials, run 0 had %d", run, len(bits), len(first))
+		}
+		for i := range bits {
+			if bits[i] != first[i] {
+				t.Fatalf("run %d: coefficient %d is %v, run 0 had %v",
+					run, i, math.Float64frombits(bits[i]), math.Float64frombits(first[i]))
+			}
+		}
+	}
+}
