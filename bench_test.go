@@ -667,9 +667,12 @@ func BenchmarkChainedStream(b *testing.B) {
 // BenchmarkQueryTopK runs ScenQL top-k statements on a telco-s session
 // (2,000 customers over 200 zips): a chained grid sweep over two plan
 // leaves and a SAMPLE over the twelve months, each ranked by one zip's
-// answer. It reports scenarios/s and allocs/scenario; a ranked sweep tags
-// and boxes only the k rows it returns, so the allocation count does not
-// grow with the number of polynomials.
+// answer. It reports scenarios/s and allocs/scenario. A ranked sweep
+// evaluates one polynomial per scenario and answers, tags and boxes only
+// the k rows it returns, so the allocation count does not grow with the
+// number of polynomials. The all-win case is the worst case of that
+// design: its LIMIT is above the grid's 441 scenarios, so every scenario
+// is a winner and the key pass is pure overhead.
 func BenchmarkQueryTopK(b *testing.B) {
 	set, err := telco.SyntheticProvenance(telco.Config{Customers: 2000, Zips: 200, Plans: 128, Months: 12, Seed: 1})
 	if err != nil {
@@ -683,6 +686,7 @@ func BenchmarkQueryTopK(b *testing.B) {
 		{"grid", "pl3 IN [0.5:1.5:0.05] pl7 IN [0.5:1.5:0.05] ORDER BY ans[17] DESC LIMIT 10"},
 		{"sample", "SAMPLE 80 m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12 IN [0.5:1.5] SEED 7 " +
 			"ORDER BY ans[17] DESC LIMIT 10"},
+		{"all-win", "pl3 IN [0.5:1.5:0.05] pl7 IN [0.5:1.5:0.05] ORDER BY ans[17] DESC LIMIT 500"},
 	} {
 		b.Run(st.name, func(b *testing.B) {
 			// One warm-up run compiles the kernel and its delta baseline.

@@ -457,7 +457,7 @@ func queryJSON(info *session.QueryInfo, rows <-chan session.QueryRow) error {
 			return err
 		}
 	}
-	return nil
+	return info.Err()
 }
 
 // wireValue maps a carrier value to a JSON-encodable one (the tropical /
@@ -494,18 +494,21 @@ func queryText(eng *session.Engine, info *session.QueryInfo, rows <-chan session
 			fmt.Printf("        %-40s %14v\n", a.Tag, a.Value)
 		}
 	}
+	if err := info.Err(); err != nil {
+		return err
+	}
 	elapsed := time.Since(start)
 	fmt.Printf("%d of %d scenarios in the %s semiring in %v (%d errors)\n",
 		n, info.Scenarios, info.Semiring, elapsed, errs)
 	st := eng.Stats()
 	if info.Semiring != semiring.KindFloat {
 		ss := st.Semirings[info.Semiring.String()]
-		fmt.Printf("paths: %d delta, %d chained, %d full, %d sharded\n",
-			ss.DeltaEvals, ss.ChainedEvals, ss.FullEvals, ss.ShardedEvals)
+		fmt.Printf("paths: %d delta, %d chained, %d full, %d sharded, %d ranked\n",
+			ss.DeltaEvals, ss.ChainedEvals, ss.FullEvals, ss.ShardedEvals, ss.RankedEvals)
 		return nil
 	}
-	fmt.Printf("paths: %d delta, %d chained, %d full, %d sharded\n",
-		st.DeltaEvals, st.ChainedEvals, st.FullEvals, st.ShardedEvals)
+	fmt.Printf("paths: %d delta, %d chained, %d full, %d sharded, %d ranked\n",
+		st.DeltaEvals, st.ChainedEvals, st.FullEvals, st.ShardedEvals, st.RankedEvals)
 	return nil
 }
 

@@ -105,4 +105,7 @@ func main() {
 	for row := range rows {
 		fmt.Printf("  m1=%.1f → %.2f\n", row.Assign["m1"], row.Answers[0].Value)
 	}
+	if err := info.Err(); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -189,6 +189,7 @@ type BatchCounters struct {
 	ChainedEvals atomic.Int64 // scenarios answered via a delta against the previous scenario's answers
 	FullEvals    atomic.Int64 // scenarios answered by full re-evaluation
 	ShardedEvals atomic.Int64 // scenarios whose evaluation was split across goroutines
+	RankedEvals  atomic.Int64 // scenarios answered on one polynomial only, by EvalPolyEach
 
 	deltaNsPerTerm ewma         // observed cost of recomputing one affected term
 	fullNsPerTerm  ewma         // observed cost of one term on the full path
@@ -915,8 +916,51 @@ func evalChainedBatch[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C]
 // EvalBatch: callers tag only the rows they emit (TagAnswers, EraseValues),
 // so a ranked sweep boxes k rows, not every scenario's.
 func EvalBatchEach[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C], scenarios []*Scenario, opts BatchOptions) ([][]T, []error) {
+	valid, pos, errs := resolveEach[T, C](c.Carrier(), c.Vocab, scenarios)
+	rows := evalResolvedBatch(c, valid, opts)
+	out := make([][]T, len(scenarios))
+	for k, i := range pos {
+		out[i] = rows[k]
+	}
+	return out, errs
+}
+
+// EvalPolyEach is EvalBatchEach for ranking: it answers only polynomial
+// poly per scenario, through Kernel.EvalPoly, so a key costs that
+// polynomial's terms instead of the whole set's. keys[i] is bit-identical
+// to the poly-th answer EvalBatch gives scenario i; it is the zero value
+// where errs[i] is non-nil. Evaluations are counted as RankedEvals.
+func EvalPolyEach[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C], poly int, scenarios []*Scenario, counters *BatchCounters) ([]T, []error) {
+	valid, pos, errs := resolveEach[T, C](c.Carrier(), c.Vocab, scenarios)
+	keys := make([]T, len(scenarios))
+	one := c.Carrier().One()
+	val := c.NewValuation()
+	for k, rs := range valid {
+		for j, v := range rs.vars {
+			if int(v) < len(val) {
+				val[v] = rs.vals[j]
+			}
+		}
+		keys[pos[k]] = c.EvalPoly(poly, val)
+		for _, v := range rs.vars {
+			if int(v) < len(val) {
+				val[v] = one
+			}
+		}
+	}
+	if counters != nil {
+		counters.RankedEvals.Add(int64(len(valid)))
+	}
+	return keys, errs
+}
+
+// resolveEach resolves every scenario once, isolating failures: the
+// scenarios that resolve, their batch positions, and per scenario the
+// *UnknownVarsError or *BadAssignmentError that replaced it (nil when it
+// resolved).
+func resolveEach[T any, C provenance.Carrier[T]](cr C, vb *provenance.Vocab, scenarios []*Scenario) ([]resolvedScenario[T], []int, []error) {
 	errs := make([]error, len(scenarios))
-	r := newResolver[T, C](c.Carrier(), c.Vocab, scenarios)
+	r := newResolver[T, C](cr, vb, scenarios)
 	valid := make([]resolvedScenario[T], 0, len(scenarios))
 	pos := make([]int, 0, len(scenarios))
 	for i, sc := range scenarios {
@@ -933,12 +977,7 @@ func EvalBatchEach[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C], s
 		valid = append(valid, rs)
 		pos = append(pos, i)
 	}
-	rows := evalResolvedBatch(c, valid, opts)
-	out := make([][]T, len(scenarios))
-	for k, i := range pos {
-		out[i] = rows[k]
-	}
-	return out, errs
+	return valid, pos, errs
 }
 
 // AnswersBatch is EvalBatch with each value paired to its polynomial's tag.

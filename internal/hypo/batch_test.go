@@ -146,6 +146,40 @@ func TestEvalBatchUnknownVariable(t *testing.T) {
 	}
 }
 
+// TestEvalPolyEachMatchesBatch: the key-only evaluator answers each
+// scenario's chosen polynomial bit-identically to the full batch, isolates
+// scenarios that fail to resolve at their own slot, leaves no assignment
+// behind in its valuation between scenarios, and counts every evaluated
+// scenario as a RankedEvals.
+func TestEvalPolyEachMatchesBatch(t *testing.T) {
+	s := bigSet(t)
+	c := s.Compile()
+	scenarios := randomScenarios(s, 40, 3)
+	scenarios[7] = NewScenario().Set("w1", 2).Set("nope", 1)
+	rows, errs := EvalBatchEach(c, scenarios, BatchOptions{Workers: 1})
+	var counters BatchCounters
+	for _, poly := range []int{0, 17, c.Len() - 1} {
+		keys, keyErrs := EvalPolyEach(c, poly, scenarios, &counters)
+		for i := range scenarios {
+			if (keyErrs[i] == nil) != (errs[i] == nil) {
+				t.Fatalf("poly %d scenario %d: key error %v, batch error %v", poly, i, keyErrs[i], errs[i])
+			}
+			if errs[i] != nil {
+				if _, ok := keyErrs[i].(*UnknownVarsError); !ok {
+					t.Fatalf("scenario %d: error %T, want *UnknownVarsError", i, keyErrs[i])
+				}
+				continue
+			}
+			if math.Float64bits(keys[i]) != math.Float64bits(rows[i][poly]) {
+				t.Fatalf("poly %d scenario %d: key %v, batch answer %v", poly, i, keys[i], rows[i][poly])
+			}
+		}
+	}
+	if got, want := counters.RankedEvals.Load(), int64(3*(len(scenarios)-1)); got != want {
+		t.Errorf("RankedEvals = %d, want %d", got, want)
+	}
+}
+
 // TestResolveReportsAllUnknowns: every unresolved name is reported at once,
 // with the scenario's index — including index 0 of a single-scenario call.
 func TestResolveReportsAllUnknowns(t *testing.T) {

@@ -78,11 +78,14 @@ type kernelArrays[T any] struct {
 // It exists for one reason: Go's gcshape stenciling dispatches the generic
 // loops' Add/Mul through a dictionary, and the float64 hot path must keep
 // its pre-generic codegen. The kernel detects the interface once at
-// construction, so evaluation pays a single interface call per range (or
-// per id list), never per term.
+// construction, so evaluation pays a single interface call per range, per
+// id list or per single polynomial, never per term. All three must run one
+// per-polynomial loop: a compiler may fuse a multiply-add differently in
+// two copies of it, and every path's answers must stay bit-identical.
 type bulkKernel[T any] interface {
 	evalBulk(a *kernelArrays[T], lo, hi int, val, out []T)
 	evalBulkIDs(a *kernelArrays[T], ids []int32, val, out []T)
+	evalBulkPoly(a *kernelArrays[T], i int, val []T) T
 }
 
 // Float is the numeric (+,×) carrier over float64 — the paper's semiring,
@@ -122,23 +125,30 @@ func (Float) Value(x float64) (float64, error) { return x, nil }
 func (Float) Chainable() bool { return true }
 
 func (Float) evalBulk(a *kernelArrays[float64], lo, hi int, val, out []float64) {
-	if a.allPow1 {
-		evalLinearFloat(a, lo, hi, val, out)
-	} else {
-		evalGeneralFloat(a, lo, hi, val, out)
+	poly := floatLoop(a)
+	for pi := lo; pi < hi; pi++ {
+		out[pi] = poly(a, pi, val)
 	}
 }
 
 func (Float) evalBulkIDs(a *kernelArrays[float64], ids []int32, val, out []float64) {
-	if a.allPow1 {
-		for _, pi := range ids {
-			evalLinearFloat(a, int(pi), int(pi)+1, val, out)
-		}
-	} else {
-		for _, pi := range ids {
-			evalGeneralFloat(a, int(pi), int(pi)+1, val, out)
-		}
+	poly := floatLoop(a)
+	for _, pi := range ids {
+		out[pi] = poly(a, int(pi), val)
 	}
+}
+
+func (Float) evalBulkPoly(a *kernelArrays[float64], i int, val []float64) float64 {
+	return floatLoop(a)(a, i, val)
+}
+
+// floatLoop picks the per-polynomial loop every float path runs: the
+// linear one when every exponent is 1, the general one otherwise.
+func floatLoop(a *kernelArrays[float64]) func(*kernelArrays[float64], int, []float64) float64 {
+	if a.allPow1 {
+		return evalLinearFloat
+	}
+	return evalGeneralFloat
 }
 
 // evalLinearFloat is the hot path: every exponent is 1 so each factor is a
@@ -147,46 +157,42 @@ func (Float) evalBulkIDs(a *kernelArrays[float64], ids []int32, val, out []float
 // almost always, so most terms finish without entering a loop at all. Every
 // multiply keeps the left-to-right association of the plain loop, so results
 // stay bit-identical across paths.
-func evalLinearFloat(a *kernelArrays[float64], lo, hi int, val, out []float64) {
+func evalLinearFloat(a *kernelArrays[float64], pi int, val []float64) float64 {
 	coeffs, factOff, vars := a.coeffs, a.factOff, a.vars
-	for pi := lo; pi < hi; pi++ {
-		sum := 0.0
-		for t := a.polyOff[pi]; t < a.polyOff[pi+1]; t++ {
-			x := coeffs[t]
-			f, end := factOff[t], factOff[t+1]
-			for ; end-f >= 4; f += 4 {
-				x = x * val[vars[f]] * val[vars[f+1]] * val[vars[f+2]] * val[vars[f+3]]
-			}
-			switch end - f {
-			case 1:
-				x *= val[vars[f]]
-			case 2:
-				x = x * val[vars[f]] * val[vars[f+1]]
-			case 3:
-				x = x * val[vars[f]] * val[vars[f+1]] * val[vars[f+2]]
-			}
-			sum += x
+	sum := 0.0
+	for t := a.polyOff[pi]; t < a.polyOff[pi+1]; t++ {
+		x := coeffs[t]
+		f, end := factOff[t], factOff[t+1]
+		for ; end-f >= 4; f += 4 {
+			x = x * val[vars[f]] * val[vars[f+1]] * val[vars[f+2]] * val[vars[f+3]]
 		}
-		out[pi] = sum
+		switch end - f {
+		case 1:
+			x *= val[vars[f]]
+		case 2:
+			x = x * val[vars[f]] * val[vars[f+1]]
+		case 3:
+			x = x * val[vars[f]] * val[vars[f+1]] * val[vars[f+2]]
+		}
+		sum += x
 	}
+	return sum
 }
 
 // evalGeneralFloat handles arbitrary positive exponents by repeated
 // multiplication (exponents are small in provenance polynomials: they count
 // self-joins).
-func evalGeneralFloat(a *kernelArrays[float64], lo, hi int, val, out []float64) {
-	for pi := lo; pi < hi; pi++ {
-		sum := 0.0
-		for t := a.polyOff[pi]; t < a.polyOff[pi+1]; t++ {
-			x := a.coeffs[t]
-			for f := a.factOff[t]; f < a.factOff[t+1]; f++ {
-				v := val[a.vars[f]]
-				for p := a.pows[f]; p > 0; p-- {
-					x *= v
-				}
+func evalGeneralFloat(a *kernelArrays[float64], pi int, val []float64) float64 {
+	sum := 0.0
+	for t := a.polyOff[pi]; t < a.polyOff[pi+1]; t++ {
+		x := a.coeffs[t]
+		for f := a.factOff[t]; f < a.factOff[t+1]; f++ {
+			v := val[a.vars[f]]
+			for p := a.pows[f]; p > 0; p-- {
+				x *= v
 			}
-			sum += x
 		}
-		out[pi] = sum
+		sum += x
 	}
+	return sum
 }

@@ -265,34 +265,22 @@ func (c *Kernel[T, C]) Eval(val []T, out []T) []T {
 // evalRange evaluates polynomials [lo, hi) into out (indexed by polynomial
 // id, not shifted). Disjoint ranges may be evaluated concurrently. Carriers
 // with a fused bulk loop take it through a single interface call; the rest
-// run the generic loops below.
+// run the generic loop below.
 func (c *Kernel[T, C]) evalRange(lo, hi int, val, out []T) {
 	if c.bulk != nil {
 		c.bulk.evalBulk(&c.kernelArrays, lo, hi, val, out)
 		return
 	}
-	cr := c.carrier
 	for pi := lo; pi < hi; pi++ {
-		sum := cr.Zero()
-		for t := c.polyOff[pi]; t < c.polyOff[pi+1]; t++ {
-			x := c.coeffs[t]
-			for f := c.factOff[t]; f < c.factOff[t+1]; f++ {
-				v := val[c.vars[f]]
-				for p := c.pows[f]; p > 0; p-- {
-					x = cr.Mul(x, v)
-				}
-			}
-			sum = cr.Add(sum, x)
-		}
-		out[pi] = sum
+		out[pi] = c.evalGeneric(pi, val)
 	}
 }
 
-// EvalPoly evaluates only polynomial i under the dense valuation.
-func (c *Kernel[T, C]) EvalPoly(i int, val []T) T {
+// evalGeneric is the carrier-generic loop over one polynomial's terms.
+func (c *Kernel[T, C]) evalGeneric(pi int, val []T) T {
 	cr := c.carrier
 	sum := cr.Zero()
-	for t := c.polyOff[i]; t < c.polyOff[i+1]; t++ {
+	for t := c.polyOff[pi]; t < c.polyOff[pi+1]; t++ {
 		x := c.coeffs[t]
 		for f := c.factOff[t]; f < c.factOff[t+1]; f++ {
 			v := val[c.vars[f]]
@@ -303,6 +291,15 @@ func (c *Kernel[T, C]) EvalPoly(i int, val []T) T {
 		sum = cr.Add(sum, x)
 	}
 	return sum
+}
+
+// EvalPoly evaluates only polynomial i under the dense valuation, on the
+// same loop Eval runs, so the result is bit-identical to Eval's out[i].
+func (c *Kernel[T, C]) EvalPoly(i int, val []T) T {
+	if c.bulk != nil {
+		return c.bulk.evalBulkPoly(&c.kernelArrays, i, val)
+	}
+	return c.evalGeneric(i, val)
 }
 
 // EvalMap evaluates under a sparse map valuation (convenience bridge from

@@ -39,6 +39,12 @@ func randomSet(t testing.TB, seed int64, polys, maxTerms int, withPows bool) *Se
 // reference map-based evaluation on random sets, for both the all-pow-1
 // fast path and the general-exponent path.
 func TestCompiledMatchesMapEval(t *testing.T) {
+	loops := map[bool]bool{} // allPow1 of the kernels checked
+	defer func() {
+		if !loops[true] || !loops[false] {
+			t.Errorf("checked linear=%v general=%v kernels, want both", loops[true], loops[false])
+		}
+	}()
 	for _, withPows := range []bool{false, true} {
 		for seed := int64(1); seed <= 5; seed++ {
 			s := randomSet(t, seed, 7, 12, withPows)
@@ -63,15 +69,18 @@ func TestCompiledMatchesMapEval(t *testing.T) {
 					t.Errorf("seed %d pows=%v poly %d: compiled %v, map %v", seed, withPows, i, got[i], want[i])
 				}
 			}
-			// EvalMap bridge and per-polynomial access agree too.
+			// EvalMap bridge and per-polynomial access agree too; EvalPoly
+			// bit for bit, on the linear and the general loop alike (a
+			// ScenQL top-k ranks on it and then answers with Eval).
+			loops[c.allPow1] = true
 			got2 := c.EvalMap(val)
 			dense := c.Valuation(val)
 			for i := range got2 {
 				if got2[i] != got[i] {
 					t.Errorf("EvalMap poly %d = %v, want %v", i, got2[i], got[i])
 				}
-				if one := c.EvalPoly(i, dense); math.Abs(one-got[i]) > 1e-12*(1+math.Abs(got[i])) {
-					t.Errorf("EvalPoly(%d) = %v, want %v", i, one, got[i])
+				if one := c.EvalPoly(i, dense); math.Float64bits(one) != math.Float64bits(got[i]) {
+					t.Errorf("EvalPoly(%d) = %v, want Eval's %v bit for bit", i, one, got[i])
 				}
 			}
 		}

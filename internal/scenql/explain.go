@@ -11,16 +11,20 @@ type ExplainPlan struct {
 	Statement string `json:"statement"`
 	Semiring  string `json:"semiring"`
 	Scenarios int64  `json:"scenarios"` // what the iterator will yield
-	Plan      any    `json:"plan"`      // root node: topk | limit | eval
+	Plan      any    `json:"plan"`      // root node: eval
 }
 
-// TopKNode is the streaming top-k filter (ORDER BY ... LIMIT k).
+// TopKNode is the streaming top-k filter (ORDER BY ... LIMIT k). It ranks
+// every scenario of its input on the key polynomial alone — KeyTerms terms
+// a scenario — and passes only the k winners on to the eval node above
+// it.
 type TopKNode struct {
-	Node  string `json:"node"` // "topk"
-	Key   string `json:"key"`  // "ans[3]", "ans['total']"
-	Dir   string `json:"dir"`  // "asc" | "desc"
-	K     int    `json:"k"`
-	Input any    `json:"input"`
+	Node     string `json:"node"` // "topk"
+	Key      string `json:"key"`  // "ans[3]", "ans['total']"
+	Dir      string `json:"dir"`  // "asc" | "desc"
+	K        int    `json:"k"`
+	KeyTerms int    `json:"key_terms"` // terms of the key polynomial
+	Input    any    `json:"input"`
 }
 
 // LimitNode caps generation (standalone LIMIT).
@@ -30,9 +34,11 @@ type LimitNode struct {
 	Input any    `json:"input"`
 }
 
-// EvalNode is the kernel-evaluation stage, annotated by the executor with
+// EvalNode is the full-evaluation stage, annotated by the executor with
 // the compiled kernel's shape, the cost model behind the adaptive cutoff,
-// and the predicted route for each transition class.
+// and the predicted route for each transition class. Over a topk input it
+// answers only the k winners, which are not consecutive scenarios, so
+// Routes is omitted.
 type EvalNode struct {
 	Node        string    `json:"node"` // "eval"
 	Semiring    string    `json:"semiring"`
@@ -40,7 +46,7 @@ type EvalNode struct {
 	Terms       int       `json:"terms"`
 	Chained     bool      `json:"chained"` // scenarios ride the chained-delta stream
 	CostModel   CostModel `json:"cost_model"`
-	Routes      []Route   `json:"routes"`
+	Routes      []Route   `json:"routes,omitempty"`
 	Input       any       `json:"input"`
 }
 

@@ -1,7 +1,7 @@
 package semiring
 
 // Kernel-vs-naive equivalence: the compiled evaluation stack (Kernel.Eval,
-// EvalDelta, EvalFrom, Append) must agree with a direct map-based reading of
+// EvalPoly, EvalDelta, EvalFrom, Append) must agree with a direct map-based reading of
 // the polynomials in every carrier, across random polynomial shapes — mixed
 // powers, empty polynomials, shared variables — and across incremental
 // appends. The naive evaluator below mirrors the N[X] semantics the kernel
@@ -102,6 +102,11 @@ func checkKernelEquivalence[T any, C provenance.Carrier[T]](t *testing.T, name s
 		}
 
 		check("Eval", k.Eval(dense, nil))
+		for i, want := range k.Eval(dense, nil) {
+			if got := k.EvalPoly(i, dense); !sameBits(got, want) {
+				t.Fatalf("%s seed %d: EvalPoly(%d) = %v, want Eval's %v bit for bit", name, seed, i, got, want)
+			}
+		}
 
 		// EvalDelta: perturb a random subset of variables off the identity.
 		val = map[provenance.Var]T{}
@@ -152,6 +157,14 @@ func checkKernelEquivalence[T any, C provenance.Carrier[T]](t *testing.T, name s
 			check("Append+Eval", k.Eval(k.Valuation(val), nil))
 		}
 	}
+}
+
+// sameBits is bit identity: float64s by their bits, anything else by ==.
+func sameBits[T any](a, b T) bool {
+	if x, ok := any(a).(float64); ok {
+		return math.Float64bits(x) == math.Float64bits(any(b).(float64))
+	}
+	return any(a) == any(b)
 }
 
 func TestKernelMatchesNaiveEval(t *testing.T) {

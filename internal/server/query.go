@@ -11,6 +11,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"sort"
@@ -126,11 +127,16 @@ func appendJSONFloat(buf []byte, f float64) []byte {
 }
 
 // queryStatus maps a statement failure to its HTTP status: parse and
-// resolution errors are the client's (400), anything else is not.
+// resolution errors are the client's (400), a Compress that overtook the
+// statement is a conflict the client may retry (409), anything else is
+// not the client's.
 func queryStatus(err error) int {
 	switch err.(type) {
 	case *scenql.ParseError, *scenql.CompileError:
 		return http.StatusBadRequest
+	}
+	if errors.Is(err, session.ErrActiveSetReplaced) {
+		return http.StatusConflict
 	}
 	return http.StatusInternalServerError
 }
@@ -166,7 +172,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, sess *regis
 // ({"semiring","scenarios"}), then one row line per scenario as it is
 // computed. An EXPLAIN statement answers with a single line carrying the
 // annotated plan. The stream ends early when the client goes away or the
-// session is closed.
+// session is closed; a statement that fails after the header (a Compress
+// replacing the active set mid-statement) ends with a terminal
+// {"error":...} line.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, sess *registry.Session) {
 	releaseStream, ok := s.acquireStream(w, r)
 	if !ok {
@@ -224,6 +232,11 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, sess 
 		if err := rc.Flush(); err != nil {
 			s.logger.Printf("server: %s %s: stream flush: %v", r.Method, r.URL.Path, err)
 			return
+		}
+	}
+	if err := info.Err(); err != nil && ctx.Err() == nil {
+		if encErr := enc.Encode(map[string]string{"error": err.Error()}); encErr != nil {
+			s.logger.Printf("server: %s %s: stream terminal error write: %v", r.Method, r.URL.Path, encErr)
 		}
 	}
 }

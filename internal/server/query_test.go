@@ -3,9 +3,14 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+
+	"provabs/internal/scenql"
+	"provabs/internal/session"
 )
 
 // postQuery posts one ScenQL statement and decodes the JSON response.
@@ -62,13 +67,35 @@ func TestQueryEndpointExplain(t *testing.T) {
 	if out["statement"] == nil || out["scenarios"] != 3.0 {
 		t.Fatalf("explain = %v", out)
 	}
-	plan := out["plan"].(map[string]any)
-	if plan["node"] != "topk" {
-		t.Fatalf("plan root = %v", plan["node"])
+	// A ranked statement evaluates the key per scenario (topk), then only
+	// the k winners in full (eval), so the eval node carries no routes.
+	eval := out["plan"].(map[string]any)
+	if eval["node"] != "eval" || eval["routes"] != nil || eval["cost_model"] == nil {
+		t.Fatalf("plan root = %v", eval)
 	}
-	eval := plan["input"].(map[string]any)
-	if eval["node"] != "eval" || eval["routes"] == nil || eval["cost_model"] == nil {
-		t.Fatalf("eval node = %v", eval)
+	top := eval["input"].(map[string]any)
+	if top["node"] != "topk" || top["key_terms"] == nil {
+		t.Fatalf("topk node = %v", top)
+	}
+}
+
+// TestQueryStatus maps statement failures to HTTP statuses: the client's
+// own mistakes are 400, a Compress that overtook the statement is a 409
+// the client may retry, and anything else is a 500.
+func TestQueryStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{&scenql.ParseError{Msg: "x"}, http.StatusBadRequest},
+		{&scenql.CompileError{Msg: "x"}, http.StatusBadRequest},
+		{session.ErrActiveSetReplaced, http.StatusConflict},
+		{fmt.Errorf("wrapped: %w", session.ErrActiveSetReplaced), http.StatusConflict},
+		{errors.New("boom"), http.StatusInternalServerError},
+	} {
+		if got := queryStatus(tc.err); got != tc.want {
+			t.Errorf("queryStatus(%v) = %d, want %d", tc.err, got, tc.want)
+		}
 	}
 }
 

@@ -4,14 +4,17 @@ package session
 // statement→plan→execute pipeline. A plan's scenarios are pulled off its
 // snake-order iterator in micro-batches and pushed through the same
 // chained, delta-routed stream path Engine.Stream uses — consecutive grid
-// points differ in one axis, so almost every scenario is a chained delta —
-// and ORDER BY runs as a streaming top-k on the raw answer vectors, so a
-// million-point sweep holds k vectors, not a million, and tags and boxes
-// only the k rows it returns. EXPLAIN stops before evaluation and reports
-// the plan tree annotated with this executor's routing and live cost model.
+// points differ in one axis, so almost every scenario is a chained delta.
+// ORDER BY runs key-first instead: each scenario is evaluated on its ORDER
+// BY polynomial alone and ranked in a streaming top-k that holds k
+// (key, scenario) pairs, and only the k winners are then evaluated in
+// full, tagged and boxed. EXPLAIN stops before evaluation and reports the
+// plan tree annotated with this executor's routing and live cost model.
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"math"
 	"runtime"
 	"slices"
@@ -53,17 +56,35 @@ type QueryInfo struct {
 	Semiring  semiring.Kind
 	Scenarios int64
 	Explain   *scenql.ExplainPlan // non-nil for EXPLAIN: no rows follow
+
+	err error // set before the row channel closes
 }
 
-// compileQuery parses and resolves one statement against the active set.
-func (e *Engine) compileQuery(src string) (*scenql.Plan, error) {
+// Err reports what ended the statement early — ErrActiveSetReplaced, or
+// the stream context's error once it is cancelled — and nil when every row
+// was delivered. Call it only after the row channel has closed.
+func (qi *QueryInfo) Err() error { return qi.err }
+
+// ErrActiveSetReplaced fails a statement that a Compress overtook: the
+// statement was compiled against one active set, and a later micro-batch
+// found another. Every row emitted before the error was answered on the
+// statement's own set, so no row, ranked or not, mixes the two. Add only
+// appends to the active set without changing any existing polynomial's
+// answer, so a statement may span Adds.
+var ErrActiveSetReplaced = errors.New("session: Compress replaced the active set mid-statement")
+
+// compileQuery parses and resolves one statement against the active set,
+// which it also returns: every micro-batch of the statement must answer on
+// that set.
+func (e *Engine) compileQuery(src string) (*scenql.Plan, *provenance.Set, error) {
 	q, err := scenql.Parse(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return scenql.Compile(q, e.active.Vocab, e.active.Tags)
+	p, err := scenql.Compile(q, e.active.Vocab, e.active.Tags)
+	return p, e.active, err
 }
 
 // Query runs one ScenQL statement to completion. An EXPLAIN statement
@@ -71,14 +92,15 @@ func (e *Engine) compileQuery(src string) (*scenql.Plan, error) {
 // top-k over the whole sweep; anything else materializes rows up to
 // maxQueryRows (Truncated reports hitting the cap — use QueryStream for
 // full unranked sweeps). Parse and resolution failures return *ParseError /
-// *CompileError from internal/scenql.
+// *CompileError from internal/scenql; a Compress landing mid-statement
+// returns ErrActiveSetReplaced.
 func (e *Engine) Query(src string) (*QueryResult, error) {
 	return e.QueryContext(context.Background(), src)
 }
 
 // QueryContext is Query, cancellable between micro-batches.
 func (e *Engine) QueryContext(ctx context.Context, src string) (*QueryResult, error) {
-	p, err := e.compileQuery(src)
+	p, set, err := e.compileQuery(src)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +110,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*QueryResult, er
 		res.Explain, err = e.explain(p, src)
 		return res, err
 	}
-	ranked, err := e.runPlan(ctx, p, func(row QueryRow) bool {
+	ranked, err := e.runPlan(ctx, p, set, func(row QueryRow) bool {
 		if row.Err != nil {
 			res.Errors++
 			if p.Order != nil {
@@ -111,10 +133,11 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*QueryResult, er
 // QueryStream runs one statement with rows delivered on a channel as they
 // are computed (ORDER BY still consumes the full sweep before emitting its
 // k ranked rows — top-k cannot stream). The channel closes when the sweep
-// completes or ctx is cancelled. For EXPLAIN the returned channel is
-// already closed and QueryInfo.Explain carries the plan.
+// completes, fails or ctx is cancelled; QueryInfo.Err then tells which.
+// For EXPLAIN the returned channel is already closed and QueryInfo.Explain
+// carries the plan.
 func (e *Engine) QueryStream(ctx context.Context, src string) (*QueryInfo, <-chan QueryRow, error) {
-	p, err := e.compileQuery(src)
+	p, set, err := e.compileQuery(src)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -142,59 +165,78 @@ func (e *Engine) QueryStream(ctx context.Context, src string) (*QueryInfo, <-cha
 	go func() {
 		defer close(out)
 		// Failed scenarios stream in-band even under top-k.
-		ranked, err := e.runPlan(ctx, p, emit)
-		if err != nil {
-			return
-		}
+		ranked, err := e.runPlan(ctx, p, set, emit)
 		for _, row := range ranked {
 			if !emit(row) {
-				return
+				break
 			}
 		}
+		if err == nil {
+			err = ctx.Err()
+		}
+		info.err = err
 	}()
 	return info, out, nil
 }
 
-// runPlan sweeps the plan on its carrier's kernel (see sweep). A carrier
-// the active set cannot compile into fails every scenario in-band, as on a
-// stream.
-func (e *Engine) runPlan(ctx context.Context, p *scenql.Plan, emit func(QueryRow) bool) ([]QueryRow, error) {
+// runPlan sweeps the plan on its carrier's kernel (see sweep); set is the
+// active set the plan was compiled against. A carrier the active set
+// cannot compile into fails every scenario in-band, as on a stream.
+func (e *Engine) runPlan(ctx context.Context, p *scenql.Plan, set *provenance.Set, emit func(QueryRow) bool) ([]QueryRow, error) {
 	if p.Kind == semiring.KindFloat {
-		return sweep(ctx, e, p, e.floatBatch, emit)
+		return sweep(ctx, e, p, set, func() (evalTarget[float64, provenance.Float], error) {
+			return e.floatTarget(), nil
+		}, emit)
 	}
 	e.mu.RLock()
 	rt, err := e.runtimeLocked(p.Kind)
 	e.mu.RUnlock()
 	if err != nil {
-		return sweep(ctx, e, p, func(_ int, scs []*hypo.Scenario, _ *hypo.ChainState) rawBatch[float64] {
-			return failedBatch[float64](err, len(scs))
+		return sweep(ctx, e, p, set, func() (evalTarget[float64, provenance.Float], error) {
+			return evalTarget[float64, provenance.Float]{}, err
 		}, emit)
 	}
-	return rt.query(ctx, e, p, emit)
+	return rt.query(ctx, e, p, set, emit)
 }
 
-// sweep drains the plan's iterator in micro-batches through batch (one
-// RLock per batch, the chain state carried across) in generation order.
-// Without ORDER BY every row is tagged, erased and passed to emit. With it,
-// failed rows go to emit, the rest are ranked on their raw answer vectors,
-// and the k best come back tagged and erased once the sweep is done. emit
-// returning false stops the sweep. Returns ctx's error on cancellation.
-func sweep[T any](ctx context.Context, e *Engine, p *scenql.Plan, batch func(int, []*hypo.Scenario, *hypo.ChainState) rawBatch[T], emit func(QueryRow) bool) ([]QueryRow, error) {
+// sweep drains the plan's iterator in micro-batches (one RLock per batch,
+// on the kernel locate returns under it) in generation order. Without
+// ORDER BY every row is evaluated in full on the chained batch path,
+// tagged, erased and passed to emit. With it, each scenario is evaluated
+// on its key polynomial alone: failed rows go to emit, the rest are
+// ranked, and once the sweep is done the k winners are evaluated in full
+// — in generation order, a micro-batch at a time, chained — and come back
+// best-first, tagged and erased. The key is bit-identical to the winner's
+// answer, since every kernel path recomputes a polynomial on one loop.
+// emit returning false stops the sweep. Returns ctx's error on
+// cancellation, and ErrActiveSetReplaced when a micro-batch finds that a
+// Compress replaced set.
+func sweep[T any, C provenance.Carrier[T]](ctx context.Context, e *Engine, p *scenql.Plan, set *provenance.Set, locate func() (evalTarget[T, C], error), emit func(QueryRow) bool) ([]QueryRow, error) {
+	batch := func(n int, run func(evalTarget[T, C]) rawBatch[T]) (rawBatch[T], error) {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		if e.active != set {
+			return rawBatch[T]{}, ErrActiveSetReplaced
+		}
+		t, err := locate()
+		if err != nil {
+			return failedBatch[T](err, n), nil
+		}
+		return run(t), nil
+	}
 	it := p.Iter()
 	cs := &hypo.ChainState{}
 	defer cs.Release()
 	maxBatch, _ := e.streamParams()
-	var top *topK[T]
+	var top *topK
 	if p.Order != nil {
-		top = newTopK[T](p.Order)
+		top = &topK{desc: p.Order.Desc, k: p.Order.K}
 	}
+	key := rankKey[T]()
 	scs := make([]*hypo.Scenario, 0, maxBatch)
-	base := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		default:
+	for base := 0; ; base += len(scs) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		scs = scs[:0]
 		for len(scs) < maxBatch {
@@ -205,17 +247,22 @@ func sweep[T any](ctx context.Context, e *Engine, p *scenql.Plan, batch func(int
 			scs = append(scs, sc)
 		}
 		if len(scs) == 0 {
-			if top == nil {
-				return nil, nil
-			}
-			return top.ranked(), nil
+			break
 		}
-		b := batch(base, scs, cs)
+		b, err := batch(len(scs), func(t evalTarget[T, C]) rawBatch[T] {
+			if top != nil {
+				return t.key(p.Order.Index, base, scs)
+			}
+			return t.raw(base, scs, cs)
+		})
+		if err != nil {
+			return nil, err
+		}
 		for i, sc := range scs {
 			row := QueryRow{Index: int64(base + i), Assign: sc.Assign, Err: b.errs[i]}
 			if row.Err == nil {
 				if top != nil {
-					top.offer(row.Index, row.Assign, b.tags, b.rows[i])
+					top.offer(key(b.keys[i]), row.Index, sc)
 					continue
 				}
 				row.Answers = hypo.EraseValues(b.tags, b.rows[i])
@@ -224,14 +271,48 @@ func sweep[T any](ctx context.Context, e *Engine, p *scenql.Plan, batch func(int
 				return nil, nil
 			}
 		}
-		base += len(scs)
 	}
+	if top == nil {
+		return nil, nil
+	}
+	winners := top.ranked()
+	byIndex := make([]int, len(winners)) // ranks in generation order
+	for r := range byIndex {
+		byIndex[r] = r
+	}
+	slices.SortFunc(byIndex, func(a, b int) int { return cmp.Compare(winners[a].index, winners[b].index) })
+	out := make([]QueryRow, len(winners))
+	for lo := 0; lo < len(byIndex); lo += maxBatch {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		ranks := byIndex[lo:min(lo+maxBatch, len(byIndex))]
+		scs = scs[:0]
+		for _, r := range ranks {
+			scs = append(scs, winners[r].sc)
+		}
+		// Every winner resolved in the key pass on this set, so only a
+		// carrier that can no longer compile the set fails one here.
+		b, err := batch(len(scs), func(t evalTarget[T, C]) rawBatch[T] { return t.raw(0, scs, cs) })
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range ranks {
+			row := QueryRow{Index: winners[r].index, Assign: winners[r].sc.Assign, Err: b.errs[i]}
+			if row.Err == nil {
+				row.Answers = hypo.EraseValues(b.tags, b.rows[i])
+			}
+			out[r] = row
+		}
+	}
+	return out, nil
 }
 
 // kernelDesc is the carrier-independent kernel summary EXPLAIN annotates
 // the eval node with.
 type kernelDesc struct {
 	polys, terms  int
+	keyTerms      int // terms of the ORDER BY polynomial (set by describeKernel)
 	chainable     bool
 	counters      *hypo.BatchCounters
 	vocab         *provenance.Vocab
@@ -241,24 +322,30 @@ type kernelDesc struct {
 // describeKernel summarizes the kernel the plan's carrier evaluates on,
 // compiling it if this is its first use (EXPLAIN tells the truth about the
 // kernel that would run, so it builds what Query would build).
-func (e *Engine) describeKernel(kind semiring.Kind) (kernelDesc, error) {
+func (e *Engine) describeKernel(p *scenql.Plan) (kernelDesc, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if kind == semiring.KindFloat || kind == "" {
+	var desc kernelDesc
+	if p.Kind == semiring.KindFloat || p.Kind == "" {
 		c := e.compiledLocked()
-		return kernelDesc{
+		desc = kernelDesc{
 			polys: c.Len(), terms: c.Size(),
 			chainable:     provenance.Float{}.Chainable(),
 			counters:      &e.counters,
 			vocab:         c.Vocab,
 			termsTouching: c.TermsTouching,
-		}, nil
+		}
+	} else {
+		rt, err := e.runtimeLocked(p.Kind)
+		if err != nil {
+			return kernelDesc{}, err
+		}
+		desc = rt.describe()
 	}
-	rt, err := e.runtimeLocked(kind)
-	if err != nil {
-		return kernelDesc{}, err
+	if p.Order != nil {
+		desc.keyTerms = e.active.Polys[p.Order.Index].Size()
 	}
-	return rt.describe(), nil
+	return desc, nil
 }
 
 // costModel mirrors hypo's routing configuration for EXPLAIN: the
@@ -294,12 +381,51 @@ func (e *Engine) costModel(desc kernelDesc) (scenql.CostModel, int, bool) {
 
 // explain builds the annotated plan tree: the generator half from the
 // plan, the eval node from this engine's kernel, routing and cost model.
+// Under ORDER BY the topk node ranks the generated scenarios on the key
+// polynomial alone and the eval node above it answers only the k winners,
+// so no per-transition routes apply.
 func (e *Engine) explain(p *scenql.Plan, src string) (*scenql.ExplainPlan, error) {
-	desc, err := e.describeKernel(p.Kind)
+	desc, err := e.describeKernel(p)
 	if err != nil {
 		return nil, err
 	}
 	cm, threshold, deltaOn := e.costModel(desc)
+	var input any = p.GenerateNode()
+	if p.Limit > 0 {
+		input = &scenql.LimitNode{Node: "limit", Limit: p.Limit, Input: input}
+	}
+	eval := &scenql.EvalNode{
+		Node:        "eval",
+		Semiring:    p.Kind.String(),
+		Polynomials: desc.polys,
+		Terms:       desc.terms,
+		Chained:     deltaOn && desc.chainable,
+		CostModel:   cm,
+		Input:       input,
+	}
+	if p.Order != nil {
+		dir := "asc"
+		if p.Order.Desc {
+			dir = "desc"
+		}
+		eval.Input = &scenql.TopKNode{
+			Node: "topk", Key: p.Order.Key, Dir: dir, K: p.Order.K,
+			KeyTerms: desc.keyTerms, Input: input,
+		}
+	} else {
+		eval.Routes = e.routes(p, desc, threshold, deltaOn)
+	}
+	return &scenql.ExplainPlan{
+		Statement: src,
+		Semiring:  p.Kind.String(),
+		Scenarios: p.Scenarios(),
+		Plan:      eval,
+	}, nil
+}
+
+// routes predicts the evaluation route of each of the plan's transition
+// classes on the described kernel.
+func (e *Engine) routes(p *scenql.Plan, desc kernelDesc, threshold int, deltaOn bool) []scenql.Route {
 	workers := e.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -323,34 +449,7 @@ func (e *Engine) explain(p *scenql.Plan, src string) (*scenql.ExplainPlan, error
 			Route:         routeLabel(cl.Label, affected, threshold, deltaOn, desc.chainable, desc.terms, workers),
 		}
 	}
-	var input any = p.GenerateNode()
-	if p.Limit > 0 {
-		input = &scenql.LimitNode{Node: "limit", Limit: p.Limit, Input: input}
-	}
-	eval := &scenql.EvalNode{
-		Node:        "eval",
-		Semiring:    p.Kind.String(),
-		Polynomials: desc.polys,
-		Terms:       desc.terms,
-		Chained:     deltaOn && desc.chainable,
-		CostModel:   cm,
-		Routes:      routes,
-		Input:       input,
-	}
-	var root any = eval
-	if p.Order != nil {
-		dir := "asc"
-		if p.Order.Desc {
-			dir = "desc"
-		}
-		root = &scenql.TopKNode{Node: "topk", Key: p.Order.Key, Dir: dir, K: p.Order.K, Input: eval}
-	}
-	return &scenql.ExplainPlan{
-		Statement: src,
-		Semiring:  p.Kind.String(),
-		Scenarios: p.Scenarios(),
-		Plan:      root,
-	}, nil
+	return routes
 }
 
 // routeLabel predicts the evaluation route of one transition class, the
@@ -371,32 +470,22 @@ func routeLabel(class string, affected, threshold int, deltaOn, chainable bool, 
 	return "full"
 }
 
-// topK is the streaming ORDER BY ... LIMIT k accumulator over raw answer
-// vectors: a bounded heap whose root is the currently worst kept row, so a
-// sweep of any size holds k vectors. A row that makes the cut is copied
-// into the buffer of the row it evicts; nothing is tagged or boxed until
-// ranked returns the winners. One implementation serves every carrier.
-type topK[T any] struct {
-	col  int // polynomial whose answer is the key
+// topK is the streaming ORDER BY ... LIMIT k accumulator over keys: a
+// bounded heap whose root is the currently worst kept row, so a sweep of
+// any size holds k (key, index, scenario) triples and no answer vector.
+// One implementation serves every carrier (see rankKey).
+type topK struct {
 	desc bool
 	k    int
-	key  func(T) float64
-	rows []keptRow[T] // heap-ordered: every row ranks ahead of its parent
+	rows []keptRow // heap-ordered: every row ranks ahead of its parent
 }
 
-// keptRow is one of the k best rows so far: its key and generation index,
-// the scenario's assignments, the tags of the kernel that answered it, and
-// a private copy of its answers.
-type keptRow[T any] struct {
-	key    float64
-	index  int64
-	assign map[string]float64
-	tags   []string
-	vals   []T
-}
-
-func newTopK[T any](o *scenql.Order) *topK[T] {
-	return &topK[T]{col: o.Index, desc: o.Desc, k: o.K, key: rankKey[T]()}
+// keptRow is one of the k best scenarios so far: its key, its generation
+// index and the scenario itself, evaluated in full only if it wins.
+type keptRow struct {
+	key   float64
+	index int64
+	sc    *hypo.Scenario
 }
 
 // rankKey maps a carrier's answer to its ORDER BY key: floats as
@@ -426,7 +515,7 @@ func rankKey[T any]() func(T) float64 {
 // ahead reports whether a row keyed (ka, ia) ranks before one keyed
 // (kb, ib): the larger key under DESC, the smaller under ASC, a NaN key
 // behind every number, and among equal keys the earlier scenario.
-func (t *topK[T]) ahead(ka float64, ia int64, kb float64, ib int64) bool {
+func (t *topK) ahead(ka float64, ia int64, kb float64, ib int64) bool {
 	aNaN, bNaN := math.IsNaN(ka), math.IsNaN(kb)
 	switch {
 	case aNaN != bNaN:
@@ -438,33 +527,26 @@ func (t *topK[T]) ahead(ka float64, ia int64, kb float64, ib int64) bool {
 }
 
 // before reports whether kept row i ranks ahead of kept row j.
-func (t *topK[T]) before(i, j int) bool {
+func (t *topK) before(i, j int) bool {
 	a, b := &t.rows[i], &t.rows[j]
 	return t.ahead(a.key, a.index, b.key, b.index)
 }
 
-// offer considers one evaluated scenario for the top k.
-func (t *topK[T]) offer(index int64, assign map[string]float64, tags []string, vals []T) {
-	key := math.NaN()
-	if t.col < len(vals) {
-		key = t.key(vals[t.col])
-	}
+// offer considers one ranked scenario for the top k.
+func (t *topK) offer(key float64, index int64, sc *hypo.Scenario) {
 	if len(t.rows) < t.k {
-		t.rows = append(t.rows, keptRow[T]{key: key, index: index, assign: assign, tags: tags, vals: slices.Clone(vals)})
+		t.rows = append(t.rows, keptRow{key: key, index: index, sc: sc})
 		t.up(len(t.rows) - 1)
 		return
 	}
-	worst := &t.rows[0]
-	if !t.ahead(key, index, worst.key, worst.index) {
-		return
+	if worst := &t.rows[0]; t.ahead(key, index, worst.key, worst.index) {
+		*worst = keptRow{key: key, index: index, sc: sc}
+		t.down(0)
 	}
-	worst.key, worst.index, worst.assign, worst.tags = key, index, assign, tags
-	worst.vals = append(worst.vals[:0], vals...)
-	t.down(0)
 }
 
 // up restores the heap after row i was appended.
-func (t *topK[T]) up(i int) {
+func (t *topK) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !t.before(parent, i) {
@@ -476,7 +558,7 @@ func (t *topK[T]) up(i int) {
 }
 
 // down restores the heap after row i was replaced by a better one.
-func (t *topK[T]) down(i int) {
+func (t *topK) down(i int) {
 	for {
 		worst := i
 		for _, c := range [2]int{2*i + 1, 2*i + 2} {
@@ -492,12 +574,8 @@ func (t *topK[T]) down(i int) {
 	}
 }
 
-// ranked returns the kept rows best-first, tagged and carrier-erased.
-func (t *topK[T]) ranked() []QueryRow {
+// ranked returns the kept rows best-first.
+func (t *topK) ranked() []keptRow {
 	sort.Slice(t.rows, t.before)
-	out := make([]QueryRow, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = QueryRow{Index: r.index, Assign: r.assign, Answers: hypo.EraseValues(r.tags, r.vals)}
-	}
-	return out
+	return t.rows
 }

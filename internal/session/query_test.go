@@ -350,23 +350,21 @@ func TestQueryExplainGolden(t *testing.T) {
 	}
 }
 
-// TestQueryExplainRoutes exercises the route predictions the golden file
-// pins: on the fixture (11 terms, cutoff 0.5 → threshold 5) the p1 step
+// TestQueryExplainRoutes exercises the route predictions of an unranked
+// sweep: on the fixture (11 terms, cutoff 0.5 → threshold 5) the p1 step
 // class (3 affected terms) chains, while the seed and the wider cross
 // class recompute in full — and with delta routing disabled everything
 // goes full.
 func TestQueryExplainRoutes(t *testing.T) {
 	e := queryFixture(t)
-	res, err := e.Query("EXPLAIN SET v = 0.5 p1 IN [0:1:0.5] CROSS (f1,y1) IN {(0,0),(1,1)} " +
-		"ORDER BY ans[0] DESC LIMIT 3")
+	res, err := e.Query("EXPLAIN SET v = 0.5 p1 IN [0:1:0.5] CROSS (f1,y1) IN {(0,0),(1,1)}")
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, ok := res.Explain.Plan.(*scenql.TopKNode)
+	eval, ok := res.Explain.Plan.(*scenql.EvalNode)
 	if !ok {
-		t.Fatalf("plan root is %T, want *TopKNode", res.Explain.Plan)
+		t.Fatalf("plan root is %T, want *EvalNode", res.Explain.Plan)
 	}
-	eval := top.Input.(*scenql.EvalNode)
 	if eval.CostModel.Source != "static" || eval.CostModel.Cutoff != 0.5 {
 		t.Fatalf("cost model = %+v, want static 0.5", eval.CostModel)
 	}
@@ -396,6 +394,43 @@ func TestQueryExplainRoutes(t *testing.T) {
 	for _, r := range eval.Routes {
 		if r.Route != "full" {
 			t.Fatalf("route %q = %q with delta disabled, want full", r.Class, r.Route)
+		}
+	}
+}
+
+// TestQueryExplainTopK pins what EXPLAIN says a ranked statement runs: the
+// topk node ranks every generated scenario on the key polynomial alone
+// (its term count, not the kernel's), and the eval node above it answers
+// the k winners in full, with no per-transition routes.
+func TestQueryExplainTopK(t *testing.T) {
+	e := queryFixture(t)
+	for _, tc := range []struct {
+		src      string
+		keyTerms int // the fixture's zip 10001 has 8 terms, zip 10002 3
+	}{
+		{"EXPLAIN p1 IN [0:1:0.5] ORDER BY ans['zip 10001'] DESC LIMIT 3", 8},
+		{"EXPLAIN p1 IN [0:1:0.5] ORDER BY ans[1] ASC LIMIT 2", 3},
+	} {
+		res, err := e.Query(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eval, ok := res.Explain.Plan.(*scenql.EvalNode)
+		if !ok {
+			t.Fatalf("%s: plan root is %T, want *EvalNode", tc.src, res.Explain.Plan)
+		}
+		if eval.Routes != nil || eval.Terms != e.Active().Size() || eval.Polynomials != e.Active().Len() {
+			t.Errorf("%s: eval = %+v, want the whole kernel and no routes", tc.src, eval)
+		}
+		top, ok := eval.Input.(*scenql.TopKNode)
+		if !ok {
+			t.Fatalf("%s: eval input is %T, want *TopKNode", tc.src, eval.Input)
+		}
+		if top.KeyTerms != tc.keyTerms || top.K == 0 {
+			t.Errorf("%s: topk = %+v, want key_terms %d", tc.src, top, tc.keyTerms)
+		}
+		if _, ok := top.Input.(*scenql.GenerateNode); !ok {
+			t.Errorf("%s: topk input is %T, want *GenerateNode", tc.src, top.Input)
 		}
 	}
 }

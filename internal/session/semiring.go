@@ -32,6 +32,7 @@ type SemiringStats struct {
 	ChainedEvals int64 `json:"chained_evals"`
 	FullEvals    int64 `json:"full_evals"`
 	ShardedEvals int64 `json:"sharded_evals"`
+	RankedEvals  int64 `json:"ranked_evals"`
 
 	DeltaNsPerTerm float64 `json:"delta_ns_per_term,omitempty"`
 	FullNsPerTerm  float64 `json:"full_ns_per_term,omitempty"`
@@ -46,6 +47,7 @@ func (s *SemiringStats) accumulate(o SemiringStats) {
 	s.ChainedEvals += o.ChainedEvals
 	s.FullEvals += o.FullEvals
 	s.ShardedEvals += o.ShardedEvals
+	s.RankedEvals += o.RankedEvals
 	if o.DeltaNsPerTerm > s.DeltaNsPerTerm {
 		s.DeltaNsPerTerm = o.DeltaNsPerTerm
 	}
@@ -65,8 +67,9 @@ type semRuntime interface {
 	// evalStreamBatch is the error-isolating chained micro-batch used by
 	// StreamIn; cs carries the chain across micro-batches.
 	evalStreamBatch(e *Engine, base int, scs []*hypo.Scenario, cs *hypo.ChainState) []ValueStreamResult
-	// query runs a ScenQL plan on this carrier (see Engine.runPlan).
-	query(ctx context.Context, e *Engine, p *scenql.Plan, emit func(QueryRow) bool) ([]QueryRow, error)
+	// query runs a ScenQL plan compiled against set on this carrier (see
+	// Engine.runPlan).
+	query(ctx context.Context, e *Engine, p *scenql.Plan, set *provenance.Set, emit func(QueryRow) bool) ([]QueryRow, error)
 	// mirror appends one tagged polynomial incrementally, reporting false
 	// when the kernel must be rebuilt (the caller then drops the runtime
 	// and the next use recompiles).
@@ -126,34 +129,27 @@ func (st *semState[T, C]) answers(e *Engine, scs []*hypo.Scenario) ([][]hypo.Val
 	return out, nil
 }
 
-// raw evaluates one error-isolating chained micro-batch on this carrier's
-// kernel; cs carries the chain across micro-batches. Callers hold e.mu.
-func (st *semState[T, C]) raw(e *Engine, base int, scs []*hypo.Scenario, cs *hypo.ChainState) rawBatch[T] {
+// target is this carrier's evalTarget. Callers hold e.mu.
+func (st *semState[T, C]) target(e *Engine) evalTarget[T, C] {
 	opts := st.batchOptions(e)
 	opts.Chain = true
-	opts.ChainState = cs
-	b, evaluated := evalRawBatch(st.kernel, opts, base, scs)
-	st.scenarios.Add(evaluated)
-	e.observeStreamBatch(len(scs))
-	return b
+	return evalTarget[T, C]{e: e, kernel: st.kernel, opts: opts, scenarios: &st.scenarios}
 }
 
 func (st *semState[T, C]) evalStreamBatch(e *Engine, base int, scs []*hypo.Scenario, cs *hypo.ChainState) []ValueStreamResult {
-	return st.raw(e, base, scs, cs).erase(base)
+	return st.target(e).raw(base, scs, cs).erase(base)
 }
 
 // query sweeps the plan on this carrier's kernel. The receiver only fixes
 // the carrier: each micro-batch looks the runtime up again, since an Add
-// may drop it and a Compress replace it between batches.
-func (st *semState[T, C]) query(ctx context.Context, e *Engine, p *scenql.Plan, emit func(QueryRow) bool) ([]QueryRow, error) {
-	return sweep(ctx, e, p, func(base int, scs []*hypo.Scenario, cs *hypo.ChainState) rawBatch[T] {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
+// may drop it between batches.
+func (st *semState[T, C]) query(ctx context.Context, e *Engine, p *scenql.Plan, set *provenance.Set, emit func(QueryRow) bool) ([]QueryRow, error) {
+	return sweep(ctx, e, p, set, func() (evalTarget[T, C], error) {
 		rt, err := e.runtimeLocked(p.Kind)
 		if err != nil {
-			return failedBatch[T](err, len(scs))
+			return evalTarget[T, C]{}, err
 		}
-		return rt.(*semState[T, C]).raw(e, base, scs, cs)
+		return rt.(*semState[T, C]).target(e), nil
 	}, emit)
 }
 
@@ -178,6 +174,7 @@ func (st *semState[T, C]) stats() SemiringStats {
 		ChainedEvals:   st.counters.ChainedEvals.Load(),
 		FullEvals:      st.counters.FullEvals.Load(),
 		ShardedEvals:   st.counters.ShardedEvals.Load(),
+		RankedEvals:    st.counters.RankedEvals.Load(),
 		DeltaNsPerTerm: st.counters.DeltaNsPerTerm(),
 		FullNsPerTerm:  st.counters.FullNsPerTerm(),
 		AdaptiveCutoff: st.counters.AdaptiveCutoff(),

@@ -263,6 +263,7 @@ type Stats struct {
 	ChainedEvals    int64  `json:"chained_evals"`    // scenarios answered via a delta against the previous scenario
 	FullEvals       int64  `json:"full_evals"`       // scenarios answered by full re-evaluation
 	ShardedEvals    int64  `json:"sharded_evals"`    // scenarios split across goroutines
+	RankedEvals     int64  `json:"ranked_evals"`     // scenarios answered on their ScenQL ORDER BY polynomial alone
 	StreamBatches   int64  `json:"stream_batches"`   // micro-batches evaluated by Stream
 	StreamMaxBatch  int64  `json:"stream_max_batch"` // largest Stream micro-batch so far
 
@@ -303,6 +304,7 @@ func (s *Stats) Accumulate(o Stats) {
 	s.ChainedEvals += o.ChainedEvals
 	s.FullEvals += o.FullEvals
 	s.ShardedEvals += o.ShardedEvals
+	s.RankedEvals += o.RankedEvals
 	s.StreamBatches += o.StreamBatches
 	if o.StreamMaxBatch > s.StreamMaxBatch {
 		s.StreamMaxBatch = o.StreamMaxBatch
@@ -349,6 +351,7 @@ func (e *Engine) Stats() Stats {
 		ChainedEvals:    e.counters.ChainedEvals.Load(),
 		FullEvals:       e.counters.FullEvals.Load(),
 		ShardedEvals:    e.counters.ShardedEvals.Load(),
+		RankedEvals:     e.counters.RankedEvals.Load(),
 		StreamBatches:   e.streamBatches.Load(),
 		StreamMaxBatch:  e.streamMaxBatch.Load(),
 		DeltaNsPerTerm:  e.counters.DeltaNsPerTerm(),

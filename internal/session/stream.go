@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"sync/atomic"
 
 	"provabs/internal/hypo"
 	"provabs/internal/provenance"
@@ -165,24 +166,54 @@ func streamLoop[R any](ctx context.Context, in <-chan *hypo.Scenario, maxBatch, 
 }
 
 // rawBatch is one evaluated micro-batch in its kernel's own value type:
-// per scenario, the raw answer vector (set order, untagged) or the in-band
-// error that replaced it, plus the tags the vectors pair with. Tagging is
-// left to whoever emits a row, so a ranked sweep tags only the k rows it
-// returns.
+// per scenario, the raw answer vector (set order, untagged) or — on a
+// ranked statement's key pass — the ORDER BY key alone, or the in-band
+// error that replaced either, plus the tags the vectors pair with. Tagging
+// is left to whoever emits a row, so a ranked sweep tags only the k rows
+// it returns.
 type rawBatch[T any] struct {
 	rows [][]T
+	keys []T
 	errs []error
 	tags []string
 }
 
-// evalRawBatch answers one micro-batch on kernel k through the
-// error-isolating batch path: scenarios that fail to resolve get in-band
-// errors re-indexed to their arrival position (base+i), the rest are
-// evaluated in one call with names resolved exactly once. It also reports
-// how many scenarios were evaluated.
-func evalRawBatch[T any, C provenance.Carrier[T]](k *provenance.Kernel[T, C], opts hypo.BatchOptions, base int, scs []*hypo.Scenario) (rawBatch[T], int64) {
-	rows, errs := hypo.EvalBatchEach(k, scs, opts)
-	evaluated := int64(len(scs))
+// evalTarget is one carrier's kernel with the options and the scenario
+// counter its evaluations accrue to: the float cache or a semState. It is
+// valid while the caller holds e.mu.
+type evalTarget[T any, C provenance.Carrier[T]] struct {
+	e         *Engine
+	kernel    *provenance.Kernel[T, C]
+	opts      hypo.BatchOptions // chained, with the carrier's counters
+	scenarios *atomic.Int64
+}
+
+// raw answers one micro-batch in full through the error-isolating chained
+// batch path; cs carries the chain across micro-batches. Scenarios that
+// fail to resolve get in-band errors re-indexed to their arrival position
+// (base+i); the rest are evaluated in one call with names resolved
+// exactly once.
+func (t evalTarget[T, C]) raw(base int, scs []*hypo.Scenario, cs *hypo.ChainState) rawBatch[T] {
+	opts := t.opts
+	opts.ChainState = cs
+	rows, errs := hypo.EvalBatchEach(t.kernel, scs, opts)
+	t.account(base, errs)
+	return rawBatch[T]{rows: rows, errs: errs, tags: t.kernel.Tags}
+}
+
+// key answers only polynomial poly of each scenario of one micro-batch:
+// the ranking pass of ORDER BY (see hypo.EvalPolyEach). Errors are
+// re-indexed as in raw.
+func (t evalTarget[T, C]) key(poly, base int, scs []*hypo.Scenario) rawBatch[T] {
+	keys, errs := hypo.EvalPolyEach(t.kernel, poly, scs, t.opts.Counters)
+	t.account(base, errs)
+	return rawBatch[T]{keys: keys, errs: errs}
+}
+
+// account re-indexes a micro-batch's in-band errors from base and counts
+// the scenarios it evaluated.
+func (t evalTarget[T, C]) account(base int, errs []error) {
+	evaluated := int64(len(errs))
 	for i, err := range errs {
 		switch err := err.(type) {
 		case nil:
@@ -194,7 +225,8 @@ func evalRawBatch[T any, C provenance.Carrier[T]](k *provenance.Kernel[T, C], op
 		}
 		evaluated--
 	}
-	return rawBatch[T]{rows: rows, errs: errs, tags: k.Tags}, evaluated
+	t.scenarios.Add(evaluated)
+	t.e.observeStreamBatch(len(errs))
 }
 
 // failedBatch fails all n scenarios of a micro-batch with err (T is
@@ -220,17 +252,17 @@ func (b rawBatch[T]) erase(base int) []ValueStreamResult {
 	return out
 }
 
+// floatTarget is the float kernel's evalTarget. Callers hold e.mu.
+func (e *Engine) floatTarget() evalTarget[float64, provenance.Float] {
+	return evalTarget[float64, provenance.Float]{e: e, kernel: e.compiledLocked(), opts: e.streamBatchOptions(), scenarios: &e.scenarios}
+}
+
 // floatBatch evaluates one micro-batch on the float kernel, raw; cs chains
 // the batch onto the previous one.
 func (e *Engine) floatBatch(base int, scs []*hypo.Scenario, cs *hypo.ChainState) rawBatch[float64] {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	opts := e.streamBatchOptions()
-	opts.ChainState = cs
-	b, evaluated := evalRawBatch(e.compiledLocked(), opts, base, scs)
-	e.scenarios.Add(evaluated)
-	e.observeStreamBatch(len(scs))
-	return b
+	return e.floatTarget().raw(base, scs, cs)
 }
 
 // evalStreamIn answers one micro-batch on a non-float carrier's kernel. A

@@ -317,6 +317,11 @@ var (
 	ErrNoDefaultSession = registry.ErrNoDefault
 )
 
+// ErrActiveSetReplaced fails a ScenQL statement that a Compress overtook
+// mid-statement (Engine.Query, QueryInfo.Err); the statement may be
+// retried. Match it with errors.Is.
+var ErrActiveSetReplaced = session.ErrActiveSetReplaced
+
 // Open starts a session Engine over the set. forest may be nil for an
 // evaluation-only session; otherwise it is validated against the set.
 func Open(set *Set, forest *Forest, opts ...Option) (*Engine, error) {
