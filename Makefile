@@ -17,12 +17,13 @@
 #                      trajectory reproduces and self-checks in one command
 #   make bench-smoke — every benchmark once (-benchtime=1x), the CI guard
 #                      against benchmarks silently rotting
+#   make examples    — run every example program; a non-zero exit fails
 #   make serve       — generate demo provenance (if needed) and start the
 #                      streaming what-if server on :8080
 
 GO ?= go
 
-.PHONY: check vet build test-short test crash-recovery gateway-e2e chaos perfbench-check bench bench-smoke serve
+.PHONY: check vet build test-short test crash-recovery gateway-e2e chaos perfbench-check bench bench-smoke examples serve
 
 check: vet build test-short crash-recovery gateway-e2e chaos perfbench-check
 
@@ -87,6 +88,13 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+# ./... only builds the examples; this runs each one to completion.
+examples:
+	@for ex in examples/*/; do \
+		echo "$(GO) run ./$$ex"; \
+		$(GO) run ./$$ex || exit 1; \
+	done
+
 demo.pvab:
 	$(GO) run ./cmd/provabs generate -dataset telco -customers 1000 -zips 100 -out $@
 
@@ -95,6 +103,6 @@ demo2.pvab:
 
 serve: demo.pvab demo2.pvab
 	$(GO) run ./cmd/provabs serve -load telco=demo.pvab -load telco2=demo2.pvab \
-		-default telco -addr :8080 \
+		-addr :8080 \
 		-tree 'Quarters(q1(m1,m2,m3),q2(m4,m5,m6),q3(m7,m8,m9),q4(m10,m11,m12))' \
 		-algo greedy -ratio 0.5

@@ -17,7 +17,7 @@
 //	provabs query -in q5c.pvab 'SuppRoot_l1_0 IN [0.5:1.5:0.01] ORDER BY ans[0] DESC LIMIT 5'
 //	provabs query -in q5c.pvab 'EXPLAIN s9 IN [0:1:0.1] USING tropical'
 //	provabs serve -in q5c.pvab -addr :8080
-//	provabs serve -load telco=telco.pvab -load q5=q5c.pvab -default telco -addr :8080
+//	provabs serve -load telco=telco.pvab -load q5=q5c.pvab -addr :8080
 //	provabs gateway -backend 127.0.0.1:8081 -backend 127.0.0.1:8082 -addr :8090
 //
 // Every compression and evaluation path runs through the session Engine

@@ -112,8 +112,8 @@ func TestCmdQuery(t *testing.T) {
 // TestServeEndToEnd is the acceptance check for the what-if server: build
 // the real binary, generate two provenance files, start one `provabs
 // serve` process hosting both as named sessions, and drive the v1 API —
-// interleaved what-ifs across sessions, a streamed NDJSON batch, legacy
-// aliases on the default session, per-session and aggregate stats.
+// interleaved what-ifs across sessions, a streamed NDJSON batch,
+// per-session and aggregate stats.
 func TestServeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping binary-level integration test in -short mode")
@@ -136,7 +136,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	srv := exec.Command(bin, "serve",
-		"-load", "alpha="+pvabA, "-load", "beta="+pvabB, "-default", "alpha",
+		"-load", "alpha="+pvabA, "-load", "beta="+pvabB,
 		"-addr", "127.0.0.1:0",
 		"-tree", "Quarters(q1(m1,m2,m3),q2(m4,m5,m6),q3(m7,m8,m9),q4(m10,m11,m12))",
 		"-algo", "greedy", "-ratio", "0.6")
@@ -234,8 +234,6 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Legacy unversioned routes alias the default session (alpha): same
-	// scenario, byte-identical answers, plus the Deprecation header.
 	readAll := func(resp *http.Response, err error) string {
 		t.Helper()
 		if err != nil {
@@ -250,19 +248,6 @@ func TestServeEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		return sb.String()
-	}
-	scenario := []byte(`{"assign":{"q1":0.8}}`)
-	legacyResp, err := http.Post(base+"/whatif", "application/json", bytes.NewReader(scenario))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyResp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy /whatif carries no Deprecation header")
-	}
-	legacyBody := readAll(legacyResp, nil)
-	v1Body := readAll(http.Post(base+"/v1/sessions/alpha/whatif", "application/json", bytes.NewReader(scenario)))
-	if legacyBody != v1Body {
-		t.Errorf("legacy /whatif %q != v1 alpha whatif %q", legacyBody, v1Body)
 	}
 
 	// Per-session stats: each session compiled exactly once in steady
@@ -282,9 +267,9 @@ func TestServeEndToEnd(t *testing.T) {
 	if !alpha.Compressed || !beta.Compressed {
 		t.Errorf("sessions report compressed=%v/%v, want both compressed at startup", alpha.Compressed, beta.Compressed)
 	}
-	// alpha: 2 stream scenarios + 3 interleaved + 2 legacy/v1 parity = 7.
-	if alpha.Scenarios != 7 {
-		t.Errorf("alpha scenarios = %d, want 7", alpha.Scenarios)
+	// alpha: 2 stream scenarios + 3 interleaved = 5.
+	if alpha.Scenarios != 5 {
+		t.Errorf("alpha scenarios = %d, want 5", alpha.Scenarios)
 	}
 	if beta.Scenarios != 3 {
 		t.Errorf("beta scenarios = %d, want 3", beta.Scenarios)
@@ -296,15 +281,14 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// The aggregate view sums the per-session counters.
 	var agg struct {
-		Sessions int    `json:"sessions"`
-		Default  string `json:"default"`
-		Totals   stats  `json:"totals"`
+		Sessions int   `json:"sessions"`
+		Totals   stats `json:"totals"`
 	}
 	if err := json.Unmarshal([]byte(readAll(http.Get(base+"/v1/stats"))), &agg); err != nil {
 		t.Fatal(err)
 	}
-	if agg.Sessions != 2 || agg.Default != "alpha" {
-		t.Errorf("aggregate sessions=%d default=%q, want 2/alpha", agg.Sessions, agg.Default)
+	if agg.Sessions != 2 {
+		t.Errorf("aggregate sessions = %d, want 2", agg.Sessions)
 	}
 	if want := alpha.Scenarios + beta.Scenarios; agg.Totals.Scenarios != want {
 		t.Errorf("aggregate scenarios = %d, want %d", agg.Totals.Scenarios, want)

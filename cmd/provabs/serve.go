@@ -49,8 +49,7 @@ func (l *loadFlags) Set(v string) error {
 // cmdServe runs the multi-session what-if server: load one provenance file
 // per -load flag into a named session (optionally compressing each at
 // startup), then serve the versioned v1 API — session lifecycle, what-ifs,
-// NDJSON streams, per-session and aggregate stats. The legacy unversioned
-// routes alias onto the -default session.
+// NDJSON streams, per-session and aggregate stats.
 //
 // With -durable the -session-dir doubles as a durable store root: every
 // session persists (initial snapshot + write-ahead-logged adds), a restart
@@ -63,7 +62,6 @@ func cmdServe(args []string) error {
 	var loads loadFlags
 	fs.Var(&loads, "load", "load a session at startup: name=path (repeatable)")
 	in := fs.String("in", "", "provenance file for a single-session server (shorthand for -load default=PATH)")
-	def := fs.String("default", "", "session served by the legacy unversioned routes (default: the first loaded)")
 	addr := fs.String("addr", ":8080", "listen address (use :0 for an ephemeral port)")
 	treeSrc := fs.String("tree", "", "abstraction tree(s) in compact format, ';'-separated (applied to every loaded session)")
 	shapeSrc := fs.String("shape", "", "build a uniform tree instead: comma-separated fan-outs, e.g. 2,64")
@@ -169,23 +167,15 @@ func cmdServe(args []string) error {
 		fmt.Printf("session %q: %d polynomials / %d monomials from %s\n",
 			load.name, st.Polynomials, st.Monomials, load.path)
 	}
-	if *def != "" {
-		if err := reg.SetDefault(*def); err != nil {
-			return fmt.Errorf("serve: -default: %w", err)
-		}
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serving %d session(s) on http://%s (default %q)\n",
-		reg.Len(), ln.Addr(), reg.DefaultName())
+	fmt.Printf("serving %d session(s) on http://%s\n", reg.Len(), ln.Addr())
 	fmt.Println("endpoints: POST/GET /v1/sessions, GET|DELETE /v1/sessions/{name}, " +
 		"POST /v1/sessions/{name}/whatif[/stream], POST /v1/sessions/{name}/add, " +
 		"POST /v1/sessions/{name}/export, POST /v1/sessions/{name}/compress, " +
 		"GET /v1/sessions/{name}/stats, GET /v1/stats")
-	fmt.Println("legacy aliases on the default session: POST /whatif, POST /whatif/stream, POST /compress, GET /stats")
 
 	srv := server.New(reg, server.WithSessionDir(*sessionDir), server.WithMaxStreams(*maxStreams))
 	httpSrv := &http.Server{

@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"provabs"
+	"provabs/internal/core"
+	"provabs/internal/sampling"
+	"provabs/internal/summarize"
 )
 
 func engineFixture(t testing.TB) (*provabs.Vocab, *provabs.Set, *provabs.Forest) {
@@ -55,8 +58,8 @@ func TestEngineRoundTrip(t *testing.T) {
 }
 
 // TestEngineStrategyParityWithFreeFunctions is the acceptance table: every
-// strategy through Engine.Compress(B, WithStrategy(...)) agrees with the
-// corresponding (deprecated) free function.
+// strategy through the facade's Engine.Compress(B, WithStrategy(...)) and
+// its re-exported options agrees with the algorithm's own free function.
 func TestEngineStrategyParityWithFreeFunctions(t *testing.T) {
 	const B = 4
 	cases := []struct {
@@ -68,7 +71,7 @@ func TestEngineStrategyParityWithFreeFunctions(t *testing.T) {
 			name: "optimal",
 			opts: []provabs.CompressOption{provabs.WithStrategy(provabs.StrategyOptimal)},
 			free: func(set *provabs.Set, forest *provabs.Forest) (int, int, bool) {
-				res, err := provabs.Optimal(set, forest.Trees[0], B)
+				res, err := core.OptimalVVS(set, forest.Trees[0], B)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +82,7 @@ func TestEngineStrategyParityWithFreeFunctions(t *testing.T) {
 			name: "greedy",
 			opts: []provabs.CompressOption{provabs.WithStrategy(provabs.StrategyGreedy)},
 			free: func(set *provabs.Set, forest *provabs.Forest) (int, int, bool) {
-				res, err := provabs.Greedy(set, forest, B)
+				res, err := core.GreedyVVS(set, forest, B)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,7 +93,7 @@ func TestEngineStrategyParityWithFreeFunctions(t *testing.T) {
 			name: "brute",
 			opts: []provabs.CompressOption{provabs.WithStrategy(provabs.StrategyBruteForce)},
 			free: func(set *provabs.Set, forest *provabs.Forest) (int, int, bool) {
-				res, err := provabs.BruteForce(set, forest, B, 0)
+				res, err := core.BruteForceVVS(set, forest, B, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +105,7 @@ func TestEngineStrategyParityWithFreeFunctions(t *testing.T) {
 			opts: []provabs.CompressOption{
 				provabs.WithStrategy(provabs.StrategySummarize), provabs.WithTimeout(time.Minute)},
 			free: func(set *provabs.Set, forest *provabs.Forest) (int, int, bool) {
-				res, err := provabs.Summarize(set, forest, B, time.Minute)
+				res, err := summarize.Summarize(set, forest, B, summarize.Options{Timeout: time.Minute})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,7 +118,7 @@ func TestEngineStrategyParityWithFreeFunctions(t *testing.T) {
 				provabs.WithStrategy(provabs.StrategyOnline),
 				provabs.WithSamplingFraction(1), provabs.WithSeed(9)},
 			free: func(set *provabs.Set, forest *provabs.Forest) (int, int, bool) {
-				res, err := provabs.OnlineCompress(set, forest, B, 1, 9)
+				res, err := sampling.OnlineCompress(set, forest, B, sampling.Options{Fraction: 1, Seed: 9})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -28,8 +28,6 @@ func buildSet(tag string, scale float64) *provabs.Set {
 
 func main() {
 	// 1. A registry owns named sessions: one per tenant / provenance file.
-	// The first Create designates the default session, which the legacy
-	// unversioned routes alias onto.
 	reg := provabs.OpenRegistry()
 	forest, err := provabs.NewForest(provabs.MustParseTree("Year(q1(m1,m3))"))
 	if err != nil {
@@ -97,7 +95,6 @@ func main() {
 	if resp, err := http.DefaultClient.Do(req); err == nil {
 		resp.Body.Close()
 	}
-	fmt.Printf("after DELETE: %d session(s) left, default %q\n",
-		reg.Len(), reg.DefaultName())
+	fmt.Printf("after DELETE: %d session(s) left\n", reg.Len())
 	_ = south
 }

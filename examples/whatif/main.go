@@ -11,8 +11,6 @@ import (
 	"provabs"
 	"provabs/internal/engine"
 	"provabs/internal/hypo"
-	"provabs/internal/provenance"
-	"provabs/internal/semiring"
 )
 
 func main() {
@@ -79,7 +77,7 @@ func numericScenarios() {
 // Boolean deletion what-ifs and other semirings over the same polynomial.
 func semiringScenarios() {
 	fmt.Println("== model 1: SPJU tuple annotations, semiring what-ifs ==")
-	vb := provenance.NewVocab()
+	vb := provabs.NewVocab()
 	cat := engine.NewCatalog(vb)
 
 	claims := engine.NewRelation("claims", engine.Schema{
@@ -113,37 +111,33 @@ func semiringScenarios() {
 		fmt.Printf("%-18s %s\n", set.Tags[i], p.String(vb))
 	}
 
-	// Boolean semiring: does ann still show up if claim c1 is deleted?
-	c1, _ := vb.Lookup("c1")
-	alive := func(dead provenance.Var) func(provenance.Var) bool {
-		return func(v provenance.Var) bool { return v != dead }
+	// One Engine over the tuple provenance answers every semiring what-if,
+	// each carrier on its own cached compilation.
+	eng, err := provabs.Open(set, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
-	for i := range set.Polys {
-		val, err := semiring.Eval[bool](semiring.Boolean{}, set.Polys[i], alive(c1))
+	whatIf := func(kind provabs.SemiringKind, sc *provabs.Scenario) []provabs.ValueAnswer {
+		answers, err := eng.WhatIfIn(kind, sc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("delete c1: %-10s still derivable? %v\n", set.Tags[i], val)
+		return answers
+	}
+
+	// Boolean semiring: does ann still show up if claim c1 is deleted?
+	for _, a := range whatIf(provabs.SemiringBool, provabs.NewScenario().Set("c1", 0)) {
+		fmt.Printf("delete c1: %-10s still derivable? %v\n", a.Tag, a.Value)
 	}
 
 	// Tropical semiring: cheapest derivation if each tuple has a cost.
-	cost := map[string]float64{"c1": 2, "c2": 1, "c3": 5, "i1": 1, "i2": 1}
-	for i := range set.Polys {
-		val, err := semiring.Eval[float64](semiring.Tropical{}, set.Polys[i],
-			func(v provenance.Var) float64 { return cost[vb.Name(v)] })
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("tropical:  %-10s cheapest derivation cost %v\n", set.Tags[i], val)
+	cost := provabs.NewScenario().Set("c1", 2).Set("c2", 1).Set("c3", 5).Set("i1", 1).Set("i2", 1)
+	for _, a := range whatIf(provabs.SemiringTropical, cost) {
+		fmt.Printf("tropical:  %-10s cheapest derivation cost %v\n", a.Tag, a.Value)
 	}
 
 	// Counting semiring: number of derivations.
-	for i := range set.Polys {
-		val, err := semiring.Eval[int64](semiring.Counting{}, set.Polys[i],
-			func(provenance.Var) int64 { return 1 })
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("counting:  %-10s %d derivation(s)\n", set.Tags[i], val)
+	for _, a := range whatIf(provabs.SemiringCount, provabs.NewScenario()) {
+		fmt.Printf("counting:  %-10s %d derivation(s)\n", a.Tag, a.Value)
 	}
 }

@@ -391,9 +391,7 @@ func (g *Gateway) writeUnavailable(w http.ResponseWriter, seconds int, err error
 }
 
 // Handler returns the gateway's HTTP surface: the proxied /v1 API plus the
-// /gateway admin endpoints. The legacy unversioned routes are deliberately
-// absent — they alias a per-process default session, which has no
-// pool-wide meaning.
+// /gateway admin endpoints.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", g.handleCreate)

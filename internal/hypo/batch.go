@@ -980,19 +980,6 @@ func resolveEach[T any, C provenance.Carrier[T]](cr C, vb *provenance.Vocab, sce
 	return valid, pos, errs
 }
 
-// AnswersBatch is EvalBatch with each value paired to its polynomial's tag.
-func AnswersBatch[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C], scenarios []*Scenario, opts BatchOptions) ([][]AnswerOf[T], error) {
-	rows, err := EvalBatch(c, scenarios, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]AnswerOf[T], len(rows))
-	for i, vals := range rows {
-		out[i] = TagAnswers(c.Tags, vals)
-	}
-	return out, nil
-}
-
 // TagAnswers pairs one answer vector with the set's polynomial tags.
 func TagAnswers[T any](tags []string, vals []T) []AnswerOf[T] {
 	ans := make([]AnswerOf[T], len(vals))
@@ -1002,8 +989,8 @@ func TagAnswers[T any](tags []string, vals []T) []AnswerOf[T] {
 	return ans
 }
 
-// EraseValues is TagAnswers then Erase in one pass: one answer vector,
-// paired with the set's tags, in the carrier-erased form.
+// EraseValues pairs one answer vector with the set's polynomial tags in the
+// carrier-erased form.
 func EraseValues[T any](tags []string, vals []T) []ValueAnswer {
 	ans := make([]ValueAnswer, len(vals))
 	for j, v := range vals {

@@ -308,29 +308,6 @@ func TestEvalBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestAnswersBatchTagging: every row carries the set's tags.
-func TestAnswersBatchTagging(t *testing.T) {
-	s := bigSet(t)
-	c := s.Compile()
-	scenarios := randomScenarios(s, 5, 11)
-	rows, err := AnswersBatch(c, scenarios, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := EvalBatch(c, scenarios, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		for j, a := range rows[i] {
-			if a.Tag != s.Tags[j] || a.Value != vals[i][j] {
-				t.Fatalf("row %d answer %d = %+v, want tag %q value %v",
-					i, j, a, s.Tags[j], vals[i][j])
-			}
-		}
-	}
-}
-
 // TestProjectUniformRoundTrip covers the Project/UniformOn/IsUniformOn
 // round trips on a non-uniform scenario: projecting to meta-variables and
 // lifting back yields a scenario that is uniform on the groups, projects to

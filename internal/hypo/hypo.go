@@ -180,32 +180,6 @@ type ValueAnswer struct {
 	Value any
 }
 
-// Erase converts a typed answer row to the carrier-erased form.
-func Erase[T any](ans []AnswerOf[T]) []ValueAnswer {
-	out := make([]ValueAnswer, len(ans))
-	for i, a := range ans {
-		out[i] = ValueAnswer{Tag: a.Tag, Value: a.Value}
-	}
-	return out
-}
-
-// Answers evaluates and tags the results.
-func (sc *Scenario) Answers(s *provenance.Set) ([]Answer, error) {
-	vals, err := sc.Eval(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Answer, len(vals))
-	for i, v := range vals {
-		tag := ""
-		if i < len(s.Tags) {
-			tag = s.Tags[i]
-		}
-		out[i] = Answer{Tag: tag, Value: v}
-	}
-	return out, nil
-}
-
 // MaxRelError returns the maximum per-component relative error between two
 // answer vectors: max_i |a[i]−b[i]| / max(|b[i]|, 1). The divisor is floored
 // at 1 so that near-zero reference answers stay comparable instead of

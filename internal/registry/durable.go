@@ -4,11 +4,10 @@ package registry
 // attaches a durable.Store; from then on every Create writes an initial
 // snapshot, every Session.Add is write-ahead logged before it is
 // acknowledged, and on-disk sessions from a previous process appear as
-// *dormant* names that recover lazily — the first Get (or Default) that
-// touches one replays its snapshot + WAL into a live Engine. A warm
-// restart therefore pays recovery cost only for the sessions actually
-// used, and Stats reports how much replaying happened (Recoveries,
-// WALRecords).
+// *dormant* names that recover lazily — the first Get that touches one
+// replays its snapshot + WAL into a live Engine. A warm restart therefore
+// pays recovery cost only for the sessions actually used, and Stats
+// reports how much replaying happened (Recoveries, WALRecords).
 
 import (
 	"fmt"
@@ -23,9 +22,7 @@ import (
 // EnableDurability attaches a durable store rooted at root. Sessions
 // already on disk become dormant: listed in Stats, recovered on first
 // touch with recoverOpts as their engine options (engine tuning is
-// per-process, not persisted). When no default is designated, the first
-// dormant name (sorted) becomes the default, so a warm-restarted server
-// keeps answering unversioned routes without re-loading anything.
+// per-process, not persisted).
 func (r *Registry) EnableDurability(root string, dopts durable.Options, recoverOpts ...session.Option) error {
 	store, err := durable.NewStore(root, dopts)
 	if err != nil {
@@ -47,14 +44,6 @@ func (r *Registry) EnableDurability(root string, dopts durable.Options, recoverO
 		if _, live := r.sessions[n]; !live && store.Exists(n) {
 			r.dormant[n] = true
 		}
-	}
-	if r.defaultName == "" && len(r.dormant) > 0 {
-		sorted := make([]string, 0, len(r.dormant))
-		for n := range r.dormant {
-			sorted = append(sorted, n)
-		}
-		sort.Strings(sorted)
-		r.defaultName = sorted[0]
 	}
 	return nil
 }
@@ -100,9 +89,6 @@ func (r *Registry) recoverDormant(name string) (*Session, error) {
 	s := newSession(name, eng)
 	s.store = ss
 	r.sessions[name] = s
-	if r.defaultName == "" {
-		r.defaultName = name
-	}
 	r.recoveries.Add(1)
 	r.walRecords.Add(info.WALRecords)
 	return s, nil

@@ -72,12 +72,7 @@ func TestWarmRestartLazyRecovery(t *testing.T) {
 	if st := reg2.Stats(); st.Recoveries != 0 || st.Sessions != 0 || len(st.Dormant) != 2 {
 		t.Fatalf("pre-touch stats = %+v", st)
 	}
-	// The first dormant name (sorted) is the default after a warm restart.
-	if got := reg2.DefaultName(); got != "alpha" {
-		t.Fatalf("DefaultName = %q, want alpha", got)
-	}
-
-	s, err := reg2.Default()
+	s, err := reg2.Get("alpha")
 	if err != nil {
 		t.Fatal(err)
 	}

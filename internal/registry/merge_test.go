@@ -15,13 +15,11 @@ import (
 // TestAggregateStatsMerge pins the documented pool-merge contract: the
 // per-session map is the source of truth, a session reported by two
 // backends (the export→delete window of a live migration) counts once
-// with the further-along copy winning, the totals are re-derived from the
-// merged map so nothing is double-counted, and the per-process gauges
-// (Default) don't pretend to be pool-wide.
+// with the further-along copy winning, and the totals are re-derived from
+// the merged map so nothing is double-counted.
 func TestAggregateStatsMerge(t *testing.T) {
 	a := AggregateStats{
 		Sessions: 2,
-		Default:  "alpha",
 		PerSession: map[string]session.Stats{
 			"alpha":  {Scenarios: 10, Queries: 3, Added: 2},
 			"shared": {Scenarios: 5, Queries: 1},
@@ -32,7 +30,6 @@ func TestAggregateStatsMerge(t *testing.T) {
 	}
 	b := AggregateStats{
 		Sessions: 2,
-		Default:  "beta",
 		PerSession: map[string]session.Stats{
 			"beta": {Scenarios: 4, Batches: 2},
 			// The migrated copy: further along than a's view of it.
@@ -49,9 +46,6 @@ func TestAggregateStatsMerge(t *testing.T) {
 	}
 	if got := a.PerSession["shared"].Scenarios; got != 9 {
 		t.Errorf("shared.Scenarios = %d, want 9 (further-along copy wins)", got)
-	}
-	if a.Default != "" {
-		t.Errorf("Default = %q, want cleared — it is a per-process gauge", a.Default)
 	}
 
 	// Totals must equal the accumulation of the deduplicated map — nothing
@@ -88,7 +82,6 @@ func TestMergeIntoZero(t *testing.T) {
 	var agg AggregateStats
 	agg.Merge(AggregateStats{
 		Sessions:   1,
-		Default:    "only",
 		PerSession: map[string]session.Stats{"only": {Scenarios: 2}},
 	})
 	if agg.Sessions != 1 || agg.Totals.Scenarios != 2 || agg.PerSession["only"].Scenarios != 2 {

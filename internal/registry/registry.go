@@ -5,18 +5,16 @@
 // cached compilation and counters; the Registry owns their lifecycle:
 //
 //	reg := registry.New()
-//	sess, _ := reg.Create("telco", set, forest)      // first Create is the default
+//	sess, _ := reg.Create("telco", set, forest)
 //	sess.Engine().Compress(B, ...)
-//	reg.Get("telco")                                 // route a request
-//	reg.List()                                       // enumerate, name-sorted
-//	reg.Stats()                                      // aggregate across sessions
-//	reg.Close("telco")                               // tear down (ends streams)
+//	reg.Get("telco")   // route a request
+//	reg.List()         // enumerate, name-sorted
+//	reg.Stats()        // aggregate across sessions
+//	reg.Close("telco") // tear down (ends streams)
 //
 // Closing a session cancels its context (Session.Done), which long-lived
 // consumers — the HTTP stream handler in internal/server, queue ingesters —
-// watch to tear down in-flight scenario streams promptly. One session is
-// designated the default (the first created, or SetDefault); the server's
-// legacy unversioned routes alias onto it.
+// watch to tear down in-flight scenario streams promptly.
 //
 // All methods are safe for concurrent use.
 package registry
@@ -44,10 +42,6 @@ var ErrExists = errors.New("session already exists")
 // ErrNotFound reports a lookup of a name with no live session. The HTTP
 // layer maps it to 404 Not Found.
 var ErrNotFound = errors.New("session not found")
-
-// ErrNoDefault reports that no default session is designated — the
-// registry is empty, or the default was closed without a replacement.
-var ErrNoDefault = errors.New("no default session")
 
 // Session is one named tenant: a session.Engine plus the registry-level
 // lifecycle around it.
@@ -100,9 +94,8 @@ func (s *Session) Closed() bool {
 
 // Registry owns a process's named sessions.
 type Registry struct {
-	mu          sync.RWMutex
-	sessions    map[string]*Session
-	defaultName string
+	mu       sync.RWMutex
+	sessions map[string]*Session
 
 	// Durable side (nil/empty without EnableDurability). dormant holds
 	// on-disk session names from a previous process, recovered lazily on
@@ -139,8 +132,8 @@ func validateName(name string) error {
 // Create opens a new Engine over the provenance source and registers it
 // under name. forest may be nil for an evaluation-only session; opts are
 // the engine's Open-time options (workers, delta cutoff, stream tuning).
-// The first session created becomes the registry default. A name already
-// in use fails with ErrExists and leaves the existing session untouched.
+// A name already in use fails with ErrExists and leaves the existing
+// session untouched.
 func (r *Registry) Create(name string, set *provenance.Set, forest *abstree.Forest, opts ...session.Option) (*Session, error) {
 	if err := validateName(name); err != nil {
 		return nil, err
@@ -177,9 +170,6 @@ func (r *Registry) register(name string, eng *session.Engine) (*Session, error) 
 		s.store = ss
 	}
 	r.sessions[name] = s
-	if r.defaultName == "" {
-		r.defaultName = name
-	}
 	return s, nil
 }
 
@@ -220,17 +210,11 @@ func (r *Registry) Len() int {
 }
 
 // Close removes the named session and cancels its context, so in-flight
-// scenario streams over it terminate. Closing the default session leaves
-// the registry with no default until SetDefault designates a new one.
+// scenario streams over it terminate.
 func (r *Registry) Close(name string) error {
 	r.mu.Lock()
 	s, ok := r.sessions[name]
-	if ok {
-		delete(r.sessions, name)
-		if r.defaultName == name {
-			r.defaultName = ""
-		}
-	}
+	delete(r.sessions, name)
 	dormant := false
 	if !ok && r.dormant[name] {
 		delete(r.dormant, name)
@@ -265,7 +249,6 @@ func (r *Registry) CloseAll() {
 	r.mu.Lock()
 	sessions := r.sessions
 	r.sessions = make(map[string]*Session)
-	r.defaultName = ""
 	r.mu.Unlock()
 	for _, s := range sessions {
 		s.cancel()
@@ -273,41 +256,6 @@ func (r *Registry) CloseAll() {
 			s.store.Close()
 		}
 	}
-}
-
-// SetDefault designates the session the legacy unversioned routes alias
-// onto. The named session must exist.
-func (r *Registry) SetDefault(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.sessions[name]; !ok && !r.dormant[name] {
-		return fmt.Errorf("registry: session %q: %w", name, ErrNotFound)
-	}
-	r.defaultName = name
-	return nil
-}
-
-// DefaultName returns the designated default session's name ("" if none).
-func (r *Registry) DefaultName() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.defaultName
-}
-
-// Default returns the designated default session, recovering it first if
-// it is dormant.
-func (r *Registry) Default() (*Session, error) {
-	r.mu.RLock()
-	name := r.defaultName
-	r.mu.RUnlock()
-	if name == "" {
-		return nil, ErrNoDefault
-	}
-	s, err := r.Get(name)
-	if err != nil {
-		return nil, ErrNoDefault
-	}
-	return s, nil
 }
 
 // AggregateStats is the registry-wide view served by GET /v1/stats:
@@ -325,14 +273,10 @@ func (r *Registry) Default() (*Session, error) {
 //     so counters sum once per session and can never double-count, even
 //     when two backends briefly report the same name (the export→delete
 //     window of a live migration).
-//   - Default is a per-process gauge with no pool-wide meaning; a merged
-//     payload clears it. Per-backend values stay visible in the gateway's
-//     per-backend breakdown.
 //   - Recoveries/WALRecords are per-process counters that sum; Dormant is
 //     a name union.
 type AggregateStats struct {
 	Sessions   int                      `json:"sessions"`
-	Default    string                   `json:"default,omitempty"`
 	Totals     session.Stats            `json:"totals"`
 	PerSession map[string]session.Stats `json:"per_session"`
 
@@ -355,7 +299,6 @@ func (r *Registry) Stats() AggregateStats {
 	for name, s := range r.sessions {
 		sessions[name] = s
 	}
-	defaultName := r.defaultName
 	var dormant []string
 	for n := range r.dormant {
 		dormant = append(dormant, n)
@@ -364,7 +307,6 @@ func (r *Registry) Stats() AggregateStats {
 	sort.Strings(dormant)
 	agg := AggregateStats{
 		Sessions:   len(sessions),
-		Default:    defaultName,
 		PerSession: make(map[string]session.Stats, len(sessions)),
 		Recoveries: r.recoveries.Load(),
 		WALRecords: r.walRecords.Load(),
@@ -388,7 +330,6 @@ func (r *Registry) Stats() AggregateStats {
 // imported one starts its process-local counters at zero). Sessions and
 // Totals are then re-derived from the merged PerSession map, so every
 // session counts exactly once no matter how many backends reported it.
-// Default, a per-process gauge, is cleared.
 func (a *AggregateStats) Merge(o AggregateStats) {
 	if a.PerSession == nil {
 		a.PerSession = make(map[string]session.Stats, len(o.PerSession))
@@ -403,7 +344,6 @@ func (a *AggregateStats) Merge(o AggregateStats) {
 	for _, st := range a.PerSession {
 		a.Totals.Accumulate(st)
 	}
-	a.Default = ""
 	a.Recoveries += o.Recoveries
 	a.WALRecords += o.WALRecords
 	if len(o.Dormant) > 0 {

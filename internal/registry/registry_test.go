@@ -32,25 +32,12 @@ func testForest(t *testing.T) *abstree.Forest {
 
 func TestLifecycle(t *testing.T) {
 	reg := New()
-	if _, err := reg.Default(); !errors.Is(err, ErrNoDefault) {
-		t.Fatalf("Default on empty registry: %v, want ErrNoDefault", err)
-	}
-
 	a, err := reg.Create("a", testSet("pa"), testForest(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Create("b", testSet("pb"), nil); err != nil {
 		t.Fatal(err)
-	}
-
-	// First Create designates the default.
-	if got := reg.DefaultName(); got != "a" {
-		t.Errorf("DefaultName = %q, want a", got)
-	}
-	def, err := reg.Default()
-	if err != nil || def != a {
-		t.Errorf("Default = %v, %v, want session a", def, err)
 	}
 
 	// Duplicate names are rejected and leave the original untouched.
@@ -93,23 +80,9 @@ func TestLifecycle(t *testing.T) {
 		t.Errorf("double Close: %v, want ErrNotFound", err)
 	}
 
-	// Closing the default leaves no default until SetDefault.
-	if _, err := reg.Default(); !errors.Is(err, ErrNoDefault) {
-		t.Errorf("Default after closing it: %v, want ErrNoDefault", err)
-	}
-	if err := reg.SetDefault("nope"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("SetDefault(nope): %v, want ErrNotFound", err)
-	}
-	if err := reg.SetDefault("b"); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.DefaultName(); got != "b" {
-		t.Errorf("DefaultName after SetDefault = %q, want b", got)
-	}
-
 	reg.CloseAll()
-	if reg.Len() != 0 || reg.DefaultName() != "" {
-		t.Errorf("CloseAll left %d sessions, default %q", reg.Len(), reg.DefaultName())
+	if reg.Len() != 0 {
+		t.Errorf("CloseAll left %d sessions", reg.Len())
 	}
 }
 
@@ -152,8 +125,8 @@ func TestStatsAggregation(t *testing.T) {
 	whatif(b, 2)
 
 	agg := reg.Stats()
-	if agg.Sessions != 2 || agg.Default != "a" {
-		t.Errorf("Sessions=%d Default=%q, want 2/a", agg.Sessions, agg.Default)
+	if agg.Sessions != 2 {
+		t.Errorf("Sessions = %d, want 2", agg.Sessions)
 	}
 	if len(agg.PerSession) != 2 {
 		t.Fatalf("PerSession has %d entries, want 2", len(agg.PerSession))

@@ -71,13 +71,7 @@ func (s *Server) handleCreateFromSnapshot(w http.ResponseWriter, r *http.Request
 		s.writeError(w, r, status, err)
 		return
 	}
-	if req.Default {
-		if err := s.reg.SetDefault(sess.Name()); err != nil {
-			s.writeError(w, r, http.StatusConflict, err)
-			return
-		}
-	}
-	s.writeJSON(w, r, http.StatusCreated, s.info(sess))
+	s.writeJSON(w, r, http.StatusCreated, infoOf(sess))
 }
 
 // addLine is one NDJSON line of the add-ingestion stream: a tag and a

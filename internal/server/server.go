@@ -34,11 +34,6 @@
 //	GET    /v1/stats                          aggregate across all sessions
 //	GET    /healthz                           liveness
 //
-// The pre-v1 unversioned routes (POST /whatif, POST /whatif/stream,
-// POST /compress, GET /stats) remain as thin aliases onto the registry's
-// designated default session; they answer with a "Deprecation: true"
-// header and will be removed once clients migrate.
-//
 // Scenario lines are {"assign": {"var": value, …}}, or — on streams — a
 // bare ScenQL scenario literal like "x=0.5, y=1". A what-if body may add
 // "semiring": "bool"|"count"|"tropical"|"minmax" to evaluate in that
@@ -222,8 +217,8 @@ func (s *Server) drainedErr(err error) error {
 	}
 }
 
-// Handler returns the HTTP handler serving the v1 API and the legacy
-// aliases. Method mismatches on any route answer 405 via the mux.
+// Handler returns the HTTP handler serving the v1 API. Method mismatches on
+// any route answer 405 via the mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", s.handleCreate)
@@ -239,13 +234,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{name}/export", s.withSession(s.handleExport))
 	mux.HandleFunc("GET /v1/sessions/{name}/stats", s.withSession(s.handleStats))
 	mux.HandleFunc("GET /v1/stats", s.handleAggregateStats)
-
-	// Legacy, pre-registry routes: thin aliases onto the default session.
-	mux.HandleFunc("POST /whatif", s.withDefault(s.handleWhatIf))
-	mux.HandleFunc("POST /whatif/stream", s.withDefault(s.handleStream))
-	mux.HandleFunc("POST /compress", s.withDefault(s.handleCompress))
-	mux.HandleFunc("GET /stats", s.withDefault(s.handleStats))
-
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -283,23 +271,6 @@ func (s *Server) withSession(h sessionHandler) http.HandlerFunc {
 			s.writeError(w, r, http.StatusNotFound, err)
 			return
 		}
-		h(w, r, sess)
-	}
-}
-
-// withDefault routes a legacy unversioned request onto the registry's
-// default session, tagging the response as deprecated.
-func (s *Server) withDefault(h sessionHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sess, err := s.reg.Default()
-		if err != nil {
-			s.writeError(w, r, http.StatusNotFound,
-				fmt.Errorf("%w (legacy route %s needs a default session; use /v1/sessions/{name}%s)",
-					err, r.URL.Path, r.URL.Path))
-			return
-		}
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1/sessions/%s%s>; rel=\"successor-version\"", sess.Name(), r.URL.Path))
 		h(w, r, sess)
 	}
 }
@@ -347,7 +318,6 @@ type createRequest struct {
 	Path          string   `json:"path,omitempty"`
 	ProvenanceB64 string   `json:"provenance_b64,omitempty"`
 	Trees         []string `json:"trees,omitempty"`
-	Default       bool     `json:"default,omitempty"`
 	Workers       int      `json:"workers,omitempty"`
 	DeltaCutoff   float64  `json:"delta_cutoff,omitempty"`
 	StreamBuffer  int      `json:"stream_buffer,omitempty"`
@@ -408,17 +378,11 @@ func (req *createRequest) loadForest() (*abstree.Forest, error) {
 type sessionInfo struct {
 	Name    string        `json:"name"`
 	Created time.Time     `json:"created"`
-	Default bool          `json:"default"`
 	Stats   session.Stats `json:"stats"`
 }
 
-func (s *Server) info(sess *registry.Session) sessionInfo {
-	return sessionInfo{
-		Name:    sess.Name(),
-		Created: sess.Created(),
-		Default: s.reg.DefaultName() == sess.Name(),
-		Stats:   sess.Engine().Stats(),
-	}
+func infoOf(sess *registry.Session) sessionInfo {
+	return sessionInfo{Name: sess.Name(), Created: sess.Created(), Stats: sess.Engine().Stats()}
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -453,28 +417,20 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, status, err)
 		return
 	}
-	if req.Default {
-		if err := s.reg.SetDefault(sess.Name()); err != nil {
-			// The session was just created; losing it to a close race is the
-			// only path here, and the client should know.
-			s.writeError(w, r, http.StatusConflict, err)
-			return
-		}
-	}
-	s.writeJSON(w, r, http.StatusCreated, s.info(sess))
+	s.writeJSON(w, r, http.StatusCreated, infoOf(sess))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	sessions := s.reg.List()
 	infos := make([]sessionInfo, len(sessions))
 	for i, sess := range sessions {
-		infos[i] = s.info(sess)
+		infos[i] = infoOf(sess)
 	}
 	s.writeJSON(w, r, http.StatusOK, map[string]any{"sessions": infos})
 }
 
 func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request, sess *registry.Session) {
-	s.writeJSON(w, r, http.StatusOK, s.info(sess))
+	s.writeJSON(w, r, http.StatusOK, infoOf(sess))
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {

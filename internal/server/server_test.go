@@ -43,8 +43,8 @@ func newRegistryServer(t *testing.T, opts ...Option) (*httptest.Server, *registr
 	return ts, reg
 }
 
-// newTestServer starts a server whose registry holds one default session
-// named "default" — the shape the legacy unversioned routes alias onto.
+// newTestServer starts a server whose registry holds one session named
+// "default".
 func newTestServer(t *testing.T) (*httptest.Server, *session.Engine) {
 	t.Helper()
 	ts, reg := newRegistryServer(t)
@@ -57,7 +57,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *session.Engine) {
 
 func TestWhatIfEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/whatif", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/sessions/default/whatif", "application/json",
 		strings.NewReader(`{"assign":{"m1":0.5,"m3":0.5}}`))
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestWhatIfEndpointErrors(t *testing.T) {
 		"malformed json":   `{"assign":`,
 		"unknown variable": `{"assign":{"nope":1}}`,
 	} {
-		resp, err := http.Post(ts.URL+"/whatif", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/sessions/default/whatif", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestStreamEndpoint(t *testing.T) {
 		`{"assign":{"bogus":1}}`,
 		`{"assign":{"m1":0,"m3":0}}`,
 	}, "\n")
-	resp, err := http.Post(ts.URL+"/whatif/stream", "application/x-ndjson", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/sessions/default/whatif/stream", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestStreamEndpoint(t *testing.T) {
 func TestStreamEndpointMalformedLine(t *testing.T) {
 	ts, _ := newTestServer(t)
 	body := `{"assign":{"m1":1}}` + "\n" + `not json` + "\n" + `{"assign":{"m1":2}}`
-	resp, err := http.Post(ts.URL+"/whatif/stream", "application/x-ndjson", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/sessions/default/whatif/stream", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestStreamEndpointMalformedLine(t *testing.T) {
 
 func TestCompressAndStatsEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/compress", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/sessions/default/compress", "application/json",
 		strings.NewReader(`{"bound":2,"strategy":"greedy"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestCompressAndStatsEndpoints(t *testing.T) {
 	}
 
 	// The compression is visible in /stats and scenario answers.
-	sresp, err := http.Get(ts.URL + "/stats")
+	sresp, err := http.Get(ts.URL + "/v1/sessions/default/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestCompressAndStatsEndpoints(t *testing.T) {
 		t.Errorf("stats = %+v, want compressed greedy at 2 monomials", st)
 	}
 
-	wresp, err := http.Post(ts.URL+"/whatif", "application/json",
+	wresp, err := http.Post(ts.URL+"/v1/sessions/default/whatif", "application/json",
 		strings.NewReader(`{"assign":{"q1":0.5}}`))
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestCompressAndStatsEndpoints(t *testing.T) {
 
 	// The evaluation-path counters surface on the wire: the what-if above is
 	// accounted as exactly one delta or full evaluation.
-	sresp2, err := http.Get(ts.URL + "/stats")
+	sresp2, err := http.Get(ts.URL + "/v1/sessions/default/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestCompressAndStatsEndpoints(t *testing.T) {
 
 	// Bad strategy and bad JSON are 400s.
 	for _, body := range []string{`{"bound":2,"strategy":"nope"}`, `{{`} {
-		bresp, err := http.Post(ts.URL+"/compress", "application/json", strings.NewReader(body))
+		bresp, err := http.Post(ts.URL+"/v1/sessions/default/compress", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// newSemiringServer starts a server whose default session holds a set with
+// newSemiringServer starts a server whose session "default" holds a set with
 // natural coefficients — evaluable in every wire-selectable carrier (the
 // fractional testSet coefficients are rejected by bool/count/tropical/
 // minmax compilation).
@@ -292,7 +292,7 @@ func newSemiringServer(t *testing.T) (*httptest.Server, *session.Engine) {
 
 func postWhatIf(t *testing.T, url, body string) (int, any) {
 	t.Helper()
-	resp, err := http.Post(url+"/whatif", "application/json", strings.NewReader(body))
+	resp, err := http.Post(url+"/v1/sessions/default/whatif", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestWhatIfSemiringErrors(t *testing.T) {
 		"fractional under bool":  `{"semiring":"bool","assign":{"m1":1}}`,
 		"bad value under count":  `{"semiring":"count","assign":{"m1":0.5}}`,
 	} {
-		resp, err := http.Post(ts.URL+"/whatif", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/sessions/default/whatif", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +387,7 @@ func TestStreamEndpointSemiring(t *testing.T) {
 		`{"assign":{"bogus":1}}`,
 		`{"assign":{"m1":0,"m3":1}}`,
 	}, "\n")
-	resp, err := http.Post(ts.URL+"/whatif/stream?semiring=bool", "application/x-ndjson",
+	resp, err := http.Post(ts.URL+"/v1/sessions/default/whatif/stream?semiring=bool", "application/x-ndjson",
 		strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +433,7 @@ func TestStreamEndpointSemiring(t *testing.T) {
 // stream up front with a 400.
 func TestStreamEndpointSemiringRejected(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/whatif/stream?semiring=nope", "application/x-ndjson",
+	resp, err := http.Post(ts.URL+"/v1/sessions/default/whatif/stream?semiring=nope", "application/x-ndjson",
 		strings.NewReader(`{"assign":{"m1":1}}`))
 	if err != nil {
 		t.Fatal(err)

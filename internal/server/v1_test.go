@@ -30,13 +30,12 @@ func setB64(t *testing.T, set *provenance.Set) string {
 	return base64.StdEncoding.EncodeToString(buf.Bytes())
 }
 
-func createBody(t *testing.T, name string, deflt bool) string {
+func createBody(t *testing.T, name string) string {
 	t.Helper()
 	body, err := json.Marshal(map[string]any{
 		"name":           name,
 		"provenance_b64": setB64(t, testSet(t)),
 		"trees":          []string{"Year(q1(m1,m3))"},
-		"default":        deflt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,12 +75,12 @@ func doJSON(t *testing.T, method, url, body string) (*http.Response, map[string]
 func TestV1SessionLifecycle(t *testing.T) {
 	ts, _ := newRegistryServer(t)
 
-	resp, body := doJSON(t, "POST", ts.URL+"/v1/sessions", createBody(t, "telco", false))
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/sessions", createBody(t, "telco"))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status = %d, want 201: %v", resp.StatusCode, body)
 	}
-	if body["name"] != "telco" || body["default"] != true {
-		t.Errorf("create response = %v, want name=telco default=true (first session)", body)
+	if _, hasDefault := body["default"]; body["name"] != "telco" || hasDefault {
+		t.Errorf("create response = %v, want name=telco and no default field", body)
 	}
 
 	resp, body = doJSON(t, "GET", ts.URL+"/v1/sessions", "")
@@ -149,10 +148,10 @@ func TestV1CreateErrors(t *testing.T) {
 		body   string
 		status int
 	}{
-		{"duplicate name", createBody(t, "taken", false), http.StatusConflict},
+		{"duplicate name", createBody(t, "taken"), http.StatusConflict},
 		{"malformed json", `{"name":`, http.StatusBadRequest},
-		{"empty name", createBody(t, "", false), http.StatusBadRequest},
-		{"reserved character", createBody(t, "a/b", false), http.StatusBadRequest},
+		{"empty name", createBody(t, ""), http.StatusBadRequest},
+		{"reserved character", createBody(t, "a/b"), http.StatusBadRequest},
 		{"no source", `{"name":"x"}`, http.StatusBadRequest},
 		{"two sources", `{"name":"x","path":"/a","provenance_b64":"AAAA"}`, http.StatusBadRequest},
 		{"bad base64", `{"name":"x","provenance_b64":"!!!"}`, http.StatusBadRequest},
@@ -213,7 +212,7 @@ func TestV1CreateFromPath(t *testing.T) {
 }
 
 func TestV1UnknownSession404(t *testing.T) {
-	ts, _ := newRegistryServer(t)
+	ts, _ := newTestServer(t)
 	for _, rt := range []struct{ method, path, body string }{
 		{"GET", "/v1/sessions/ghost", ""},
 		{"DELETE", "/v1/sessions/ghost", ""},
@@ -227,16 +226,25 @@ func TestV1UnknownSession404(t *testing.T) {
 			t.Errorf("%s %s: status = %d, want 404 (%v)", rt.method, rt.path, resp.StatusCode, body)
 		}
 	}
-	// Legacy aliases 404 too while the registry has no default session.
+	// The unversioned paths name no session, so they are unknown routes
+	// even while a session exists.
 	for _, rt := range []struct{ method, path, body string }{
 		{"POST", "/whatif", `{"assign":{"m1":1}}`},
 		{"POST", "/whatif/stream", `{"assign":{"m1":1}}`},
 		{"POST", "/compress", `{"bound":1}`},
 		{"GET", "/stats", ""},
 	} {
-		resp, body := doJSON(t, rt.method, ts.URL+rt.path, rt.body)
+		req, err := http.NewRequest(rt.method, ts.URL+rt.path, strings.NewReader(rt.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s %s: status = %d, want 404 (%v)", rt.method, rt.path, resp.StatusCode, body)
+			t.Errorf("%s %s: status = %d, want 404", rt.method, rt.path, resp.StatusCode)
 		}
 	}
 }
@@ -252,10 +260,6 @@ func TestMethodNotAllowed(t *testing.T) {
 		{"GET", "/v1/sessions/default/compress"},
 		{"POST", "/v1/sessions/default/stats"},
 		{"POST", "/v1/stats"},
-		{"GET", "/whatif"},
-		{"GET", "/whatif/stream"},
-		{"GET", "/compress"},
-		{"POST", "/stats"},
 		{"POST", "/healthz"},
 	} {
 		req, err := http.NewRequest(rt.method, ts.URL+rt.path, strings.NewReader("{}"))
@@ -273,57 +277,6 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestLegacyParity pins the deprecation contract: every legacy unversioned
-// route answers byte-identically to its /v1 successor on the default
-// session, plus a Deprecation header pointing at the successor.
-func TestLegacyParity(t *testing.T) {
-	ts, _ := newTestServer(t)
-
-	fetch := func(method, path, body string) (http.Header, string) {
-		t.Helper()
-		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.Header, string(raw)
-	}
-
-	streamBody := `{"assign":{"m1":1,"m3":1}}` + "\n" + `{"assign":{"m1":0,"m3":0}}`
-	routes := []struct{ method, legacy, v1, body string }{
-		{"POST", "/whatif", "/v1/sessions/default/whatif", `{"assign":{"m1":0.5,"m3":0.5}}`},
-		{"POST", "/whatif/stream", "/v1/sessions/default/whatif/stream", streamBody},
-		// Bad strategy keeps the compress comparison deterministic (no
-		// elapsed_ms) and still exercises the full alias path.
-		{"POST", "/compress", "/v1/sessions/default/compress", `{"bound":2,"strategy":"nope"}`},
-		{"GET", "/stats", "/v1/sessions/default/stats", ""},
-	}
-	for _, rt := range routes {
-		legacyHdr, legacyBody := fetch(rt.method, rt.legacy, rt.body)
-		v1Hdr, v1Body := fetch(rt.method, rt.v1, rt.body)
-		if legacyBody != v1Body {
-			t.Errorf("%s %s vs %s:\n legacy %q\n v1     %q", rt.method, rt.legacy, rt.v1, legacyBody, v1Body)
-		}
-		if legacyHdr.Get("Deprecation") != "true" {
-			t.Errorf("%s %s: no Deprecation header", rt.method, rt.legacy)
-		}
-		if link := legacyHdr.Get("Link"); !strings.Contains(link, rt.v1) {
-			t.Errorf("%s %s: Link = %q, want successor %s", rt.method, rt.legacy, link, rt.v1)
-		}
-		if v1Hdr.Get("Deprecation") != "" {
-			t.Errorf("%s %s: v1 route carries a Deprecation header", rt.method, rt.v1)
-		}
-	}
-}
-
 // TestRequestBodyLimits pins the 413 contract on every bounded path.
 func TestRequestBodyLimits(t *testing.T) {
 	ts, reg := newRegistryServer(t, WithMaxLineBytes(128), WithMaxCreateBytes(256))
@@ -335,7 +288,6 @@ func TestRequestBodyLimits(t *testing.T) {
 	big := `{"assign":{"` + strings.Repeat("m", 300) + `":1}}`
 	for _, rt := range []struct{ method, path, body string }{
 		{"POST", "/v1/sessions/default/whatif", big},
-		{"POST", "/whatif", big},
 		{"POST", "/v1/sessions/default/compress", `{"bound":1,"strategy":"` + strings.Repeat("x", 300) + `"}`},
 		{"POST", "/v1/sessions", `{"name":"x","provenance_b64":"` + strings.Repeat("A", 300) + `"}`},
 	} {
@@ -461,15 +413,14 @@ func TestAggregateStats(t *testing.T) {
 	defer resp.Body.Close()
 	var agg struct {
 		Sessions   int                      `json:"sessions"`
-		Default    string                   `json:"default"`
 		Totals     session.Stats            `json:"totals"`
 		PerSession map[string]session.Stats `json:"per_session"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&agg); err != nil {
 		t.Fatal(err)
 	}
-	if agg.Sessions != 2 || agg.Default != "a" {
-		t.Errorf("sessions=%d default=%q, want 2/a", agg.Sessions, agg.Default)
+	if agg.Sessions != 2 {
+		t.Errorf("sessions = %d, want 2", agg.Sessions)
 	}
 	if agg.PerSession["a"].Scenarios != 3 || agg.PerSession["b"].Scenarios != 1 {
 		t.Errorf("per-session scenarios = %d/%d, want 3/1",

@@ -117,16 +117,12 @@ func (st *semState[T, C]) batchOptions(e *Engine) hypo.BatchOptions {
 }
 
 func (st *semState[T, C]) answers(e *Engine, scs []*hypo.Scenario) ([][]hypo.ValueAnswer, error) {
-	rows, err := hypo.AnswersBatch(st.kernel, scs, st.batchOptions(e))
+	rows, err := hypo.EvalBatch(st.kernel, scs, st.batchOptions(e))
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]hypo.ValueAnswer, len(rows))
-	for i, row := range rows {
-		out[i] = hypo.Erase(row)
-	}
 	st.scenarios.Add(int64(len(scs)))
-	return out, nil
+	return tagRows(st.kernel.Tags, rows, hypo.EraseValues[T]), nil
 }
 
 // target is this carrier's evalTarget. Callers hold e.mu.
@@ -262,15 +258,7 @@ func (e *Engine) WhatIfBatchIn(kind semiring.Kind, scs []*hypo.Scenario) ([][]hy
 
 func (e *Engine) whatIfBatchIn(kind semiring.Kind, scs []*hypo.Scenario) ([][]hypo.ValueAnswer, error) {
 	if kind == semiring.KindFloat || kind == "" {
-		rows, err := e.answers(scs)
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]hypo.ValueAnswer, len(rows))
-		for i, row := range rows {
-			out[i] = hypo.Erase(row)
-		}
-		return out, nil
+		return answers(e, scs, hypo.EraseValues[float64])
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()

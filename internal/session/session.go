@@ -181,24 +181,37 @@ func (e *Engine) streamBatchOptions() hypo.BatchOptions {
 	return opts
 }
 
-// answers is the shared evaluation path: cached compile, parallel eval,
-// scenario accounting. Batch accounting stays with WhatIfBatch so streamed
-// and single evaluations do not inflate the batch counter.
-func (e *Engine) answers(scs []*hypo.Scenario) ([][]hypo.Answer, error) {
+// answers is the shared float evaluation path: cached compile, parallel
+// eval, scenario accounting. tag turns each raw answer row into the
+// caller's answer type in one pass (hypo.TagAnswers for WhatIf,
+// hypo.EraseValues for WhatIfIn). Batch accounting stays with the batch
+// entry points so streamed and single evaluations do not inflate the batch
+// counter.
+func answers[A any](e *Engine, scs []*hypo.Scenario, tag func([]string, []float64) A) ([]A, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	rows, err := hypo.AnswersBatch(e.compiledLocked(), scs, e.batchOptions())
+	c := e.compiledLocked()
+	rows, err := hypo.EvalBatch(c, scs, e.batchOptions())
 	if err != nil {
 		return nil, err
 	}
 	e.scenarios.Add(int64(len(scs)))
-	return rows, nil
+	return tagRows(c.Tags, rows, tag), nil
+}
+
+// tagRows applies tag to every raw answer row of a batch.
+func tagRows[T, A any](tags []string, rows [][]T, tag func([]string, []T) A) []A {
+	out := make([]A, len(rows))
+	for i, vals := range rows {
+		out[i] = tag(tags, vals)
+	}
+	return out
 }
 
 // WhatIf answers a single hypothetical scenario against the session's
 // current provenance.
 func (e *Engine) WhatIf(sc *hypo.Scenario) ([]hypo.Answer, error) {
-	rows, err := e.answers([]*hypo.Scenario{sc})
+	rows, err := answers(e, []*hypo.Scenario{sc}, hypo.TagAnswers[float64])
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +221,7 @@ func (e *Engine) WhatIf(sc *hypo.Scenario) ([]hypo.Answer, error) {
 // WhatIfBatch answers many scenarios in parallel on the session's worker
 // pool, reusing the cached compiled provenance — no per-call compile.
 func (e *Engine) WhatIfBatch(scs []*hypo.Scenario) ([][]hypo.Answer, error) {
-	rows, err := e.answers(scs)
+	rows, err := answers(e, scs, hypo.TagAnswers[float64])
 	if err != nil {
 		return nil, err
 	}

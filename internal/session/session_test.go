@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -210,6 +211,80 @@ func TestWhatIfUnknownVariable(t *testing.T) {
 	}
 	if _, err := e.WhatIfBatch([]*hypo.Scenario{hypo.NewScenario().Set("nope", 1)}); err == nil {
 		t.Fatal("WhatIfBatch with unknown variable succeeded, want error")
+	}
+}
+
+// TestWhatIfBatchTags: WhatIfBatch and WhatIfBatchIn, in float and in
+// count, tag every row with the set's tags, with values bit-identical to
+// hypo.EvalBatch on the same kernel.
+func TestWhatIfBatchTags(t *testing.T) {
+	set := chainFixture() // natural coefficients: compiles under counting too
+	e, err := Open(set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs := []*hypo.Scenario{
+		hypo.NewScenario().Set("a", 2).Set("m", 3),
+		hypo.NewScenario().Set("b", 0).Set("n", 5),
+		hypo.NewScenario(),
+	}
+	floats, err := hypo.EvalBatch(e.Compiled(), scs, hypo.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	countKernel, err := provenance.CompileSet[int64](semiring.Counting{}, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := hypo.EvalBatch(countKernel, scs, hypo.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// check compares answer j of row i; a float must match bit for bit.
+	check := func(path string, i, j int, tag string, got, want any) {
+		t.Helper()
+		same := got == want
+		if f, ok := want.(float64); ok {
+			g, isFloat := got.(float64)
+			same = isFloat && math.Float64bits(g) == math.Float64bits(f)
+		}
+		if tag != set.Tags[j] || !same {
+			t.Errorf("%s row %d answer %d = (%q, %v), want (%q, %v)", path, i, j, tag, got, set.Tags[j], want)
+		}
+	}
+
+	rows, err := e.WhatIfBatch(scs)
+	if err != nil || len(rows) != len(scs) {
+		t.Fatalf("WhatIfBatch = %d rows, %v; want %d", len(rows), err, len(scs))
+	}
+	for i, row := range rows {
+		if len(row) != len(set.Polys) {
+			t.Fatalf("WhatIfBatch row %d has %d answers, want %d", i, len(row), len(set.Polys))
+		}
+		for j, a := range row {
+			check("WhatIfBatch", i, j, a.Tag, a.Value, floats[i][j])
+		}
+	}
+	for _, tc := range []struct {
+		kind semiring.Kind
+		want func(i, j int) any
+	}{
+		{semiring.KindFloat, func(i, j int) any { return floats[i][j] }},
+		{semiring.KindCount, func(i, j int) any { return counts[i][j] }},
+	} {
+		path := "WhatIfBatchIn(" + tc.kind.String() + ")"
+		rows, err := e.WhatIfBatchIn(tc.kind, scs)
+		if err != nil || len(rows) != len(scs) {
+			t.Fatalf("%s = %d rows, %v; want %d", path, len(rows), err, len(scs))
+		}
+		for i, row := range rows {
+			if len(row) != len(set.Polys) {
+				t.Fatalf("%s row %d has %d answers, want %d", path, i, len(row), len(set.Polys))
+			}
+			for j, a := range row {
+				check(path, i, j, a.Tag, a.Value, tc.want(i, j))
+			}
+		}
 	}
 }
 

@@ -12,10 +12,12 @@
 //  2. Define abstraction trees over the provenance variables: hierarchies
 //     of meta-variables describing which variables may be grouped for the
 //     anticipated hypothetical scenarios.
-//  3. Compress: pick a valid variable set (a cut in each tree) with
+//  3. Open a session Engine over the provenance and the abstraction forest.
+//  4. Compress once: pick a valid variable set (a cut in each tree) with
 //     Optimal (single tree, exact, PTIME — the paper's Algorithm 1),
-//     Greedy (any forest — Algorithm 2), or BruteForce (reference).
-//  4. Ask what-ifs: scenarios valuate (meta-)variables; on abstracted
+//     Greedy (any forest — Algorithm 2), BruteForce (reference),
+//     Summarize (the Ainy et al. competitor) or Online (§6 sampling).
+//  5. Ask many what-ifs: scenarios valuate (meta-)variables; on abstracted
 //     provenance, group-uniform scenarios are exact and the rest are
 //     approximated.
 //
@@ -24,8 +26,8 @@
 // The paper's workload is a long-lived session: compress once, then answer
 // a stream of hypothetical scenarios. The Engine owns that lifecycle — the
 // provenance, the abstraction forest, the chosen compression, and a lazily
-// built compiled form that is cached across evaluations and invalidated on
-// mutation. A minimal round trip:
+// built compiled form that is cached across evaluations. A minimal round
+// trip:
 //
 //	vb := provabs.NewVocab()
 //	set := provabs.NewSet(vb)
@@ -36,16 +38,20 @@
 //	answers, _ := eng.WhatIf(provabs.NewScenario().Set("q1", 0.8))
 //	_ = comp.Abstracted // the compressed provenance, if needed directly
 //
-// Engine.Compress unifies the five selection strategies — Optimal
-// (Algorithm 1), Greedy (Algorithm 2), BruteForce, Summarize (the Ainy et
-// al. competitor) and Online (§6 sampling) — behind one call:
+// Engine.Compress runs the five selection strategies — Optimal
+// (Algorithm 1), Greedy (Algorithm 2), BruteForce, Summarize and Online —
+// behind one call, returning one Compression shape (abstracted set, VVS,
+// monomial and variable losses, adequacy):
 //
 //	eng.Compress(B, provabs.WithStrategy(provabs.StrategyOnline),
 //	    provabs.WithSamplingFraction(0.25), provabs.WithSeed(7))
 //
-// Engine.WhatIfBatch evaluates many scenarios in parallel against one
-// cached compilation, and Engine.Stream answers scenarios as they arrive
-// on a channel.
+// Every evaluation then runs on the session's one cached compilation:
+// Engine.WhatIf answers a scenario, Engine.WhatIfBatch evaluates many in
+// parallel on the worker pool, Engine.Stream answers scenarios as they
+// arrive on a channel, and Engine.Query runs ScenQL sweeps. Engine.Add
+// appends provenance to the live compilation in place (Compiles stays 1),
+// and Engine.Compiled exposes that compilation for direct use.
 //
 // # Multi-session registry and the v1 server
 //
@@ -54,7 +60,7 @@
 // through a Registry:
 //
 //	reg := provabs.OpenRegistry()
-//	telco, _ := reg.Create("telco", telcoSet, telcoForest) // first = default
+//	telco, _ := reg.Create("telco", telcoSet, telcoForest)
 //	q5, _ := reg.Create("q5", q5Set, q5Forest)
 //	telco.Engine().Compress(5000)
 //	answers, _ := q5.Engine().WhatIf(scenario)
@@ -66,27 +72,7 @@
 // /v1/sessions, GET|DELETE /v1/sessions/{name}, POST
 // /v1/sessions/{name}/whatif (+ a streaming NDJSON /whatif/stream), POST
 // /v1/sessions/{name}/compress, GET /v1/sessions/{name}/stats and the
-// aggregated GET /v1/stats. The pre-registry unversioned routes remain as
-// deprecated aliases onto the default session.
-//
-// The free functions Optimal, Greedy, BruteForce, Summarize and
-// OnlineCompress predate the Engine and remain as thin deprecated wrappers
-// over it.
-//
-// # Compiled batch evaluation
-//
-// Under the Engine sits the compiled evaluation layer, usable directly:
-// compile the (abstracted) set once with Compile — flattening every
-// monomial into dense coefficient/variable arrays — and evaluate batches of
-// scenarios in parallel:
-//
-//	compiled := provabs.Compile(compressed)
-//	scenarios := []*provabs.Scenario{ ... many what-ifs ... }
-//	rows, _ := provabs.EvalBatch(compiled, scenarios, 0) // 0 = GOMAXPROCS workers
-//
-// Compiled evaluation needs no string parsing or map lookups per monomial
-// and is deterministic (canonical monomial order); EvalBatch spreads
-// scenarios over a worker pool.
+// aggregated GET /v1/stats.
 //
 // # Delta evaluation and sharding
 //
@@ -100,15 +86,15 @@
 // answers, when consecutive valuations differ on fewer terms than either
 // differs from the identity (DeltaEval.EvalFrom). Routing between the
 // delta and full paths is adaptive by default: an online cost model learns
-// the observed ns/term of each path and picks per scenario
-// (BatchOptions.DeltaCutoff pins a static fraction instead). When a batch
-// has fewer scenarios than workers the pool shards each scenario's
-// polynomial range (Compiled.EvalSharded), so one huge scenario uses every
-// core. The Engine applies all of this transparently (see WithDeltaCutoff)
-// and reports DeltaEvals/ChainedEvals/FullEvals/ShardedEvals plus the
-// learned cutoff in its Stats. Engine.Add extends the compiled form, its
-// indexes and its baseline in place (Compiled.Append), so an Add-heavy
-// session never recompiles.
+// the observed ns/term of each path and picks per scenario (WithDeltaCutoff
+// pins a static fraction instead). When a batch has fewer scenarios than
+// workers the pool shards each scenario's polynomial range
+// (Compiled.EvalSharded), so one huge scenario uses every core. The Engine
+// applies all of this transparently and reports
+// DeltaEvals/ChainedEvals/FullEvals/ShardedEvals plus the learned cutoff in
+// its Stats. Engine.Add extends the compiled form, its indexes and its
+// baseline in place (Compiled.Append), so an Add-heavy session never
+// recompiles.
 //
 // # Semiring-generic evaluation
 //
@@ -141,11 +127,9 @@ import (
 	"provabs/internal/hypo"
 	"provabs/internal/provenance"
 	"provabs/internal/registry"
-	"provabs/internal/sampling"
 	"provabs/internal/scenql"
 	"provabs/internal/semiring"
 	"provabs/internal/session"
-	"provabs/internal/summarize"
 )
 
 // Provenance model (internal/provenance).
@@ -184,15 +168,9 @@ type (
 
 // Algorithms (internal/core).
 type (
-	// Result is a VVS-selection outcome: the chosen abstraction, its
-	// monomial and variable losses, and whether it meets the bound.
-	Result = core.Result
 	// Compression is the uniform outcome of any compression strategy run
 	// through the Engine: abstracted set, substitution, losses, adequacy.
 	Compression = core.Compression
-	// Compressor is the strategy interface all five compression algorithms
-	// implement.
-	Compressor = core.Compressor
 )
 
 // Session engine (internal/session).
@@ -313,8 +291,6 @@ var (
 	ErrSessionExists = registry.ErrExists
 	// ErrSessionNotFound reports a lookup of an unknown session name.
 	ErrSessionNotFound = registry.ErrNotFound
-	// ErrNoDefaultSession reports that no default session is designated.
-	ErrNoDefaultSession = registry.ErrNoDefault
 )
 
 // ErrActiveSetReplaced fails a ScenQL statement that a Compress overtook
@@ -329,8 +305,7 @@ func Open(set *Set, forest *Forest, opts ...Option) (*Engine, error) {
 }
 
 // OpenRegistry returns an empty multi-session registry. Create named
-// sessions on it (the first becomes the default) and serve it with
-// internal/server or use it directly.
+// sessions on it and serve it with internal/server or use it directly.
 func OpenRegistry() *Registry { return registry.New() }
 
 // ParseStrategy resolves a strategy name ("optimal", "greedy", "brute",
@@ -377,20 +352,7 @@ type (
 	Scenario = hypo.Scenario
 	// Answer pairs a polynomial tag with its value under a scenario.
 	Answer = hypo.Answer
-	// BatchOptions tunes EvalBatchOpts: worker-pool size, delta-vs-full
-	// density cutoff (static, or the adaptive cost model), chained
-	// evaluation, and optional evaluation counters.
-	BatchOptions = hypo.BatchOptions
-	// BatchCounters accumulates delta/chained/full/sharded evaluation
-	// counts and carries the adaptive cost model's learned per-term
-	// timings (DeltaNsPerTerm/FullNsPerTerm/AdaptiveCutoff).
-	BatchCounters = hypo.BatchCounters
 )
-
-// DefaultDeltaCutoff is the affected-term density above which scenarios are
-// evaluated in full rather than via the delta path while the adaptive cost
-// model has no observations (and the static fallback fraction).
-const DefaultDeltaCutoff = hypo.DefaultDeltaCutoff
 
 // NewVocab returns an empty variable vocabulary.
 func NewVocab() *Vocab { return provenance.NewVocab() }
@@ -423,90 +385,6 @@ func FromLabels(f *Forest, labels ...string) (*VVS, error) {
 	return abstree.FromLabels(f, labels...)
 }
 
-// engineCompress runs one compression through a throwaway Engine — the
-// shared body of the deprecated free functions.
-func engineCompress(s *Set, forest *Forest, B int, opts ...CompressOption) (*Compression, error) {
-	e, err := Open(s, forest)
-	if err != nil {
-		return nil, err
-	}
-	return e.Compress(B, opts...)
-}
-
-// resultOf converts a Compression back to the legacy Result shape.
-func resultOf(c *Compression) *Result {
-	return &Result{VVS: c.VVS, ML: c.ML, VL: c.VL, Adequate: c.Adequate}
-}
-
-// Optimal selects an optimal abstraction for a single tree and bound B on
-// the number of monomials — the paper's Algorithm 1 (exact, PTIME).
-//
-// Deprecated: use Open and Engine.Compress(B, WithStrategy(StrategyOptimal)),
-// which additionally caches the compiled form for scenario evaluation.
-func Optimal(s *Set, tree *Tree, B int) (*Result, error) {
-	forest, err := NewForest(tree)
-	if err != nil {
-		return nil, err
-	}
-	c, err := engineCompress(s, forest, B, WithStrategy(StrategyOptimal))
-	if err != nil {
-		return nil, err
-	}
-	return resultOf(c), nil
-}
-
-// Greedy selects an abstraction for an arbitrary forest — the paper's
-// Algorithm 2 (heuristic; the multi-tree problem is NP-hard).
-//
-// Deprecated: use Open and Engine.Compress(B, WithStrategy(StrategyGreedy)).
-func Greedy(s *Set, forest *Forest, B int) (*Result, error) {
-	c, err := engineCompress(s, forest, B, WithStrategy(StrategyGreedy))
-	if err != nil {
-		return nil, err
-	}
-	return resultOf(c), nil
-}
-
-// BruteForce exhaustively selects an optimal abstraction (reference
-// implementation; fails beyond limit enumerated VVS, 0 = default).
-//
-// Deprecated: use Open and Engine.Compress(B,
-// WithStrategy(StrategyBruteForce), WithBruteLimit(limit)).
-func BruteForce(s *Set, forest *Forest, B, limit int) (*Result, error) {
-	c, err := engineCompress(s, forest, B, WithStrategy(StrategyBruteForce), WithBruteLimit(limit))
-	if err != nil {
-		return nil, err
-	}
-	return resultOf(c), nil
-}
-
-// Summarize runs the pairwise-merge summarization of Ainy et al. (CIKM'15),
-// the paper's experimental competitor, with an optional timeout.
-//
-// Deprecated: use Open and Engine.Compress(B,
-// WithStrategy(StrategySummarize), WithTimeout(timeout)).
-func Summarize(s *Set, forest *Forest, B int, timeout time.Duration) (*summarize.Result, error) {
-	c, err := engineCompress(s, forest, B, WithStrategy(StrategySummarize), WithTimeout(timeout))
-	if err != nil {
-		return nil, err
-	}
-	return c.Extra.(*summarize.Result), nil
-}
-
-// OnlineCompress runs the §6 online pipeline: choose a VVS on a sampled
-// fraction of the polynomials and abstract the full set with it.
-//
-// Deprecated: use Open and Engine.Compress(B, WithStrategy(StrategyOnline),
-// WithSamplingFraction(fraction), WithSeed(seed)).
-func OnlineCompress(s *Set, forest *Forest, B int, fraction float64, seed int64) (*sampling.Result, error) {
-	c, err := engineCompress(s, forest, B, WithStrategy(StrategyOnline),
-		WithSamplingFraction(fraction), WithSeed(seed))
-	if err != nil {
-		return nil, err
-	}
-	return c.Extra.(*sampling.Result), nil
-}
-
 // MonomialLoss returns ML(S) = |P|_M − |P↓S|_M.
 func MonomialLoss(s *Set, v *VVS) int { return core.MonomialLoss(s, v) }
 
@@ -515,29 +393,6 @@ func VariableLoss(s *Set, v *VVS) int { return core.VariableLoss(s, v) }
 
 // NewScenario returns an empty hypothetical scenario.
 func NewScenario() *Scenario { return hypo.NewScenario() }
-
-// Compile flattens a provenance set for fast repeated evaluation. Compile
-// once, then evaluate many scenarios with EvalBatch or Scenario.EvalCompiled.
-func Compile(s *Set) *Compiled { return s.Compile() }
-
-// EvalBatch evaluates many scenarios against compiled provenance on a
-// worker pool of the given size (0 = GOMAXPROCS), returning one answer
-// vector per scenario in scenario order. Sparse scenarios automatically
-// take the delta path; use EvalBatchOpts to tune or disable the routing.
-func EvalBatch(c *Compiled, scenarios []*Scenario, workers int) ([][]float64, error) {
-	return hypo.EvalBatch(c, scenarios, hypo.BatchOptions{Workers: workers})
-}
-
-// EvalBatchOpts is EvalBatch with full control over the routing: worker
-// count, delta cutoff, and evaluation counters.
-func EvalBatchOpts(c *Compiled, scenarios []*Scenario, opts BatchOptions) ([][]float64, error) {
-	return hypo.EvalBatch(c, scenarios, opts)
-}
-
-// AnswersBatch is EvalBatch with each value paired to its polynomial's tag.
-func AnswersBatch(c *Compiled, scenarios []*Scenario, workers int) ([][]Answer, error) {
-	return hypo.AnswersBatch(c, scenarios, hypo.BatchOptions{Workers: workers})
-}
 
 // Encode writes a provenance set in the compact binary format.
 func Encode(w io.Writer, s *Set) error { return provenance.Encode(w, s) }

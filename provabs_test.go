@@ -19,8 +19,15 @@ func TestFacadeRoundTrip(t *testing.T) {
 	set.Add("10001", provabs.MustParse(vb,
 		"220.8·p1·m1 + 240·p1·m3 + 127.4·f1·m1 + 114.45·f1·m3 + 75.9·y1·m1 + 72.5·y1·m3 + 42·v·m1 + 24.2·v·m3"))
 
-	tree := provabs.MustParseTree("Year(q1(m1,m3))")
-	res, err := provabs.Optimal(set, tree, 4)
+	forest, err := provabs.NewForest(provabs.MustParseTree("Year(q1(m1,m3))"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := provabs.Open(set, forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Compress(4, provabs.WithStrategy(provabs.StrategyOptimal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +86,15 @@ func TestFacadeGreedyAndBrute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := provabs.Greedy(set, f, 2)
+	eng, err := provabs.Open(set, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := provabs.BruteForce(set, f, 2, 0)
+	g, err := eng.Compress(2, provabs.WithStrategy(provabs.StrategyGreedy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bf, err := eng.Compress(2, provabs.WithStrategy(provabs.StrategyBruteForce))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,36 +117,46 @@ func TestFacadeSummarizeAndOnline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := provabs.Summarize(set, f, 8, time.Second)
+	eng, err := provabs.Open(set, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sres, err := eng.Compress(8, provabs.WithStrategy(provabs.StrategySummarize),
+		provabs.WithTimeout(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sres.Adequate {
 		t.Errorf("summarize inadequate: %+v", sres)
 	}
-	ores, err := provabs.OnlineCompress(set, f, 8, 0.5, 1)
+	ores, err := eng.Compress(8, provabs.WithStrategy(provabs.StrategyOnline),
+		provabs.WithSamplingFraction(0.5), provabs.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ores.FullAdequate {
+	if !ores.Adequate {
 		t.Errorf("online compress missed the bound: %d", ores.Abstracted.Size())
 	}
 }
 
-// The compiled/batch facade: Compile once, EvalBatch many scenarios, with
-// results identical to per-scenario Eval.
+// The compiled batch path: the Engine compiles once and WhatIfBatch
+// evaluates many scenarios against it, with tagged results identical to
+// per-scenario Eval.
 func TestFacadeCompiledBatch(t *testing.T) {
 	vb := provabs.NewVocab()
 	set := provabs.NewSet(vb)
 	set.Add("10001", provabs.MustParse(vb, "220.8·p1·m1 + 240·p1·m3"))
 	set.Add("10002", provabs.MustParse(vb, "127.4·f1·m1 + 114.45·f1·m3"))
-	compiled := provabs.Compile(set)
+	eng, err := provabs.Open(set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	scenarios := []*provabs.Scenario{
 		provabs.NewScenario().Set("m1", 0.8),
 		provabs.NewScenario().Set("m3", 1.2).Set("f1", 0.5),
 		provabs.NewScenario(),
 	}
-	rows, err := provabs.EvalBatch(compiled, scenarios, 0)
+	rows, err := eng.WhatIfBatch(scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,23 +166,19 @@ func TestFacadeCompiledBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := range want {
-			if math.Abs(rows[i][j]-want[j]) > 1e-9 {
-				t.Errorf("scenario %d poly %d: batch %v, eval %v", i, j, rows[i][j], want[j])
+			if math.Abs(rows[i][j].Value-want[j]) > 1e-9 {
+				t.Errorf("scenario %d poly %d: batch %v, eval %v", i, j, rows[i][j].Value, want[j])
 			}
 		}
 	}
-	tagged, err := provabs.AnswersBatch(compiled, scenarios, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tagged[0][0].Tag != "10001" || tagged[0][1].Tag != "10002" {
-		t.Errorf("tags = %q, %q", tagged[0][0].Tag, tagged[0][1].Tag)
+	if rows[0][0].Tag != "10001" || rows[0][1].Tag != "10002" {
+		t.Errorf("tags = %q, %q", rows[0][0].Tag, rows[0][1].Tag)
 	}
 }
 
 // TestFacadeRegistry drives the multi-session registry through the public
-// facade: named sessions with independent engines, default designation,
-// aggregate stats and lifecycle errors.
+// facade: named sessions with independent engines, aggregate stats and
+// lifecycle errors.
 func TestFacadeRegistry(t *testing.T) {
 	mkSet := func(tag string) *provabs.Set {
 		vb := provabs.NewVocab()
@@ -183,9 +200,6 @@ func TestFacadeRegistry(t *testing.T) {
 	}
 	if _, err := reg.Create("a", mkSet("dup"), nil); !errors.Is(err, provabs.ErrSessionExists) {
 		t.Errorf("duplicate Create: %v, want ErrSessionExists", err)
-	}
-	if def, err := reg.Default(); err != nil || def.Name() != "a" {
-		t.Errorf("Default = %v, %v, want session a", def, err)
 	}
 
 	// The sessions are independent engines: compressing one leaves the
@@ -243,14 +257,15 @@ func TestFromLabels(t *testing.T) {
 	}
 }
 
-// ExampleOptimal demonstrates the quickstart workflow from the package
-// documentation.
-func ExampleOptimal() {
+// ExampleStrategyOptimal demonstrates the quickstart workflow from the
+// package documentation with the paper's Algorithm 1.
+func ExampleStrategyOptimal() {
 	vb := provabs.NewVocab()
 	set := provabs.NewSet(vb)
 	set.Add("zip 10001", provabs.MustParse(vb, "220.8·p1·m1 + 240·p1·m3"))
-	tree := provabs.MustParseTree("Year(q1(m1,m3))")
-	res, _ := provabs.Optimal(set, tree, 1)
+	forest, _ := provabs.NewForest(provabs.MustParseTree("Year(q1(m1,m3))"))
+	eng, _ := provabs.Open(set, forest)
+	res, _ := eng.Compress(1, provabs.WithStrategy(provabs.StrategyOptimal))
 	compressed := res.VVS.Apply(set)
 	fmt.Println(compressed.Polys[0].String(vb))
 	answers, _ := provabs.NewScenario().Set("q1", 0.8).Eval(compressed)
