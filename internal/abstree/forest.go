@@ -63,40 +63,82 @@ func (f *Forest) TreeOfLabel(label string) (*Tree, int, bool) {
 // variable (trivially true — leaves *are* names), no internal node label
 // occurs as a polynomial variable, and every monomial contains at most one
 // node of each tree.
+//
+// It checks every tree in one walk over the set's keys, looking each
+// variable's tree up in an array, and builds no Monomial per term. Of
+// several violations it reports the one a tree-by-tree scan would meet
+// first: trees in order, a tree's internal labels before its monomials, and
+// monomials by polynomial, then key.
 func (f *Forest) CompatibleWith(s *provenance.Set) error {
+	nv := s.Vocab.Len() + 1
+	treeOf := make([]int32, nv) // treeOf[v]: the tree v is a leaf of, or -1
+	for i := range treeOf {
+		treeOf[i] = -1
+	}
 	for ti, t := range f.Trees {
-		// Internal labels must not appear in P.
-		inP := make(map[provenance.Var]bool)
-		for v := range s.VarSet() {
-			inP[v] = true
+		for _, l := range t.Leaves() {
+			if v, ok := s.Vocab.Lookup(t.Label(l)); ok {
+				treeOf[v] = int32(ti)
+			}
 		}
-		memberVar := make(map[provenance.Var]bool) // vars of P that are nodes of t
-		for i := 0; i < t.Len(); i++ {
-			v, ok := s.Vocab.Lookup(t.Label(i))
-			if !ok {
-				continue
-			}
-			if !inP[v] {
-				continue
-			}
-			if !t.IsLeaf(i) {
-				return fmt.Errorf("abstree: internal node %q of tree %d occurs as a variable in the polynomials; meta-variables must be fresh", t.Label(i), ti)
-			}
-			memberVar[v] = true
+	}
+	tree := func(v provenance.Var) int32 {
+		if v <= 0 || int(v) >= nv {
+			return -1
 		}
-		// Each monomial contains at most one node from t.
-		for pi, p := range s.Polys {
-			for _, m := range p.Monomials() {
-				count := 0
-				for _, vp := range m.Vars() {
-					if memberVar[vp.Var] {
-						count++
+		return treeOf[v]
+	}
+	inP := make([]bool, nv)
+	type violation struct {
+		found bool
+		poly  int
+		key   provenance.MonomialKey
+		coeff float64
+		nodes int
+	}
+	first := make([]violation, len(f.Trees))
+	var buf []provenance.VarPow
+	for pi, p := range s.Polys {
+		for k, c := range p.Terms() {
+			buf = k.AppendVars(buf[:0])
+		vars:
+			for i, vp := range buf {
+				ti := tree(vp.Var)
+				if vp.Var > 0 && int(vp.Var) < nv {
+					inP[vp.Var] = true
+				}
+				if ti < 0 {
+					continue
+				}
+				for _, w := range buf[:i] {
+					if tree(w.Var) == ti {
+						continue vars // counted at the tree's first node
 					}
 				}
-				if count > 1 {
-					return fmt.Errorf("abstree: monomial %s of polynomial %d contains %d nodes of tree %d; compatibility requires at most one", m.String(s.Vocab), pi, count, ti)
+				nodes := 1
+				for _, w := range buf[i+1:] {
+					if tree(w.Var) == ti {
+						nodes++
+					}
+				}
+				if v := &first[ti]; nodes > 1 && (!v.found || pi == v.poly && k < v.key) {
+					*v = violation{found: true, poly: pi, key: k, coeff: c, nodes: nodes}
 				}
 			}
+		}
+	}
+	for ti, t := range f.Trees {
+		for i := 0; i < t.Len(); i++ {
+			if t.IsLeaf(i) {
+				continue
+			}
+			if v, ok := s.Vocab.Lookup(t.Label(i)); ok && inP[v] {
+				return fmt.Errorf("abstree: internal node %q of tree %d occurs as a variable in the polynomials; meta-variables must be fresh", t.Label(i), ti)
+			}
+		}
+		if v := first[ti]; v.found {
+			m := provenance.NewMonomialPows(v.coeff, v.key.AppendVars(nil)...)
+			return fmt.Errorf("abstree: monomial %s of polynomial %d contains %d nodes of tree %d; compatibility requires at most one", m.String(s.Vocab), v.poly, v.nodes, ti)
 		}
 	}
 	return nil

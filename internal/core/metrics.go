@@ -4,6 +4,28 @@
 // tree, PTIME), Algorithm 2 (greedy selection over an abstraction forest),
 // a brute-force reference solver, and the precise/adequate/optimal
 // predicates of Definition 7.
+//
+// Algorithms 1 and 2 run on a packed monomial table built once per call:
+// every monomial's polynomial, coefficient and sorted (variable, exponent)
+// pairs in flat arrays, with an index from each tree leaf to the monomials
+// holding it. Monomial loss is computed by §4.1's residue method on
+// integer keys. The residue of a monomial with respect to a group variable
+// is the monomial with that variable knocked out; unifying a group loses
+// Σ_v |D[v]| − |∪_v D[v]| monomials, where D[v] holds the residues of the
+// monomials containing v. A residue is a 64-bit hash — a sum of per-pair
+// hashes, so knocking a variable out or replacing it is O(1) — and two
+// residues with equal hashes are compared pair by pair, so counts are
+// exact. Only the monomials holding a group variable are visited.
+//
+// Greedy promotes in place: a promotion merges each residue group of the
+// current abstraction into one monomial, summing coefficients in the order
+// re-substituting the set would, and dropping a sum of exactly zero. It
+// caches each candidate's ΔML. A promotion rewrites only monomials holding
+// one of the promoted node's children; compatibility leaves such a monomial
+// no other node of that tree, and sibling candidates have disjoint
+// children, so only candidates in other trees need recomputing. The
+// abstracted set is built once, at the end, from the source monomials in
+// key order, which makes it Float64bits-identical to Set.Substitute.
 package core
 
 import (
@@ -82,81 +104,36 @@ func IsPrecise(s *provenance.Set, v *abstree.VVS, B, K int) bool {
 // (possible — Example 8).
 var ErrNoAdequate = fmt.Errorf("core: no valid variable set is adequate for the bound")
 
-// groupKey identifies a residue across the whole multiset: residues of
-// different polynomials must never merge, so keys are tagged by the
-// polynomial index.
-type groupKey struct {
-	poly int32
-	key  provenance.MonomialKey
-}
-
-// residueTable holds, per active leaf variable of one tree, the tagged
-// residue keys of every monomial containing that variable (§4.1 "Efficient
-// ML computation"). Built in a single pass over the polynomials.
-type residueTable struct {
-	byVar map[provenance.Var][]groupKey
-}
-
-// newResidueTable builds the table for the given leaf variables in a
-// single pass over each polynomial (the essence of the §4.1 optimization:
-// the polynomials are traversed once, not once per tree node or variable).
-func newResidueTable(s *provenance.Set, leafVars map[provenance.Var]bool) *residueTable {
-	rt := &residueTable{byVar: make(map[provenance.Var][]groupKey, len(leafVars))}
-	for pi, p := range s.Polys {
-		tag := int32(pi)
-		p.VisitResidues(leafVars, func(v provenance.Var, r provenance.MonomialKey) {
-			rt.byVar[v] = append(rt.byVar[v], groupKey{poly: tag, key: r})
-		})
-	}
-	return rt
-}
-
-// groupML returns the monomial loss of unifying exactly the given variables
-// into one fresh meta-variable: Σ_l |D[l]| − |∪_l D[l]|, per §4.1.
-func (rt *residueTable) groupML(vars []provenance.Var) int {
-	total := 0
-	union := make(map[groupKey]struct{})
-	for _, v := range vars {
-		rs := rt.byVar[v]
-		total += len(rs)
-		for _, r := range rs {
-			union[r] = struct{}{}
-		}
-	}
-	return total - len(union)
-}
-
 // GroupML computes the monomial loss of unifying the given variables into
-// one fresh meta-variable using the §4.1 residue-table method. It is the
-// one-pass counterpart of NaiveGroupML and the primitive both Algorithm 1
-// and Algorithm 2 build on.
+// one fresh meta-variable using the §4.1 residue method on the packed table.
+// It is the one-pass counterpart of NaiveGroupML and the primitive both
+// Algorithm 1 and Algorithm 2 build on.
 func GroupML(s *provenance.Set, vars []provenance.Var) int {
-	return newResidueTable(s, varSet(vars)).groupML(vars)
+	return newTable(s, vars).groupML(&residueSet{}, vars)
 }
 
-// BatchGroupML computes the monomial loss of every group using a single
-// residue table over the union of the groups' variables — the access
-// pattern of Algorithm 1, which queries one table for every node of the
-// tree. This is where the §4.1 optimization pays: the polynomials are
-// scanned once rather than once per group.
+// BatchGroupML computes the monomial loss of every group on one table
+// indexed over the union of the groups' variables — the access pattern of
+// Algorithm 1, which queries one table for every node of the tree. This is
+// where the §4.1 optimization pays: the polynomials are packed once rather
+// than scanned once per group.
 func BatchGroupML(s *provenance.Set, groups [][]provenance.Var) []int {
-	union := make(map[provenance.Var]bool)
+	var union []provenance.Var
 	for _, g := range groups {
-		for _, v := range g {
-			union[v] = true
-		}
+		union = append(union, g...)
 	}
-	rt := newResidueTable(s, union)
+	tab := newTable(s, union)
+	var rs residueSet
 	out := make([]int, len(groups))
 	for i, g := range groups {
-		out[i] = rt.groupML(g)
+		out[i] = tab.groupML(&rs, g)
 	}
 	return out
 }
 
 // NaiveGroupML computes the same quantity by substituting and re-counting;
-// it exists as the reference implementation for the residue-table
-// optimization (ablated in benchmarks, validated in tests).
+// it is the reference the residue method is validated against in tests and
+// ablated against in benchmarks.
 func NaiveGroupML(s *provenance.Set, vars []provenance.Var, meta provenance.Var) int {
 	subst := make(map[provenance.Var]provenance.Var, len(vars))
 	for _, v := range vars {

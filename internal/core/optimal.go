@@ -25,37 +25,50 @@ import (
 // the returned Result carries Adequate=false and the VVS with maximum ML
 // (ties broken toward smaller VL).
 func OptimalVVS(s *provenance.Set, tree *abstree.Tree, B int) (*Result, error) {
+	res, _, err := optimal(s, tree, B)
+	return res, err
+}
+
+// optimal runs Algorithm 1 and also returns the abstracted set, built once
+// on the table; the selection's monomial loss is read off its size.
+func optimal(s *provenance.Set, tree *abstree.Tree, B int) (*Result, *provenance.Set, error) {
 	if B < 1 {
-		return nil, fmt.Errorf("core: bound B=%d must be at least 1", B)
+		return nil, nil, fmt.Errorf("core: bound B=%d must be at least 1", B)
 	}
 	forest, err := abstree.NewForest(tree)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	inst, err := NewInstance(s, forest)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return optimalOnInstance(inst, B)
+	var leaves []provenance.Var
+	if inst.Forest.Len() == 1 {
+		t := inst.Forest.Trees[0]
+		leaves = activeLeafVars(s, t, t.Root())
+	}
+	tab := newTable(s, leaves)
+	res, err := optimalOnTable(inst, tab, B)
+	if err != nil {
+		return nil, nil, err
+	}
+	abs := tab.abstract(res.VVS.Subst(s.Vocab))
+	res.ML = s.Size() - abs.Size()
+	return res, abs, nil
 }
 
-func optimalOnInstance(inst *Instance, B int) (*Result, error) {
+// optimalOnTable selects the VVS; the caller fills in its monomial loss.
+func optimalOnTable(inst *Instance, tab *table, B int) (*Result, error) {
 	s := inst.Set
 	k := s.Size() - B
 	if inst.Forest.Len() == 0 || k <= 0 {
 		// Nothing to (or no need to) abstract: the identity selection.
 		v := abstree.LeafVVS(inst.Forest)
-		return &Result{VVS: v, ML: 0, VL: 0, Adequate: k <= 0}, nil
+		return &Result{VVS: v, VL: 0, Adequate: k <= 0}, nil
 	}
 	t := inst.Forest.Trees[0]
-
-	leafVars := make(map[provenance.Var]bool)
-	for _, l := range t.Leaves() {
-		if v, ok := s.Vocab.Lookup(t.Label(l)); ok {
-			leafVars[v] = true
-		}
-	}
-	rt := newResidueTable(s, leafVars)
+	var rs residueSet
 
 	tables := make([]nodeTable, t.Len())
 	// Bottom-up: children have higher indices than parents is NOT guaranteed
@@ -67,18 +80,18 @@ func optimalOnInstance(inst *Instance, B int) (*Result, error) {
 			tables[v] = nodeTable{0: entry{vl: 0, self: true}}
 			continue
 		}
-		tab := combineChildren(tables, t.Children(v), k)
+		nt := combineChildren(tables, t.Children(v), k)
 		// The "collapse the whole subtree into {v}" option.
-		mlv := rt.groupML(activeLeafVars(s, t, v))
+		mlv := tab.groupML(&rs, activeLeafVars(s, t, v))
 		vlv := len(t.LeavesUnder(v)) - 1
 		idx := mlv
 		if idx > k {
 			idx = k
 		}
-		if cur, ok := tab[idx]; !ok || vlv < cur.vl {
-			tab[idx] = entry{vl: vlv, self: true}
+		if cur, ok := nt[idx]; !ok || vlv < cur.vl {
+			nt[idx] = entry{vl: vlv, self: true}
 		}
-		tables[v] = tab
+		tables[v] = nt
 	}
 
 	root := tables[t.Root()]
@@ -88,7 +101,7 @@ func optimalOnInstance(inst *Instance, B int) (*Result, error) {
 		if err := v.Validate(); err != nil {
 			return nil, fmt.Errorf("core: internal error, reconstructed VVS invalid: %w", err)
 		}
-		return &Result{VVS: v, ML: MonomialLoss(s, v), VL: e.vl, Adequate: true}, nil
+		return &Result{VVS: v, VL: e.vl, Adequate: true}, nil
 	}
 	// No adequate VVS: fall back to the max-ML entry (min VL among ties).
 	bestI := -1
@@ -102,7 +115,7 @@ func optimalOnInstance(inst *Instance, B int) (*Result, error) {
 	if err := v.Validate(); err != nil {
 		return nil, fmt.Errorf("core: internal error, reconstructed VVS invalid: %w", err)
 	}
-	return &Result{VVS: v, ML: MonomialLoss(s, v), VL: root[bestI].vl, Adequate: false}, nil
+	return &Result{VVS: v, VL: root[bestI].vl, Adequate: false}, nil
 }
 
 // entry is one cell of a node table: the minimal variable loss achieving the

@@ -33,8 +33,8 @@ type Compression struct {
 	// without re-running the selection.
 	Subst    map[provenance.Var]provenance.Var
 	ML, VL   int
-	Adequate bool // |P↓S|_M ≤ B
-	Elapsed  time.Duration
+	Adequate bool          // |P↓S|_M ≤ B
+	Elapsed  time.Duration // selection plus building Abstracted
 	// Extra carries the strategy's native result (e.g. *sampling.Result,
 	// *summarize.Result) for callers that need more than the common fields.
 	Extra any
@@ -61,20 +61,26 @@ func (c CompressorFunc) Compress(s *provenance.Set, forest *abstree.Forest, B in
 	return c.Fn(s, forest, B)
 }
 
-// FromResult converts a VVS-selection Result into the uniform Compression,
-// applying the VVS to produce the abstracted set.
-func FromResult(name string, s *provenance.Set, res *Result, elapsed time.Duration) *Compression {
+// timed runs a selection that also builds its abstracted set and
+// assembles the uniform Compression. Elapsed is read once run has returned
+// the abstracted set, so it covers that set's construction too.
+func timed(name string, s *provenance.Set, run func() (*Result, *provenance.Set, error)) (*Compression, error) {
+	start := time.Now()
+	res, abs, err := run()
+	if err != nil {
+		return nil, err
+	}
 	subst := res.VVS.Subst(s.Vocab)
 	return &Compression{
 		Strategy:   name,
-		Abstracted: s.Substitute(subst),
+		Abstracted: abs,
 		VVS:        res.VVS,
 		Subst:      subst,
 		ML:         res.ML,
 		VL:         res.VL,
 		Adequate:   res.Adequate,
-		Elapsed:    elapsed,
-	}
+		Elapsed:    time.Since(start),
+	}, nil
 }
 
 // OptimalCompressor returns Algorithm 1 as a Compressor. It requires a
@@ -85,24 +91,23 @@ func OptimalCompressor() Compressor {
 		if forest.Len() != 1 {
 			return nil, fmt.Errorf("core: the optimal strategy handles exactly one tree (forest has %d); use the greedy strategy for forests", forest.Len())
 		}
-		start := time.Now()
-		res, err := OptimalVVS(s, forest.Trees[0], B)
-		if err != nil {
-			return nil, err
-		}
-		return FromResult("optimal", s, res, time.Since(start)), nil
+		return timed("optimal", s, func() (*Result, *provenance.Set, error) {
+			return optimal(s, forest.Trees[0], B)
+		})
 	}}
 }
 
-// GreedyCompressor returns Algorithm 2 as a Compressor.
+// GreedyCompressor returns Algorithm 2 as a Compressor. The abstracted set
+// is built from the table the selection ran on.
 func GreedyCompressor() Compressor {
 	return CompressorFunc{Label: "greedy", Fn: func(s *provenance.Set, forest *abstree.Forest, B int) (*Compression, error) {
-		start := time.Now()
-		res, err := GreedyVVS(s, forest, B)
-		if err != nil {
-			return nil, err
-		}
-		return FromResult("greedy", s, res, time.Since(start)), nil
+		return timed("greedy", s, func() (*Result, *provenance.Set, error) {
+			res, tab, err := greedy(s, forest, B, GreedyOptions{TieBreakML: true})
+			if err != nil {
+				return nil, nil, err
+			}
+			return res, tab.abstract(res.VVS.Subst(s.Vocab)), nil
+		})
 	}}
 }
 
@@ -110,11 +115,12 @@ func GreedyCompressor() Compressor {
 // Compressor; limit caps the VVS enumeration (<=0 uses DefaultBruteLimit).
 func BruteForceCompressor(limit int) Compressor {
 	return CompressorFunc{Label: "brute", Fn: func(s *provenance.Set, forest *abstree.Forest, B int) (*Compression, error) {
-		start := time.Now()
-		res, err := BruteForceVVS(s, forest, B, limit)
-		if err != nil {
-			return nil, err
-		}
-		return FromResult("brute", s, res, time.Since(start)), nil
+		return timed("brute", s, func() (*Result, *provenance.Set, error) {
+			res, err := BruteForceVVS(s, forest, B, limit)
+			if err != nil {
+				return nil, nil, err
+			}
+			return res, res.VVS.Apply(s), nil
+		})
 	}}
 }

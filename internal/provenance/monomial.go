@@ -103,43 +103,59 @@ func (m Monomial) Key() MonomialKey { return makeKey(m.vars) }
 // suitable for use as a map key.
 type MonomialKey string
 
-// makeKey packs sorted (Var, Pow) pairs into a byte string. Pairs are
-// varint-encoded with Var zig-zagged so the reserved negative Hole variable
-// round-trips too.
+// makeKey packs sorted (Var, Pow) pairs into a byte string.
 func makeKey(vp []VarPow) MonomialKey {
 	if len(vp) == 0 {
 		return ""
 	}
-	buf := make([]byte, 0, len(vp)*3)
-	var tmp [binary.MaxVarintLen64]byte
+	return MonomialKey(AppendKey(make([]byte, 0, len(vp)*3), vp))
+}
+
+// AppendKey appends the canonical key bytes of the sorted, deduplicated
+// (Var, Pow) pairs vp to dst. Pairs are varint-encoded with Var zig-zagged
+// so the reserved negative Hole variable round-trips too. Byte order of two
+// appended keys is the order of the MonomialKeys they spell.
+func AppendKey(dst []byte, vp []VarPow) []byte {
 	for _, p := range vp {
-		n := binary.PutVarint(tmp[:], int64(p.Var))
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(p.Pow))
-		buf = append(buf, tmp[:n]...)
+		dst = binary.AppendVarint(dst, int64(p.Var))
+		dst = binary.AppendUvarint(dst, uint64(p.Pow))
 	}
-	return MonomialKey(buf)
+	return dst
+}
+
+// AppendVars decodes the key's (Var, Pow) pairs, in ascending Var order,
+// onto dst. A walk over many keys that reuses one buffer allocates nothing
+// per key.
+func (k MonomialKey) AppendVars(dst []VarPow) []VarPow {
+	for i := 0; i < len(k); {
+		v, n := k.uvarint(i)
+		p, m := k.uvarint(n)
+		i = m
+		dst = append(dst, VarPow{Var: Var(int64(v>>1) ^ -int64(v&1)), Pow: int32(p)})
+	}
+	return dst
+}
+
+// uvarint decodes the unsigned varint at byte i, returning it and the
+// offset of the next byte. Keys are built by AppendKey, so a malformed one
+// is a programming error.
+func (k MonomialKey) uvarint(i int) (uint64, int) {
+	var x uint64
+	for s := uint(0); i < len(k) && s < 64; s += 7 {
+		b := k[i]
+		i++
+		if b < 0x80 {
+			return x | uint64(b)<<s, i
+		}
+		x |= uint64(b&0x7f) << s
+	}
+	panic("provenance: corrupt monomial key")
 }
 
 // parseKey decodes a MonomialKey back into (Var, Pow) pairs. Every pair
 // takes at least two bytes, so the result is allocated once.
 func parseKey(k MonomialKey) []VarPow {
-	b := []byte(k)
-	out := make([]VarPow, 0, len(b)/2)
-	for len(b) > 0 {
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			panic("provenance: corrupt monomial key")
-		}
-		b = b[n:]
-		p, n := binary.Uvarint(b)
-		if n <= 0 {
-			panic("provenance: corrupt monomial key")
-		}
-		b = b[n:]
-		out = append(out, VarPow{Var: Var(v), Pow: int32(p)})
-	}
-	return out
+	return k.AppendVars(make([]VarPow, 0, len(k)/2))
 }
 
 // substKey rewrites a key under a variable mapping, producing the canonical

@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"iter"
 	"slices"
 	"sort"
 	"strconv"
@@ -65,32 +66,95 @@ func (p *Polynomial) Size() int {
 
 // Vars returns V(P), the set of distinct variables, as a sorted slice.
 func (p *Polynomial) Vars() []Var {
-	seen := make(map[Var]bool)
-	for k := range p.terms {
-		for _, vp := range parseKey(k) {
-			seen[vp.Var] = true
-		}
-	}
-	out := make([]Var, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	seen, _ := p.markVars(nil, nil)
+	return varsOf(seen)
 }
 
 // Granularity returns |P|_V, the number of distinct variables.
-func (p *Polynomial) Granularity() int { return len(p.VarSet()) }
+func (p *Polynomial) Granularity() int {
+	seen, _ := p.markVars(nil, nil)
+	return countVars(seen)
+}
 
 // VarSet returns the set of distinct variables as a map.
 func (p *Polynomial) VarSet() map[Var]bool {
-	seen := make(map[Var]bool)
+	seen, _ := p.markVars(nil, nil)
+	return varSetOf(seen)
+}
+
+// markVars sets seen[v] for every variable v of p, growing seen as needed.
+// Keys are decoded into buf, which it returns for reuse, so a walk over any
+// number of terms allocates only when seen or buf grows.
+func (p *Polynomial) markVars(seen []bool, buf []VarPow) ([]bool, []VarPow) {
 	for k := range p.terms {
-		for _, vp := range parseKey(k) {
+		buf = k.AppendVars(buf[:0])
+		for _, vp := range buf {
+			if int(vp.Var) >= len(seen) {
+				seen = append(seen, make([]bool, int(vp.Var)+1-len(seen))...)
+			}
 			seen[vp.Var] = true
 		}
 	}
-	return seen
+	return seen, buf
+}
+
+// varsOf lists the marked variables in ascending order.
+func varsOf(seen []bool) []Var {
+	out := make([]Var, 0, countVars(seen))
+	for v, ok := range seen {
+		if ok {
+			out = append(out, Var(v))
+		}
+	}
+	return out
+}
+
+func countVars(seen []bool) int {
+	n := 0
+	for _, ok := range seen {
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
+func varSetOf(seen []bool) map[Var]bool {
+	out := make(map[Var]bool, countVars(seen))
+	for v, ok := range seen {
+		if ok {
+			out[Var(v)] = true
+		}
+	}
+	return out
+}
+
+// Terms iterates over the terms of p — each monomial's key and
+// coefficient — in unspecified order. Together with MonomialKey.AppendVars
+// it walks a polynomial without building a Monomial per term.
+func (p *Polynomial) Terms() iter.Seq2[MonomialKey, float64] {
+	return func(yield func(MonomialKey, float64) bool) {
+		if p == nil {
+			return
+		}
+		for k, c := range p.terms {
+			if !yield(k, c) {
+				return
+			}
+		}
+	}
+}
+
+// FromKeys builds the polynomial Σ coeffs[i]·keys[i], adding the terms in
+// order: equal keys merge by summing their coefficients left to right, and a
+// sum of exactly zero drops the term, as in AddMonomial. Keys must be
+// canonical (Monomial.Key or AppendKey output).
+func FromKeys(keys []MonomialKey, coeffs []float64) *Polynomial {
+	p := &Polynomial{terms: make(map[MonomialKey]float64, len(keys))}
+	for i, k := range keys {
+		p.addKey(k, coeffs[i])
+	}
+	return p
 }
 
 // Monomials returns the monomials in a deterministic (key-sorted) order.

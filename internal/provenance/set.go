@@ -1,9 +1,6 @@
 package provenance
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Set is a multiset of polynomials — "all polynomials that appear in the
 // provenance-aware result of query evaluation" (§2.1). The paper's size
@@ -92,31 +89,27 @@ func (s *Set) Size() int {
 }
 
 // VarSet returns V(P) — the union of variable sets — as a map.
-func (s *Set) VarSet() map[Var]bool {
-	seen := make(map[Var]bool)
+func (s *Set) VarSet() map[Var]bool { return varSetOf(s.markVars()) }
+
+// Vars returns V(P) as a sorted slice.
+func (s *Set) Vars() []Var { return varsOf(s.markVars()) }
+
+// Granularity returns |P|_V — the number of distinct variables.
+func (s *Set) Granularity() int { return countVars(s.markVars()) }
+
+// markVars marks every variable of the set, indexed by Var, in one walk
+// over all keys that decodes them into a single reused buffer.
+func (s *Set) markVars() []bool {
+	var seen []bool
+	if s.Vocab != nil {
+		seen = make([]bool, s.Vocab.Len()+1)
+	}
+	var buf []VarPow
 	for _, p := range s.Polys {
-		for k := range p.terms {
-			for _, vp := range parseKey(k) {
-				seen[vp.Var] = true
-			}
-		}
+		seen, buf = p.markVars(seen, buf)
 	}
 	return seen
 }
-
-// Vars returns V(P) as a sorted slice.
-func (s *Set) Vars() []Var {
-	set := s.VarSet()
-	out := make([]Var, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Granularity returns |P|_V — the number of distinct variables.
-func (s *Set) Granularity() int { return len(s.VarSet()) }
 
 // Substitute returns P↓S applied point-wise, sharing the vocabulary and tags.
 func (s *Set) Substitute(subst map[Var]Var) *Set {
