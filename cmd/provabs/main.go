@@ -30,7 +30,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -45,6 +44,7 @@ import (
 	"provabs/internal/sampling"
 	"provabs/internal/scenql"
 	"provabs/internal/semiring"
+	"provabs/internal/server"
 	"provabs/internal/session"
 	"provabs/internal/summarize"
 	"provabs/internal/telco"
@@ -424,52 +424,20 @@ func cmdQuery(args []string) error {
 	return queryText(eng, info, rows, *top)
 }
 
-// queryJSON mirrors the server's /query/stream wire shape on stdout: a
-// header line, then one NDJSON line per scenario.
+// queryJSON writes the server's /query/stream bytes to stdout, through the
+// server's own appender: a header line, then one NDJSON line per scenario.
 func queryJSON(info *session.QueryInfo, rows <-chan session.QueryRow) error {
-	type answerOut struct {
-		Tag   string `json:"tag"`
-		Value any    `json:"value"`
-	}
-	type rowOut struct {
-		Index   int64              `json:"index"`
-		Assign  map[string]float64 `json:"assign,omitempty"`
-		Answers []answerOut        `json:"answers,omitempty"`
-		Error   string             `json:"error,omitempty"`
-	}
-	enc := json.NewEncoder(os.Stdout)
-	if err := enc.Encode(map[string]any{
-		"semiring": info.Semiring.String(), "scenarios": info.Scenarios,
-	}); err != nil {
+	buf := server.AppendQueryHeader(nil, info)
+	if _, err := os.Stdout.Write(buf); err != nil {
 		return err
 	}
 	for row := range rows {
-		line := rowOut{Index: row.Index, Assign: row.Assign}
-		if row.Err != nil {
-			line.Error = row.Err.Error()
-		} else {
-			line.Answers = make([]answerOut, len(row.Answers))
-			for i, a := range row.Answers {
-				line.Answers[i] = answerOut{Tag: a.Tag, Value: wireValue(a.Value)}
-			}
-		}
-		if err := enc.Encode(line); err != nil {
+		buf = server.AppendQueryLine(buf[:0], row)
+		if _, err := os.Stdout.Write(buf); err != nil {
 			return err
 		}
 	}
 	return info.Err()
-}
-
-// wireValue maps a carrier value to a JSON-encodable one (the tropical /
-// minmax identities are ±Inf, which encoding/json rejects as numbers).
-func wireValue(v any) any {
-	if f, ok := v.(float64); ok && math.IsInf(f, 0) {
-		if f > 0 {
-			return "+Inf"
-		}
-		return "-Inf"
-	}
-	return v
 }
 
 // queryText prints a human-readable sweep: one line per scenario with its
@@ -486,7 +454,7 @@ func queryText(eng *session.Engine, info *session.QueryInfo, rows <-chan session
 			continue
 		}
 		fmt.Printf("#%-6d %s\n", row.Index, formatAssign(row.Assign))
-		answers := row.Answers
+		answers := row.Row.Erase()
 		if top > 0 && len(answers) > top {
 			answers = answers[:top]
 		}

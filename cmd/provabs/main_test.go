@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,7 +15,9 @@ import (
 	"time"
 
 	"provabs/internal/provenance"
+	"provabs/internal/registry"
 	"provabs/internal/scenql"
+	"provabs/internal/server"
 )
 
 // TestParseScenarioLiterals pins the CLI's -set/-sets syntax, which is the
@@ -106,6 +109,57 @@ func TestCmdQuery(t *testing.T) {
 	}
 	if err := cmdQuery([]string{"-in", pvab, "a IN [0:1:"}); err == nil {
 		t.Error("malformed statement accepted, want error")
+	}
+}
+
+// TestCmdQueryJSONMatchesServer: `query -json` prints exactly the bytes
+// /query/stream sends for the same statement, through the same appender —
+// here with tags that need escaping and a NaN answer (Inf − Inf at
+// x = y = 10), which once stopped the command with the JSON encoder's error.
+func TestCmdQueryJSONMatchesServer(t *testing.T) {
+	pvab := filepath.Join(t.TempDir(), "nan.pvab")
+	vb := provenance.NewVocab()
+	set := provenance.NewSet(vb)
+	set.Add("nan <&>", provenance.MustParse(vb, "1e308·x - 1e308·y"))
+	set.Add("q\"uote é", provenance.MustParse(vb, "2·x + y"))
+	if err := writeSet(pvab, set); err != nil {
+		t.Fatal(err)
+	}
+	const stmt = "x IN [9:10:1] y IN [10:11:1]"
+	out := captureStdout(t, func() {
+		if err := cmdQuery([]string{"-in", pvab, "-json", stmt}); err != nil {
+			t.Error(err)
+		}
+	})
+	if !strings.Contains(out, `"value":"NaN"`) {
+		t.Errorf("query -json printed no NaN answer:\n%s", out)
+	}
+
+	served, err := readSet(pvab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := registry.New()
+	if _, err := reg.Create("q", served, nil); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(reg).Handler())
+	defer ts.Close()
+	body, err := json.Marshal(map[string]string{"query": stmt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sessions/q/query/stream", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	wire, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(wire) {
+		t.Errorf("query -json printed\n%s\n/query/stream sent\n%s", out, wire)
 	}
 }
 

@@ -103,7 +103,7 @@ func main() {
 	}
 	fmt.Printf("streaming %d scenarios in the %s semiring:\n", info.Scenarios, info.Semiring)
 	for row := range rows {
-		fmt.Printf("  m1=%.1f → %.2f\n", row.Assign["m1"], row.Answers[0].Value)
+		fmt.Printf("  m1=%.1f → %.2f\n", row.Assign["m1"], row.Row.Values.([]float64)[0])
 	}
 	if err := info.Err(); err != nil {
 		log.Fatal(err)

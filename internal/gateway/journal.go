@@ -89,6 +89,7 @@ type addProxy struct {
 	g         *Gateway
 	name      string
 	clientCtx context.Context
+	header    http.Header // the client's request headers, forwarded on every leg
 
 	// client-write side: serialized by wmu (ack pump vs terminal writer).
 	wmu       sync.Mutex
@@ -125,6 +126,7 @@ func (g *Gateway) serveAddStream(w http.ResponseWriter, r *http.Request, name st
 		g:         g,
 		name:      name,
 		clientCtx: r.Context(),
+		header:    r.Header,
 		w:         w,
 		rc:        http.NewResponseController(w),
 		enc:       json.NewEncoder(w),
@@ -223,7 +225,8 @@ func (g *Gateway) serveAddStream(w http.ResponseWriter, r *http.Request, name st
 
 // attachLocked opens a new upstream leg on b and queues replay (p.mu
 // held). The leg's request runs under the client's context so a vanished
-// client tears the whole chain down.
+// client tears the whole chain down, and carries the client's end-to-end
+// headers the way every proxied request does.
 func (p *addProxy) attachLocked(b *backend, replay []journalEntry) {
 	ctx, cancel := context.WithCancel(p.clientCtx)
 	pr, pw := io.Pipe()
@@ -240,6 +243,7 @@ func (p *addProxy) attachLocked(b *backend, replay []journalEntry) {
 		p.failLocked(err)
 		return
 	}
+	copyHeaders(req.Header, p.header)
 	req.Header.Set("Content-Type", "application/x-ndjson")
 
 	// The Do + ack pump. Do blocks until the backend's first response
@@ -567,12 +571,15 @@ func (p *addProxy) fail(err error, status int) {
 	p.sendTerminal(err, status)
 }
 
-// failLocked flips state (p.mu held); the caller sends the terminal.
+// failLocked flips state (p.mu held); the caller sends the terminal. The
+// leg is cancelled and its pipe closed with the failure: cancelling alone
+// leaves the leg's transport goroutine parked reading the pipe for good.
 func (p *addProxy) failLocked(err error) {
 	p.state = apFailed
 	p.failErr = err
 	if leg := p.upstream; leg != nil {
 		leg.cancel()
+		leg.pw.CloseWithError(err)
 	}
 	p.cond.Broadcast()
 }

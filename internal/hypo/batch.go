@@ -913,8 +913,8 @@ func evalChainedBatch[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C]
 // a non-nil *UnknownVarsError or *BadAssignmentError (indexed by batch
 // position) at its slot, while the rest are evaluated together in one pass
 // — names are resolved exactly once. Rows are raw answer vectors, as from
-// EvalBatch: callers tag only the rows they emit (TagAnswers, EraseValues),
-// so a ranked sweep boxes k rows, not every scenario's.
+// EvalBatch: callers tag only the rows they emit (TagAnswers, RowOf), so a
+// ranked sweep tags k rows, not every scenario's.
 func EvalBatchEach[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C], scenarios []*Scenario, opts BatchOptions) ([][]T, []error) {
 	valid, pos, errs := resolveEach[T, C](c.Carrier(), c.Vocab, scenarios)
 	rows := evalResolvedBatch(c, valid, opts)
@@ -985,16 +985,6 @@ func TagAnswers[T any](tags []string, vals []T) []AnswerOf[T] {
 	ans := make([]AnswerOf[T], len(vals))
 	for j, v := range vals {
 		ans[j] = AnswerOf[T]{Tag: tagAt(tags, j), Value: v}
-	}
-	return ans
-}
-
-// EraseValues pairs one answer vector with the set's polynomial tags in the
-// carrier-erased form.
-func EraseValues[T any](tags []string, vals []T) []ValueAnswer {
-	ans := make([]ValueAnswer, len(vals))
-	for j, v := range vals {
-		ans[j] = ValueAnswer{Tag: tagAt(tags, j), Value: v}
 	}
 	return ans
 }

@@ -172,12 +172,67 @@ type AnswerOf[T any] struct {
 // pre-semiring call site uses.
 type Answer = AnswerOf[float64]
 
-// ValueAnswer is the carrier-erased answer used at dynamic boundaries (the
-// HTTP API, the CLI) where the carrier is chosen per request: Value holds
-// the carrier's value (float64, bool, int64) as an any.
+// ValueAnswer is the carrier-erased answer the Go API hands out where the
+// carrier is chosen per call (Engine.WhatIfIn, Engine.Query): Value holds
+// the carrier's value (float64, bool, int64) as an any. Row.Erase builds
+// it.
 type ValueAnswer struct {
 	Tag   string
 	Value any
+}
+
+// Row is one scenario's answers as the kernel computed them: the answer
+// vector in its carrier's own slice — a []float64 (float, tropical,
+// minmax), []bool or []int64 — paired with the set's polynomial tags. It
+// carries answers from the kernel to the wire without boxing any of them;
+// Erase is the only place they are boxed. The zero Row has no answers.
+type Row struct {
+	Tags   []string
+	Values any
+}
+
+// RowOf pairs one answer vector with the set's polynomial tags.
+func RowOf[T any](tags []string, vals []T) Row { return Row{Tags: tags, Values: vals} }
+
+// Tag is answer j's tag, "" when the set carries none.
+func (r Row) Tag(j int) string { return tagAt(r.Tags, j) }
+
+// Len is the number of answers.
+func (r Row) Len() int {
+	switch vals := r.Values.(type) {
+	case nil:
+		return 0
+	case []float64:
+		return len(vals)
+	case []bool:
+		return len(vals)
+	case []int64:
+		return len(vals)
+	}
+	panic(fmt.Sprintf("hypo: Row holds %T, not a carrier's answer vector", r.Values))
+}
+
+// Erase boxes every answer into the carrier-erased form.
+func (r Row) Erase() []ValueAnswer {
+	switch vals := r.Values.(type) {
+	case nil:
+		return nil
+	case []float64:
+		return erase(r.Tags, vals)
+	case []bool:
+		return erase(r.Tags, vals)
+	case []int64:
+		return erase(r.Tags, vals)
+	}
+	panic(fmt.Sprintf("hypo: Row holds %T, not a carrier's answer vector", r.Values))
+}
+
+func erase[T any](tags []string, vals []T) []ValueAnswer {
+	ans := make([]ValueAnswer, len(vals))
+	for j, v := range vals {
+		ans[j] = ValueAnswer{Tag: tagAt(tags, j), Value: v}
+	}
+	return ans
 }
 
 // MaxRelError returns the maximum per-component relative error between two

@@ -12,10 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
-	"sort"
-	"strconv"
 
 	"provabs/internal/registry"
 	"provabs/internal/scenql"
@@ -25,105 +22,6 @@ import (
 // queryRequest is the POST body of both query endpoints.
 type queryRequest struct {
 	Query string `json:"query"`
-}
-
-// queryRowJSON is one scenario's outcome on the wire: the generated
-// assignments and the answers, or an in-band per-scenario error.
-type queryRowJSON struct {
-	Index   int64           `json:"index"`
-	Assign  json.RawMessage `json:"assign,omitempty"`
-	Answers []answerJSON    `json:"answers,omitempty"`
-	Error   string          `json:"error,omitempty"`
-}
-
-// queryResponse is the non-streaming query result document.
-type queryResponse struct {
-	Semiring  string         `json:"semiring"`
-	Scenarios int64          `json:"scenarios"`
-	Rows      []queryRowJSON `json:"rows"`
-	Errors    int64          `json:"errors,omitempty"`
-	Truncated bool           `json:"truncated,omitempty"`
-}
-
-// queryStreamHeader is the first NDJSON line of a streaming query.
-type queryStreamHeader struct {
-	Semiring  string `json:"semiring"`
-	Scenarios int64  `json:"scenarios"`
-}
-
-func toQueryRowJSON(row session.QueryRow) queryRowJSON {
-	line := queryRowJSON{Index: row.Index, Assign: encodeAssign(row.Assign)}
-	if row.Err != nil {
-		line.Error = row.Err.Error()
-	} else {
-		line.Answers = toAnswerJSON(row.Answers)
-	}
-	return line
-}
-
-// encodeAssign marshals a scenario's assignments by hand, emitting the
-// same bytes as encoding/json's map encoder (sorted keys, shortest float
-// form). On a 100k-row sweep the row's assign object is the hottest part
-// of the response, and the reflective map path — per-row key sort through
-// reflect, type-cache lookups — is a measurable slice of it.
-func encodeAssign(assign map[string]float64) json.RawMessage {
-	if len(assign) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(assign))
-	for name := range assign {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	buf := make([]byte, 0, 24*len(names))
-	buf = append(buf, '{')
-	for i, name := range names {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendJSONKey(buf, name)
-		buf = append(buf, ':')
-		buf = appendJSONFloat(buf, assign[name])
-	}
-	return append(buf, '}')
-}
-
-// appendJSONKey appends name as a JSON string, taking the fast path for
-// plain printable ASCII and deferring anything that needs escaping to
-// encoding/json.
-func appendJSONKey(buf []byte, name string) []byte {
-	for i := 0; i < len(name); i++ {
-		if c := name[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(name)
-			return append(buf, quoted...)
-		}
-	}
-	buf = append(buf, '"')
-	buf = append(buf, name...)
-	return append(buf, '"')
-}
-
-// appendJSONFloat mirrors encoding/json's float encoding: shortest form,
-// %f for mid-range exponents, %e otherwise with the exponent's leading
-// zero stripped. Non-finite values cannot come out of a parsed statement;
-// emit null rather than corrupt the NDJSON framing if one ever does.
-func appendJSONFloat(buf []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(buf, "null"...)
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	buf = strconv.AppendFloat(buf, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(buf); n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
-			buf[n-2] = buf[n-1]
-			buf = buf[:n-1]
-		}
-	}
-	return buf
 }
 
 // queryStatus maps a statement failure to its HTTP status: parse and
@@ -146,7 +44,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, sess *regis
 	if !s.decodeJSON(w, r, s.maxLine, &req, "query request") {
 		return
 	}
-	res, err := sess.Engine().QueryContext(r.Context(), req.Query)
+	res, err := sess.Engine().QueryRows(r.Context(), req.Query)
 	if err != nil {
 		s.writeError(w, r, queryStatus(err), err)
 		return
@@ -155,17 +53,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, sess *regis
 		s.writeJSON(w, r, http.StatusOK, res.Explain)
 		return
 	}
-	resp := queryResponse{
-		Semiring:  res.Semiring.String(),
-		Scenarios: res.Scenarios,
-		Rows:      make([]queryRowJSON, len(res.Rows)),
-		Errors:    res.Errors,
-		Truncated: res.Truncated,
-	}
-	for i, row := range res.Rows {
-		resp.Rows[i] = toQueryRowJSON(row)
-	}
-	s.writeJSON(w, r, http.StatusOK, resp)
+	rb := getRespBuf()
+	defer rb.release()
+	rb.b = appendQueryResult(rb.b, res)
+	s.writeBody(w, r, http.StatusOK, rb.b)
 }
 
 // handleQueryStream runs one statement with NDJSON delivery: a header line
@@ -200,15 +91,17 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, sess 
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 	rc := http.NewResponseController(w)
 	if info.Explain != nil {
-		if err := enc.Encode(info.Explain); err != nil {
+		if err := json.NewEncoder(w).Encode(info.Explain); err != nil {
 			s.logger.Printf("server: %s %s: explain write: %v", r.Method, r.URL.Path, err)
 		}
 		return
 	}
-	if err := enc.Encode(queryStreamHeader{Semiring: info.Semiring.String(), Scenarios: info.Scenarios}); err != nil {
+	rb := getRespBuf()
+	defer rb.release()
+	rb.b = AppendQueryHeader(rb.b, info)
+	if _, err := w.Write(rb.b); err != nil {
 		s.logger.Printf("server: %s %s: header write: %v", r.Method, r.URL.Path, err)
 		return
 	}
@@ -217,7 +110,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, sess 
 		return
 	}
 	for row := range rows {
-		if err := enc.Encode(toQueryRowJSON(row)); err != nil {
+		rb.b = AppendQueryLine(rb.b[:0], row)
+		if _, err := w.Write(rb.b); err != nil {
 			s.logger.Printf("server: %s %s: stream write: %v", r.Method, r.URL.Path, err)
 			return // client went away; cancel() ends the sweep
 		}
@@ -235,8 +129,9 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, sess 
 		}
 	}
 	if err := info.Err(); err != nil && ctx.Err() == nil {
-		if encErr := enc.Encode(map[string]string{"error": err.Error()}); encErr != nil {
-			s.logger.Printf("server: %s %s: stream terminal error write: %v", r.Method, r.URL.Path, encErr)
+		rb.b = appendError(rb.b[:0], err.Error())
+		if _, werr := w.Write(rb.b); werr != nil {
+			s.logger.Printf("server: %s %s: stream terminal error write: %v", r.Method, r.URL.Path, werr)
 		}
 	}
 }

@@ -185,7 +185,7 @@ func TestQueryStreamEndpointExplain(t *testing.T) {
 
 // TestEncodeAssign pins the hand-rolled assign encoder byte-for-byte to
 // encoding/json's map output across float forms and keys that need
-// escaping.
+// escaping, and checks that a row without assignments omits the member.
 func TestEncodeAssign(t *testing.T) {
 	for _, assign := range []map[string]float64{
 		{"m1": 0, "m3": 1},
@@ -198,12 +198,12 @@ func TestEncodeAssign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := encodeAssign(assign); string(got) != string(want) {
-			t.Errorf("encodeAssign(%v) = %s, want %s", assign, got, want)
+		if got := appendAssign(nil, assign); string(got) != string(want) {
+			t.Errorf("appendAssign(%v) = %s, want %s", assign, got, want)
 		}
 	}
-	if got := encodeAssign(nil); got != nil {
-		t.Errorf("encodeAssign(nil) = %s, want nil", got)
+	if got := AppendQueryLine(nil, session.QueryRow{Index: 3}); string(got) != "{\"index\":3}\n" {
+		t.Errorf("row without assignments = %s, want {\"index\":3}", got)
 	}
 }
 

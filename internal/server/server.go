@@ -40,8 +40,11 @@
 // provenance semiring instead of the float default (deletion propagation,
 // derivation counting, min-plus cost, max-min clearance); streams pick the
 // carrier once for the whole connection with ?semiring=. Non-finite
-// tropical/minmax answers are encoded as the strings "+Inf"/"-Inf".
-// Per-scenario semantic
+// answers, which JSON numbers cannot carry, are encoded as the strings
+// "+Inf", "-Inf" and "NaN" (the tropical and minmax identities are ±Inf;
+// float overflow reaches them too). One-shot and /query bodies are complete
+// before the status line goes out, so they carry a Content-Length; streams
+// flush line by line. Per-scenario semantic
 // errors (an unknown variable, say) are reported in-band as
 // {"index": i, "error": "…"} without tearing down the stream; malformed
 // JSON terminates the stream with a final {"error": "…"} line, since the
@@ -62,7 +65,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -275,19 +277,24 @@ func (s *Server) withSession(h sessionHandler) http.HandlerFunc {
 	}
 }
 
-// writeJSON encodes one response body. Encode failures cannot be reported
-// to the client (the status line is gone) but are logged once per request
-// so dead-client churn is visible server-side.
+// writeJSON encodes one response body through encoding/json — the
+// documents that carry no answers (session info, stats, EXPLAIN plans).
+// The body is encoded before the status line goes out, so an encode
+// failure still gets a proper 500.
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.logger.Printf("server: %s %s: writing response: %v", r.Method, r.URL.Path, err)
+	body, err := json.Marshal(v)
+	if err != nil {
+		s.writeError(w, r, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
 	}
+	s.writeBody(w, r, status, append(body, '\n'))
 }
 
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	s.writeJSON(w, r, status, map[string]string{"error": err.Error()})
+	rb := getRespBuf()
+	defer rb.release()
+	rb.b = appendError(rb.b, err.Error())
+	s.writeBody(w, r, status, rb.b)
 }
 
 // decodeJSON decodes one bounded JSON request body. An over-limit body is
@@ -463,42 +470,6 @@ func (req *scenarioRequest) scenario() *hypo.Scenario {
 	return sc
 }
 
-// answerJSON is one tagged answer on the wire. Value is the evaluation
-// carrier's value — a float64 magnitude, a bool, an int64 count — except
-// that the non-finite tropical/minmax identities, which JSON cannot carry
-// as numbers, are encoded as the strings "+Inf" and "-Inf".
-type answerJSON struct {
-	Tag   string `json:"tag"`
-	Value any    `json:"value"`
-}
-
-// wireValue maps a carrier value to its JSON encoding (±Inf as strings;
-// encoding/json rejects non-finite floats).
-func wireValue(v any) any {
-	if f, ok := v.(float64); ok && math.IsInf(f, 0) {
-		if f > 0 {
-			return "+Inf"
-		}
-		return "-Inf"
-	}
-	return v
-}
-
-func toAnswerJSON(answers []hypo.ValueAnswer) []answerJSON {
-	out := make([]answerJSON, len(answers))
-	for i, a := range answers {
-		out[i] = answerJSON{Tag: a.Tag, Value: wireValue(a.Value)}
-	}
-	return out
-}
-
-// streamLine is one NDJSON response line of whatif/stream.
-type streamLine struct {
-	Index   int          `json:"index"`
-	Answers []answerJSON `json:"answers,omitempty"`
-	Error   string       `json:"error,omitempty"`
-}
-
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request, sess *registry.Session) {
 	var req scenarioRequest
 	if !s.decodeJSON(w, r, s.maxLine, &req, "scenario") {
@@ -509,12 +480,15 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request, sess *regi
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	answers, err := sess.Engine().WhatIfIn(kind, req.scenario())
+	row, err := sess.Engine().WhatIfRow(kind, req.scenario())
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, map[string]any{"answers": toAnswerJSON(answers)})
+	rb := getRespBuf()
+	defer rb.release()
+	rb.b = appendWhatIf(rb.b, row)
+	s.writeBody(w, r, http.StatusOK, rb.b)
 }
 
 // handleStream is the streaming batch endpoint: scenarios are read off the
@@ -551,7 +525,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *regi
 	in := make(chan *hypo.Scenario)
 	results := sess.Engine().StreamIn(ctx, kind, in)
 
-	enc := json.NewEncoder(w)
 	rc := http.NewResponseController(w)
 	// A graceful drain must be able to end this stream even while the
 	// reader goroutine below is blocked mid-Scan on a quiet client.
@@ -636,19 +609,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *regi
 	if err := rc.EnableFullDuplex(); err != nil && !errors.Is(err, http.ErrNotSupported) {
 		s.logger.Printf("server: %s %s: full duplex: %v", r.Method, r.URL.Path, err)
 	}
+	rb := getRespBuf()
+	defer rb.release()
 	wrote := false
 	for res := range results {
 		if !wrote {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			wrote = true
 		}
-		line := streamLine{Index: res.Index}
-		if res.Err != nil {
-			line.Error = res.Err.Error()
-		} else {
-			line.Answers = toAnswerJSON(res.Answers)
-		}
-		if err := enc.Encode(line); err != nil {
+		rb.b = appendStreamLine(rb.b[:0], res)
+		if _, err := w.Write(rb.b); err != nil {
 			s.logger.Printf("server: %s %s: stream write: %v", r.Method, r.URL.Path, err)
 			return // client went away; cancel() stops the evaluation loop
 		}
@@ -674,8 +644,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *regi
 		s.writeError(w, r, status, err)
 		return
 	}
-	if encErr := enc.Encode(map[string]string{"error": err.Error()}); encErr != nil {
-		s.logger.Printf("server: %s %s: stream terminal error write: %v", r.Method, r.URL.Path, encErr)
+	rb.b = appendError(rb.b[:0], err.Error())
+	if _, werr := w.Write(rb.b); werr != nil {
+		s.logger.Printf("server: %s %s: stream terminal error write: %v", r.Method, r.URL.Path, werr)
 	}
 }
 

@@ -8,8 +8,8 @@ package session
 // ORDER BY runs key-first instead: each scenario is evaluated on its ORDER
 // BY polynomial alone and ranked in a streaming top-k that holds k
 // (key, scenario) pairs, and only the k winners are then evaluated in
-// full, tagged and boxed. EXPLAIN stops before evaluation and reports the
-// plan tree annotated with this executor's routing and live cost model.
+// full and tagged. EXPLAIN stops before evaluation and reports the plan
+// tree annotated with this executor's routing and live cost model.
 
 import (
 	"cmp"
@@ -32,11 +32,14 @@ import (
 const maxQueryRows = 1000
 
 // QueryRow is one scenario's outcome: its generation index, the
-// assignments the generator chose, and the answers (carrier-erased, as at
-// every dynamic boundary). Err is per-scenario and in-band, like a stream.
+// assignments the generator chose, and the answers in the carrier's own
+// slice (Row). Answers is Row carrier-erased; only Query fills it, the Go
+// API's edge — QueryRows and QueryStream leave the answers unboxed. Err is
+// per-scenario and in-band, like a stream.
 type QueryRow struct {
 	Index   int64
 	Assign  map[string]float64
+	Row     hypo.Row
 	Answers []hypo.ValueAnswer
 	Err     error
 }
@@ -91,15 +94,24 @@ func (e *Engine) compileQuery(src string) (*scenql.Plan, *provenance.Set, error)
 // returns the annotated plan without evaluating; ORDER BY runs a streaming
 // top-k over the whole sweep; anything else materializes rows up to
 // maxQueryRows (Truncated reports hitting the cap — use QueryStream for
-// full unranked sweeps). Parse and resolution failures return *ParseError /
-// *CompileError from internal/scenql; a Compress landing mid-statement
-// returns ErrActiveSetReplaced.
+// full unranked sweeps). Every row's answers come both typed (Row) and
+// carrier-erased (Answers). Parse and resolution failures return
+// *ParseError / *CompileError from internal/scenql; a Compress landing
+// mid-statement returns ErrActiveSetReplaced.
 func (e *Engine) Query(src string) (*QueryResult, error) {
-	return e.QueryContext(context.Background(), src)
+	res, err := e.QueryRows(context.Background(), src)
+	if res != nil {
+		for i := range res.Rows {
+			res.Rows[i].Answers = res.Rows[i].Row.Erase()
+		}
+	}
+	return res, err
 }
 
-// QueryContext is Query, cancellable between micro-batches.
-func (e *Engine) QueryContext(ctx context.Context, src string) (*QueryResult, error) {
+// QueryRows is Query, cancellable between micro-batches, with the answers
+// left unboxed: each row carries Row only, the form the HTTP server
+// encodes from.
+func (e *Engine) QueryRows(ctx context.Context, src string) (*QueryResult, error) {
 	p, set, err := e.compileQuery(src)
 	if err != nil {
 		return nil, err
@@ -202,11 +214,11 @@ func (e *Engine) runPlan(ctx context.Context, p *scenql.Plan, set *provenance.Se
 // sweep drains the plan's iterator in micro-batches (one RLock per batch,
 // on the kernel locate returns under it) in generation order. Without
 // ORDER BY every row is evaluated in full on the chained batch path,
-// tagged, erased and passed to emit. With it, each scenario is evaluated
-// on its key polynomial alone: failed rows go to emit, the rest are
-// ranked, and once the sweep is done the k winners are evaluated in full
-// — in generation order, a micro-batch at a time, chained — and come back
-// best-first, tagged and erased. The key is bit-identical to the winner's
+// tagged and passed to emit. With it, each scenario is evaluated on its
+// key polynomial alone: failed rows go to emit, the rest are ranked, and
+// once the sweep is done the k winners are evaluated in full — in
+// generation order, a micro-batch at a time, chained — and come back
+// best-first, tagged. The key is bit-identical to the winner's
 // answer, since every kernel path recomputes a polynomial on one loop.
 // emit returning false stops the sweep. Returns ctx's error on
 // cancellation, and ErrActiveSetReplaced when a micro-batch finds that a
@@ -265,7 +277,7 @@ func sweep[T any, C provenance.Carrier[T]](ctx context.Context, e *Engine, p *sc
 					top.offer(key(b.keys[i]), row.Index, sc)
 					continue
 				}
-				row.Answers = hypo.EraseValues(b.tags, b.rows[i])
+				row.Row = hypo.RowOf(b.tags, b.rows[i])
 			}
 			if !emit(row) {
 				return nil, nil
@@ -300,7 +312,7 @@ func sweep[T any, C provenance.Carrier[T]](ctx context.Context, e *Engine, p *sc
 		for i, r := range ranks {
 			row := QueryRow{Index: winners[r].index, Assign: winners[r].sc.Assign, Err: b.errs[i]}
 			if row.Err == nil {
-				row.Answers = hypo.EraseValues(b.tags, b.rows[i])
+				row.Row = hypo.RowOf(b.tags, b.rows[i])
 			}
 			out[r] = row
 		}

@@ -275,7 +275,7 @@ func TestQueryStreamTopK(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("streamed %d rows, want the top 2", len(got))
 	}
-	if got[0].Answers[0].Value.(float64) < got[1].Answers[0].Value.(float64) {
+	if got[0].Row.Values.([]float64)[0] < got[1].Row.Values.([]float64)[0] {
 		t.Fatal("top-k stream not descending")
 	}
 }

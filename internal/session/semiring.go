@@ -62,8 +62,8 @@ func (s *SemiringStats) accumulate(o SemiringStats) {
 // semRuntime is the carrier-erased face of one non-float evaluation kernel;
 // semState[T, C] implements it for each concrete carrier.
 type semRuntime interface {
-	// answers evaluates a batch; any unresolvable scenario fails the call.
-	answers(e *Engine, scs []*hypo.Scenario) ([][]hypo.ValueAnswer, error)
+	// rows evaluates a batch; any unresolvable scenario fails the call.
+	rows(e *Engine, scs []*hypo.Scenario) ([]hypo.Row, error)
 	// evalStreamBatch is the error-isolating chained micro-batch used by
 	// StreamIn; cs carries the chain across micro-batches.
 	evalStreamBatch(e *Engine, base int, scs []*hypo.Scenario, cs *hypo.ChainState) []ValueStreamResult
@@ -116,13 +116,13 @@ func (st *semState[T, C]) batchOptions(e *Engine) hypo.BatchOptions {
 	return hypo.BatchOptions{Workers: e.workers, DeltaCutoff: e.deltaCutoff, Counters: &st.counters}
 }
 
-func (st *semState[T, C]) answers(e *Engine, scs []*hypo.Scenario) ([][]hypo.ValueAnswer, error) {
+func (st *semState[T, C]) rows(e *Engine, scs []*hypo.Scenario) ([]hypo.Row, error) {
 	rows, err := hypo.EvalBatch(st.kernel, scs, st.batchOptions(e))
 	if err != nil {
 		return nil, err
 	}
 	st.scenarios.Add(int64(len(scs)))
-	return tagRows(st.kernel.Tags, rows, hypo.EraseValues[T]), nil
+	return tagRows(st.kernel.Tags, rows, hypo.RowOf[T]), nil
 }
 
 // target is this carrier's evalTarget. Callers hold e.mu.
@@ -133,7 +133,7 @@ func (st *semState[T, C]) target(e *Engine) evalTarget[T, C] {
 }
 
 func (st *semState[T, C]) evalStreamBatch(e *Engine, base int, scs []*hypo.Scenario, cs *hypo.ChainState) []ValueStreamResult {
-	return st.target(e).raw(base, scs, cs).erase(base)
+	return st.target(e).raw(base, scs, cs).results(base)
 }
 
 // query sweeps the plan on this carrier's kernel. The receiver only fixes
@@ -234,31 +234,46 @@ func (e *Engine) semStatsLocked() map[string]SemiringStats {
 	return out
 }
 
-// WhatIfIn answers a single scenario in the named semiring. KindFloat is
-// the plain WhatIf path with the answers carrier-erased; other kinds
-// evaluate on that carrier's own kernel, compiled from the active set on
-// first use and extended in place by Add like the float one.
+// WhatIfIn answers a single scenario in the named semiring, carrier-erased.
+// KindFloat evaluates on the plain WhatIf path; other kinds evaluate on that
+// carrier's own kernel, compiled from the active set on first use and
+// extended in place by Add like the float one.
 func (e *Engine) WhatIfIn(kind semiring.Kind, sc *hypo.Scenario) ([]hypo.ValueAnswer, error) {
-	rows, err := e.whatIfBatchIn(kind, []*hypo.Scenario{sc})
+	row, err := e.WhatIfRow(kind, sc)
 	if err != nil {
 		return nil, err
+	}
+	return row.Erase(), nil
+}
+
+// WhatIfRow is WhatIfIn with the answers left unboxed, in the carrier's own
+// slice: the form the HTTP server encodes from.
+func (e *Engine) WhatIfRow(kind semiring.Kind, sc *hypo.Scenario) (hypo.Row, error) {
+	rows, err := e.whatIfRows(kind, []*hypo.Scenario{sc})
+	if err != nil {
+		return hypo.Row{}, err
 	}
 	return rows[0], nil
 }
 
-// WhatIfBatchIn answers many scenarios in parallel in the named semiring.
+// WhatIfBatchIn answers many scenarios in parallel in the named semiring,
+// carrier-erased.
 func (e *Engine) WhatIfBatchIn(kind semiring.Kind, scs []*hypo.Scenario) ([][]hypo.ValueAnswer, error) {
-	rows, err := e.whatIfBatchIn(kind, scs)
+	rows, err := e.whatIfRows(kind, scs)
 	if err != nil {
 		return nil, err
 	}
 	e.batches.Add(1)
-	return rows, nil
+	out := make([][]hypo.ValueAnswer, len(rows))
+	for i, row := range rows {
+		out[i] = row.Erase()
+	}
+	return out, nil
 }
 
-func (e *Engine) whatIfBatchIn(kind semiring.Kind, scs []*hypo.Scenario) ([][]hypo.ValueAnswer, error) {
+func (e *Engine) whatIfRows(kind semiring.Kind, scs []*hypo.Scenario) ([]hypo.Row, error) {
 	if kind == semiring.KindFloat || kind == "" {
-		return answers(e, scs, hypo.EraseValues[float64])
+		return answers(e, scs, hypo.RowOf[float64])
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -266,5 +281,5 @@ func (e *Engine) whatIfBatchIn(kind semiring.Kind, scs []*hypo.Scenario) ([][]hy
 	if err != nil {
 		return nil, err
 	}
-	return rt.answers(e, scs)
+	return rt.rows(e, scs)
 }

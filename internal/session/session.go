@@ -183,10 +183,9 @@ func (e *Engine) streamBatchOptions() hypo.BatchOptions {
 
 // answers is the shared float evaluation path: cached compile, parallel
 // eval, scenario accounting. tag turns each raw answer row into the
-// caller's answer type in one pass (hypo.TagAnswers for WhatIf,
-// hypo.EraseValues for WhatIfIn). Batch accounting stays with the batch
-// entry points so streamed and single evaluations do not inflate the batch
-// counter.
+// caller's answer type in one pass (hypo.TagAnswers for WhatIf, hypo.RowOf
+// for WhatIfRow). Batch accounting stays with the batch entry points so
+// streamed and single evaluations do not inflate the batch counter.
 func answers[A any](e *Engine, scs []*hypo.Scenario, tag func([]string, []float64) A) ([]A, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

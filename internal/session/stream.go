@@ -25,12 +25,13 @@ type StreamResult struct {
 	Err     error
 }
 
-// ValueStreamResult is StreamResult with the answers carrier-erased — the
-// streamed outcome of StreamIn, whose carrier is chosen per stream.
+// ValueStreamResult is one streamed outcome of StreamIn, whose carrier is
+// chosen per stream: Row holds the answers in the carrier's own slice
+// (Row.Erase boxes them).
 type ValueStreamResult struct {
-	Index   int
-	Answers []hypo.ValueAnswer
-	Err     error
+	Index int
+	Row   hypo.Row
+	Err   error
 }
 
 // Stream evaluates scenarios as they arrive on in, emitting one
@@ -78,7 +79,7 @@ func (e *Engine) Stream(ctx context.Context, in <-chan *hypo.Scenario) <-chan St
 // error-isolating loop, evaluating on the carrier's own kernel (for
 // carriers without chain support — boolean, tropical, minmax — micro-batches
 // evaluate unchained; see provenance.Carrier.Chainable). KindFloat streams
-// on the float path with answers carrier-erased. A carrier the session's
+// on the float path. A carrier the session's
 // provenance cannot compile into (e.g. fractional coefficients under
 // counting) reports the error in-band on every scenario rather than
 // tearing down the stream.
@@ -90,7 +91,7 @@ func (e *Engine) StreamIn(ctx context.Context, kind semiring.Kind, in <-chan *hy
 	}
 	if kind == semiring.KindFloat || kind == "" {
 		eval = func(base int, scs []*hypo.Scenario) []ValueStreamResult {
-			return e.floatBatch(base, scs, cs).erase(base)
+			return e.floatBatch(base, scs, cs).results(base)
 		}
 	}
 	return streamLoop(ctx, in, maxBatch, buf, eval, cs.Release)
@@ -239,14 +240,14 @@ func failedBatch[T any](err error, n int) rawBatch[T] {
 	return rawBatch[T]{errs: errs}
 }
 
-// erase converts the batch to carrier-erased stream results, indexed from
-// base.
-func (b rawBatch[T]) erase(base int) []ValueStreamResult {
+// results converts the batch to stream results indexed from base, each
+// answer vector paired with the tags as a Row.
+func (b rawBatch[T]) results(base int) []ValueStreamResult {
 	out := make([]ValueStreamResult, len(b.errs))
 	for i, err := range b.errs {
 		out[i] = ValueStreamResult{Index: base + i, Err: err}
 		if err == nil {
-			out[i].Answers = hypo.EraseValues(b.tags, b.rows[i])
+			out[i].Row = hypo.RowOf(b.tags, b.rows[i])
 		}
 	}
 	return out
@@ -273,7 +274,7 @@ func (e *Engine) evalStreamIn(kind semiring.Kind, base int, scs []*hypo.Scenario
 	defer e.mu.RUnlock()
 	rt, err := e.runtimeLocked(kind)
 	if err != nil {
-		return failedBatch[float64](err, len(scs)).erase(base)
+		return failedBatch[float64](err, len(scs)).results(base)
 	}
 	return rt.evalStreamBatch(e, base, scs, cs)
 }

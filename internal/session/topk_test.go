@@ -197,6 +197,7 @@ func TestQueryTopKMatchesOneAtATime(t *testing.T) {
 		}
 		var streamed []QueryRow
 		for row := range rows {
+			row.Answers = row.Row.Erase() // the erased view Query builds
 			streamed = append(streamed, row)
 		}
 		if err := info.Err(); err != nil {
@@ -417,6 +418,7 @@ func TestRankedQueryDuringCompress(t *testing.T) {
 				}
 				var got []QueryRow
 				for row := range rows {
+					row.Answers = row.Row.Erase() // the erased view Query builds
 					got = append(got, row)
 				}
 				check(src, got, info.Err())

@@ -183,8 +183,9 @@ type (
 	EngineStats = session.Stats
 	// StreamResult is one streamed what-if outcome of Engine.Stream.
 	StreamResult = session.StreamResult
-	// ValueStreamResult is one streamed outcome of Engine.StreamIn, with
-	// the answers carrier-erased (Value holds the semiring's own type).
+	// ValueStreamResult is one streamed outcome of Engine.StreamIn: Row
+	// holds the answers in the semiring's own slice ([]float64, []bool or
+	// []int64) with their tags, and Row.Erase boxes them as ValueAnswers.
 	ValueStreamResult = session.ValueStreamResult
 	// Strategy names a compression algorithm for WithStrategy.
 	Strategy = session.Strategy

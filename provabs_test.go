@@ -327,8 +327,8 @@ func TestFacadeSemirings(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("stream yielded %d results, want 2", len(got))
 	}
-	if got[0].Answers[0].Value != 5.0 { // min(1+4, 100)
-		t.Errorf("tropical stream answer 0 = %v, want 5", got[0].Answers[0].Value)
+	if v := got[0].Row.Values.([]float64)[0]; v != 5.0 { // min(1+4, 100)
+		t.Errorf("tropical stream answer 0 = %v, want 5", v)
 	}
 	if st := eng.Stats(); st.Semirings["tropical"].Scenarios != 2 {
 		t.Errorf("tropical scenario counter = %+v", st.Semirings)
