@@ -1,11 +1,15 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -314,5 +318,79 @@ func TestGatewayRetryBudgetExhaustion(t *testing.T) {
 	}
 	if got := g.retries.Load(); got != 2 {
 		t.Fatalf("retries counter = %d, want 2", got)
+	}
+}
+
+// TestGatewayOversizedBackendResponse: a buffered backend response larger
+// than the proxy buffer (MaxCreateBytes) answers 502, whether the backend
+// declares its length or streams it chunked. A declared length over the
+// limit is refused from the header alone, before any body arrives; a
+// response of exactly the limit passes either way.
+func TestGatewayOversizedBackendResponse(t *testing.T) {
+	const limit = 4096
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		size, _ := strconv.Atoi(r.URL.Query().Get("size"))
+		body := bytes.Repeat([]byte("x"), size)
+		switch r.URL.Query().Get("mode") {
+		case "declared":
+			w.Header().Set("Content-Length", strconv.Itoa(size))
+			w.Write(body) //nolint:errcheck
+		case "promised": // declares the length, then sends nothing
+			w.Header().Set("Content-Length", strconv.Itoa(size))
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			<-r.Context().Done()
+		case "chunked":
+			w.Write(body[:size/2]) //nolint:errcheck
+			w.(http.Flusher).Flush()
+			w.Write(body[size/2:]) //nolint:errcheck
+		}
+	}))
+	t.Cleanup(backend.Close)
+	g, err := New([]string{backend.Listener.Addr().String()}, Options{
+		MaxCreateBytes:   limit,
+		Retry:            RetryPolicy{MaxAttempts: 1, AttemptTimeout: 5 * time.Second},
+		BreakerThreshold: 100,
+		FailThreshold:    100,
+		Logger:           log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Stop)
+	gts := httptest.NewServer(g.Handler())
+	t.Cleanup(gts.Close)
+	for _, tc := range []struct {
+		mode   string
+		size   int
+		status int
+		chunk  bool
+	}{
+		{"declared", limit, http.StatusOK, false},
+		{"declared", limit + 1, http.StatusBadGateway, false},
+		{"promised", limit + 1, http.StatusBadGateway, false},
+		{"chunked", limit, http.StatusOK, true},
+		{"chunked", limit + 1, http.StatusBadGateway, true},
+	} {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/sessions/x/stats?mode=%s&size=%d", gts.URL, tc.mode, tc.size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s %d bytes: status %d, want %d: %.200s", tc.mode, tc.size, resp.StatusCode, tc.status, body)
+			continue
+		}
+		if tc.status == http.StatusOK && len(body) != tc.size {
+			t.Errorf("%s %d bytes: relayed %d bytes", tc.mode, tc.size, len(body))
+		}
+		if tc.status != http.StatusOK && !strings.Contains(string(body), "exceeds the 4096-byte proxy buffer") {
+			t.Errorf("%s %d bytes: 502 body %s, want the proxy buffer limit", tc.mode, tc.size, body)
+		}
 	}
 }

@@ -180,14 +180,41 @@ func (g *Gateway) attemptOnce(ctx context.Context, b *backend, method, url strin
 	defer resp.Body.Close()
 	// The body read happens inside the attempt window: a backend that
 	// answers headers then stalls is as failed as one that never dials.
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, g.opts.MaxCreateBytes+1))
+	payload, err := readResponse(resp, method, g.opts.MaxCreateBytes)
 	if err != nil {
-		return nil, fmt.Errorf("backend %s: reading response: %w", b.addr, err)
-	}
-	if int64(len(payload)) > g.opts.MaxCreateBytes {
-		return nil, fmt.Errorf("backend %s: response exceeds the %d-byte proxy buffer", b.addr, g.opts.MaxCreateBytes)
+		return nil, fmt.Errorf("backend %s: %w", b.addr, err)
 	}
 	return &bufferedResponse{status: resp.StatusCode, header: resp.Header.Clone(), body: payload}, nil
+}
+
+// readResponse reads a backend response body of at most limit bytes. A
+// body of declared length — every buffered body the server sends — is read
+// into one buffer of exactly that size, and one declared over the limit is
+// refused before anything is allocated; a body of unknown length grows its
+// buffer as it arrives, up to the limit.
+func readResponse(resp *http.Response, method string, limit int64) ([]byte, error) {
+	n := resp.ContentLength
+	if method == http.MethodHead {
+		n = -1 // a HEAD response declares a length it does not send
+	}
+	if n > limit {
+		return nil, fmt.Errorf("response of %d bytes exceeds the %d-byte proxy buffer", n, limit)
+	}
+	if n >= 0 {
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, payload); err != nil {
+			return nil, fmt.Errorf("reading response: %w", err)
+		}
+		return payload, nil
+	}
+	payload, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("reading response: %w", err)
+	}
+	if int64(len(payload)) > limit {
+		return nil, fmt.Errorf("response exceeds the %d-byte proxy buffer", limit)
+	}
+	return payload, nil
 }
 
 // decorrelatedJitter computes the next sleep: uniform in [base, 3·prev],

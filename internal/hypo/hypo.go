@@ -185,14 +185,20 @@ type ValueAnswer struct {
 // vector in its carrier's own slice — a []float64 (float, tropical,
 // minmax), []bool or []int64 — paired with the set's polynomial tags. It
 // carries answers from the kernel to the wire without boxing any of them;
-// Erase is the only place they are boxed. The zero Row has no answers.
+// Erase is the only place they are boxed. Base, when set, is the identity
+// baseline of the kernel that computed the row, for an encoder to reuse
+// (see Baseline). The zero Row has no answers.
 type Row struct {
 	Tags   []string
 	Values any
+	Base   *Baseline
 }
 
-// RowOf pairs one answer vector with the set's polynomial tags.
-func RowOf[T any](tags []string, vals []T) Row { return Row{Tags: tags, Values: vals} }
+// RowOf pairs one answer vector with the set's polynomial tags and the
+// kernel's baseline (nil for none).
+func RowOf[T any](tags []string, vals []T, base *Baseline) Row {
+	return Row{Tags: tags, Values: vals, Base: base}
+}
 
 // Tag is answer j's tag, "" when the set carries none.
 func (r Row) Tag(j int) string { return tagAt(r.Tags, j) }

@@ -115,10 +115,10 @@ func FuzzAnswerEncoding(f *testing.F) {
 		x := math.Float64frombits(bits)
 		tags := []string{string(tag), "t", string(bytes.ToUpper(tag))}
 		for _, row := range []hypo.Row{
-			hypo.RowOf(tags, []float64{x, float64(n), -x}),
-			hypo.RowOf(tags, []int64{n, -n, 0}),
-			hypo.RowOf(tags, []bool{b, !b, true}),
-			hypo.RowOf(tags[:1], []float64{x, x}), // more answers than tags
+			hypo.RowOf(tags, []float64{x, float64(n), -x}, nil),
+			hypo.RowOf(tags, []int64{n, -n, 0}, nil),
+			hypo.RowOf(tags, []bool{b, !b, true}, nil),
+			hypo.RowOf(tags[:1], []float64{x, x}, nil), // more answers than tags
 			{},
 		} {
 			want := oracleAnswers(row)

@@ -8,6 +8,13 @@ package server
 // FuzzAnswerEncoding pin them): HTML-safe string escaping, its float
 // format switch, and ±Inf as the strings "+Inf"/"-Inf". A NaN answer,
 // which encoding/json rejects, is the string "NaN".
+//
+// A scenario changes few answers, so a row that carries its kernel's
+// baseline (hypo.Row.Base) is spliced: each maximal run of answers whose
+// bits equal the baseline's is copied from the baseline's encoding, built
+// once per baseline, and a changed answer copies its encoded tag and
+// formats only its value. Equal bits under the same tag encode to the
+// same bytes, so splicing never changes the output (FuzzAnswerSplice).
 
 import (
 	"encoding/json"
@@ -154,20 +161,24 @@ func appendError(buf []byte, msg string) []byte {
 // objects, the value in its carrier's JSON form.
 func appendAnswers(buf []byte, row hypo.Row) []byte {
 	buf = append(buf, '[')
+	var j int // the first answer the baseline does not cover
 	switch vals := row.Values.(type) {
 	case []float64:
-		for j, v := range vals {
-			buf = appendJSONFloat(appendAnswerTag(buf, row, j), v)
+		buf, j = spliceAnswers(buf, row, vals, sameFloats, appendJSONFloat)
+		for ; j < len(vals); j++ {
+			buf = appendJSONFloat(appendAnswerTag(buf, row, j), vals[j])
 			buf = append(buf, '}')
 		}
 	case []int64:
-		for j, v := range vals {
-			buf = strconv.AppendInt(appendAnswerTag(buf, row, j), v, 10)
+		buf, j = spliceAnswers(buf, row, vals, sameValues[int64], appendJSONInt)
+		for ; j < len(vals); j++ {
+			buf = appendJSONInt(appendAnswerTag(buf, row, j), vals[j])
 			buf = append(buf, '}')
 		}
 	case []bool:
-		for j, v := range vals {
-			buf = strconv.AppendBool(appendAnswerTag(buf, row, j), v)
+		buf, j = spliceAnswers(buf, row, vals, sameValues[bool], strconv.AppendBool)
+		for ; j < len(vals); j++ {
+			buf = strconv.AppendBool(appendAnswerTag(buf, row, j), vals[j])
 			buf = append(buf, '}')
 		}
 	case nil:
@@ -176,6 +187,89 @@ func appendAnswers(buf []byte, row hypo.Row) []byte {
 	}
 	return append(buf, ']')
 }
+
+// spliceAnswers appends the answer objects the row's baseline covers and
+// returns the index of the first one it does not (0 without a baseline);
+// the caller formats the rest. same(vals, base, j) is the end of the run
+// of answers from j on whose bits equal the baseline's.
+func spliceAnswers[T any](buf []byte, row hypo.Row, vals []T, same func(vals, base []T, j int) int, value func([]byte, T) []byte) ([]byte, int) {
+	enc, base := spliceBase(row, vals)
+	j := 0
+	for j < len(base) {
+		if k := same(vals, base, j); k > j {
+			buf = append(buf, enc.Bytes[enc.Off[j]:enc.Off[k]]...)
+			if j = k; j == len(base) {
+				break
+			}
+		}
+		buf = append(buf, enc.Bytes[enc.Off[j]:enc.Val[j]]...)
+		buf = append(value(buf, vals[j]), '}')
+		j++
+	}
+	return buf, j
+}
+
+// spliceBase returns the encoding of the row's baseline and the baseline
+// answers it covers; nil when the row carries no baseline of its carrier.
+func spliceBase[T any](row hypo.Row, vals []T) (*hypo.Encoding, []T) {
+	if row.Base == nil {
+		return nil, nil
+	}
+	base, ok := row.Base.Row.Values.([]T)
+	if !ok {
+		return nil, nil
+	}
+	return row.Base.Encoded(encodeBaseline), base[:row.Base.Covers(row)]
+}
+
+// encodeBaseline encodes a baseline's answers once, recording where each
+// answer object and each value starts.
+func encodeBaseline(row hypo.Row) hypo.Encoding {
+	switch vals := row.Values.(type) {
+	case []float64:
+		return encodeValues(row, vals, appendJSONFloat)
+	case []int64:
+		return encodeValues(row, vals, appendJSONInt)
+	case []bool:
+		return encodeValues(row, vals, strconv.AppendBool)
+	}
+	panic(fmt.Sprintf("server: baseline holds %T, not a carrier's answer vector", row.Values))
+}
+
+func encodeValues[T any](row hypo.Row, vals []T, value func([]byte, T) []byte) hypo.Encoding {
+	enc := hypo.Encoding{Off: make([]int, len(vals)+1), Val: make([]int, len(vals))}
+	var buf []byte
+	for j, v := range vals {
+		enc.Off[j] = len(buf)
+		buf = appendAnswerTag(buf, row, j)
+		enc.Val[j] = len(buf)
+		buf = append(value(buf, v), '}')
+	}
+	enc.Off[len(vals)] = len(buf)
+	enc.Bytes = buf
+	return enc
+}
+
+// sameFloats is the end of the run of floats from j on whose bits equal
+// the baseline's: -0 is not 0, and a NaN whose payload differs is not the
+// same NaN (it still encodes the same, so it is merely formatted again).
+func sameFloats(vals, base []float64, j int) int {
+	for j < len(base) && math.Float64bits(vals[j]) == math.Float64bits(base[j]) {
+		j++
+	}
+	return j
+}
+
+// sameValues is sameFloats for counts and booleans, where equal means
+// equal bits.
+func sameValues[T comparable](vals, base []T, j int) int {
+	for j < len(base) && vals[j] == base[j] {
+		j++
+	}
+	return j
+}
+
+func appendJSONInt(buf []byte, n int64) []byte { return strconv.AppendInt(buf, n, 10) }
 
 // appendAnswerTag opens answer j's object, up to its value.
 func appendAnswerTag(buf []byte, row hypo.Row, j int) []byte {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,19 +114,38 @@ func benchRow[T any](n int, val func(int) T) hypo.Row {
 		tags[i] = fmt.Sprintf("zip %05d", 10000+i)
 		vals[i] = val(i)
 	}
-	return hypo.RowOf(tags, vals)
+	return hypo.RowOf(tags, vals, nil)
+}
+
+// splicedRow is row with a baseline from which pct % of its answers,
+// spread over the row, differ: it encodes to row's bytes, spliced.
+func splicedRow(row hypo.Row, pct int) hypo.Row {
+	base := slices.Clone(row.Values.([]float64))
+	for j := range base {
+		if j*7919%100 < pct {
+			base[j] *= 1.1
+		}
+	}
+	row.Base = hypo.NewBaseline(row.Tags, base)
+	return row
 }
 
 // BenchmarkAnswerEncode appends one-shot bodies of 200 answers (a telco-s
-// one-shot) and 2,000 (a telco-m row) into a reused buffer.
+// one-shot) and 2,000 (a telco-m row) into a reused buffer: plain rows in
+// two carriers, and the float row spliced from a baseline with 0 %, 22 %
+// and 100 % of its answers changed, which encodes to the same bytes.
 func BenchmarkAnswerEncode(b *testing.B) {
 	for _, n := range []int{200, 2000} {
+		float := benchRow(n, func(i int) float64 { return 1234.5678 * float64(i+1) / 7 })
 		for _, c := range []struct {
 			name string
 			row  hypo.Row
 		}{
-			{"float", benchRow(n, func(i int) float64 { return 1234.5678 * float64(i+1) / 7 })},
+			{"float", float},
 			{"count", benchRow(n, func(i int) int64 { return int64(i) * 37 })},
+			{"spliced-0", splicedRow(float, 0)},
+			{"spliced-22", splicedRow(float, 22)},
+			{"spliced-100", splicedRow(float, 100)},
 		} {
 			b.Run(fmt.Sprintf("%s/%d", c.name, n), func(b *testing.B) {
 				b.ReportAllocs()
@@ -152,10 +172,22 @@ func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len
 
 // BenchmarkWhatIfHandler runs one-shots through Server.Handler() on an
 // uncompressed telco session: telco-s (200 zips, 200 answers) and a
-// 2,000-zip set (2,000 answers).
+// 2,000-zip set (2,000 answers). The dense one-shot moves a month, which
+// every answer depends on; the sparse one moves two plans, as most
+// one-shots do, and leaves most answers at the baseline.
 func BenchmarkWhatIfHandler(b *testing.B) {
-	for _, zips := range []int{200, 2000} {
-		b.Run(fmt.Sprintf("answers=%d", zips), func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		zips int
+		body string
+	}{
+		{"answers=200", 200, `{"assign":{"m3":0.8,"pl7":1.1}}`},
+		{"answers=2000", 2000, `{"assign":{"m3":0.8,"pl7":1.1}}`},
+		{"sparse/answers=200", 200, `{"assign":{"pl7":1.1,"pl42":0.9}}`},
+		{"sparse/answers=2000", 2000, `{"assign":{"pl7":1.1,"pl42":0.9}}`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			zips := c.zips
 			set, err := telco.SyntheticProvenance(telco.Config{Customers: 10 * zips, Zips: zips, Plans: 128, Months: 12, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
@@ -165,7 +197,7 @@ func BenchmarkWhatIfHandler(b *testing.B) {
 				b.Fatal(err)
 			}
 			h := New(reg).Handler()
-			body := []byte(`{"assign":{"m3":0.8,"pl7":1.1}}`)
+			body := []byte(c.body)
 			w := &discardWriter{h: http.Header{}}
 			oneShot := func() {
 				clear(w.h)

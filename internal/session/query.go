@@ -277,7 +277,7 @@ func sweep[T any, C provenance.Carrier[T]](ctx context.Context, e *Engine, p *sc
 					top.offer(key(b.keys[i]), row.Index, sc)
 					continue
 				}
-				row.Row = hypo.RowOf(b.tags, b.rows[i])
+				row.Row = hypo.RowOf(b.tags, b.rows[i], b.base)
 			}
 			if !emit(row) {
 				return nil, nil
@@ -312,7 +312,7 @@ func sweep[T any, C provenance.Carrier[T]](ctx context.Context, e *Engine, p *sc
 		for i, r := range ranks {
 			row := QueryRow{Index: winners[r].index, Assign: winners[r].sc.Assign, Err: b.errs[i]}
 			if row.Err == nil {
-				row.Row = hypo.RowOf(b.tags, b.rows[i])
+				row.Row = hypo.RowOf(b.tags, b.rows[i], b.base)
 			}
 			out[r] = row
 		}

@@ -83,6 +83,7 @@ type semRuntime interface {
 // semState is one carrier's compiled kernel plus its private accounting.
 type semState[T any, C provenance.Carrier[T]] struct {
 	kernel    *provenance.Kernel[T, C]
+	base      baseSlot[T, C]
 	counters  hypo.BatchCounters
 	scenarios atomic.Int64 // evaluations run under e.mu.RLock, concurrently
 }
@@ -122,14 +123,14 @@ func (st *semState[T, C]) rows(e *Engine, scs []*hypo.Scenario) ([]hypo.Row, err
 		return nil, err
 	}
 	st.scenarios.Add(int64(len(scs)))
-	return tagRows(st.kernel.Tags, rows, hypo.RowOf[T]), nil
+	return rowsOf(st.kernel.Tags, st.base.of(st.kernel), rows), nil
 }
 
 // target is this carrier's evalTarget. Callers hold e.mu.
 func (st *semState[T, C]) target(e *Engine) evalTarget[T, C] {
 	opts := st.batchOptions(e)
 	opts.Chain = true
-	return evalTarget[T, C]{e: e, kernel: st.kernel, opts: opts, scenarios: &st.scenarios}
+	return evalTarget[T, C]{e: e, kernel: st.kernel, base: &st.base, opts: opts, scenarios: &st.scenarios}
 }
 
 func (st *semState[T, C]) evalStreamBatch(e *Engine, base int, scs []*hypo.Scenario, cs *hypo.ChainState) []ValueStreamResult {
@@ -273,7 +274,11 @@ func (e *Engine) WhatIfBatchIn(kind semiring.Kind, scs []*hypo.Scenario) ([][]hy
 
 func (e *Engine) whatIfRows(kind semiring.Kind, scs []*hypo.Scenario) ([]hypo.Row, error) {
 	if kind == semiring.KindFloat || kind == "" {
-		return answers(e, scs, hypo.RowOf[float64])
+		rows, tags, base, err := answers(e, scs)
+		if err != nil {
+			return nil, err
+		}
+		return rowsOf(tags, base, rows), nil
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()

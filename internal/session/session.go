@@ -53,6 +53,8 @@ type Engine struct {
 	semMu sync.Mutex                   // guards sems; taken after e.mu
 	sems  map[semiring.Kind]semRuntime // non-float kernels, lazily built
 
+	floatBase baseSlot[float64, provenance.Float] // the float kernel's baseline
+
 	lastCompiled   atomic.Pointer[provenance.Compiled]
 	compiles       atomic.Int64
 	scenarios      atomic.Int64
@@ -109,7 +111,8 @@ func (e *Engine) Compress(B int, opts ...CompressOption) (*core.Compression, err
 	}
 	e.comp = comp
 	e.active = comp.Abstracted
-	e.dropRuntimesLocked() // semiring kernels compiled the old active set
+	e.floatBase.p.Store(nil) // the old kernel's baseline dies with it
+	e.dropRuntimesLocked()   // semiring kernels compiled the old active set
 	return comp, nil
 }
 
@@ -182,50 +185,46 @@ func (e *Engine) streamBatchOptions() hypo.BatchOptions {
 }
 
 // answers is the shared float evaluation path: cached compile, parallel
-// eval, scenario accounting. tag turns each raw answer row into the
-// caller's answer type in one pass (hypo.TagAnswers for WhatIf, hypo.RowOf
-// for WhatIfRow). Batch accounting stays with the batch entry points so
-// streamed and single evaluations do not inflate the batch counter.
-func answers[A any](e *Engine, scs []*hypo.Scenario, tag func([]string, []float64) A) ([]A, error) {
+// eval, scenario accounting. It returns the raw answer vectors with the
+// kernel's tags and baseline (captured under the lock, like the answers);
+// WhatIf tags the vectors, WhatIfRow pairs them into rows. Batch
+// accounting stays with the batch entry points so streamed and single
+// evaluations do not inflate the batch counter.
+func answers(e *Engine, scs []*hypo.Scenario) (rows [][]float64, tags []string, base *hypo.Baseline, err error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	c := e.compiledLocked()
-	rows, err := hypo.EvalBatch(c, scs, e.batchOptions())
+	rows, err = hypo.EvalBatch(c, scs, e.batchOptions())
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	e.scenarios.Add(int64(len(scs)))
-	return tagRows(c.Tags, rows, tag), nil
-}
-
-// tagRows applies tag to every raw answer row of a batch.
-func tagRows[T, A any](tags []string, rows [][]T, tag func([]string, []T) A) []A {
-	out := make([]A, len(rows))
-	for i, vals := range rows {
-		out[i] = tag(tags, vals)
-	}
-	return out
+	return rows, c.Tags, e.floatBase.of(c), nil
 }
 
 // WhatIf answers a single hypothetical scenario against the session's
 // current provenance.
 func (e *Engine) WhatIf(sc *hypo.Scenario) ([]hypo.Answer, error) {
-	rows, err := answers(e, []*hypo.Scenario{sc}, hypo.TagAnswers[float64])
+	rows, tags, _, err := answers(e, []*hypo.Scenario{sc})
 	if err != nil {
 		return nil, err
 	}
-	return rows[0], nil
+	return hypo.TagAnswers(tags, rows[0]), nil
 }
 
 // WhatIfBatch answers many scenarios in parallel on the session's worker
 // pool, reusing the cached compiled provenance — no per-call compile.
 func (e *Engine) WhatIfBatch(scs []*hypo.Scenario) ([][]hypo.Answer, error) {
-	rows, err := answers(e, scs, hypo.TagAnswers[float64])
+	rows, tags, _, err := answers(e, scs)
 	if err != nil {
 		return nil, err
 	}
 	e.batches.Add(1)
-	return rows, nil
+	out := make([][]hypo.Answer, len(rows))
+	for i, vals := range rows {
+		out[i] = hypo.TagAnswers(tags, vals)
+	}
+	return out, nil
 }
 
 // Source returns the session's original provenance set.

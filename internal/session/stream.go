@@ -169,14 +169,15 @@ func streamLoop[R any](ctx context.Context, in <-chan *hypo.Scenario, maxBatch, 
 // rawBatch is one evaluated micro-batch in its kernel's own value type:
 // per scenario, the raw answer vector (set order, untagged) or — on a
 // ranked statement's key pass — the ORDER BY key alone, or the in-band
-// error that replaced either, plus the tags the vectors pair with. Tagging
-// is left to whoever emits a row, so a ranked sweep tags only the k rows
-// it returns.
+// error that replaced either, plus the tags and the kernel baseline the
+// vectors pair with. Tagging is left to whoever emits a row, so a ranked
+// sweep tags only the k rows it returns.
 type rawBatch[T any] struct {
 	rows [][]T
 	keys []T
 	errs []error
 	tags []string
+	base *hypo.Baseline
 }
 
 // evalTarget is one carrier's kernel with the options and the scenario
@@ -185,6 +186,7 @@ type rawBatch[T any] struct {
 type evalTarget[T any, C provenance.Carrier[T]] struct {
 	e         *Engine
 	kernel    *provenance.Kernel[T, C]
+	base      *baseSlot[T, C]
 	opts      hypo.BatchOptions // chained, with the carrier's counters
 	scenarios *atomic.Int64
 }
@@ -199,7 +201,7 @@ func (t evalTarget[T, C]) raw(base int, scs []*hypo.Scenario, cs *hypo.ChainStat
 	opts.ChainState = cs
 	rows, errs := hypo.EvalBatchEach(t.kernel, scs, opts)
 	t.account(base, errs)
-	return rawBatch[T]{rows: rows, errs: errs, tags: t.kernel.Tags}
+	return rawBatch[T]{rows: rows, errs: errs, tags: t.kernel.Tags, base: t.base.of(t.kernel)}
 }
 
 // key answers only polynomial poly of each scenario of one micro-batch:
@@ -247,7 +249,7 @@ func (b rawBatch[T]) results(base int) []ValueStreamResult {
 	for i, err := range b.errs {
 		out[i] = ValueStreamResult{Index: base + i, Err: err}
 		if err == nil {
-			out[i].Row = hypo.RowOf(b.tags, b.rows[i])
+			out[i].Row = hypo.RowOf(b.tags, b.rows[i], b.base)
 		}
 	}
 	return out
@@ -255,7 +257,7 @@ func (b rawBatch[T]) results(base int) []ValueStreamResult {
 
 // floatTarget is the float kernel's evalTarget. Callers hold e.mu.
 func (e *Engine) floatTarget() evalTarget[float64, provenance.Float] {
-	return evalTarget[float64, provenance.Float]{e: e, kernel: e.compiledLocked(), opts: e.streamBatchOptions(), scenarios: &e.scenarios}
+	return evalTarget[float64, provenance.Float]{e: e, kernel: e.compiledLocked(), base: &e.floatBase, opts: e.streamBatchOptions(), scenarios: &e.scenarios}
 }
 
 // floatBatch evaluates one micro-batch on the float kernel, raw; cs chains
