@@ -5,6 +5,7 @@
 package provabs_test
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"testing"
@@ -379,6 +380,24 @@ func BenchmarkCompress(b *testing.B) {
 	})
 }
 
+// BenchmarkDecode times provenance.Decode on telco-m as Encode writes it:
+// the bytes a create body's provenance_b64 carries.
+func BenchmarkDecode(b *testing.B) {
+	s, _, _ := telcoM(b)
+	var buf bytes.Buffer
+	if err := provenance.Encode(&buf, s); err != nil {
+		b.Fatal(err)
+	}
+	enc := buf.Bytes()
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := provenance.Decode(bytes.NewReader(enc)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOpen times session.Open on telco-m with perfbench's forest; Open
 // does nothing but check the forest's compatibility with the set.
 func BenchmarkOpen(b *testing.B) {
@@ -393,7 +412,7 @@ func BenchmarkOpen(b *testing.B) {
 }
 
 // BenchmarkCompile isolates the one-time compilation cost that the batch
-// path amortizes.
+// path amortizes; telco-m is the set perfbench's sweep session starts from.
 func BenchmarkCompile(b *testing.B) {
 	for _, name := range []string{"telco", "Q5"} {
 		w := load(b, name)
@@ -403,6 +422,29 @@ func BenchmarkCompile(b *testing.B) {
 			}
 		})
 	}
+	b.Run("telco-m", func(b *testing.B) {
+		s, _, _ := telcoM(b)
+		b.ReportAllocs()
+		for b.Loop() {
+			s.Compile()
+		}
+	})
+	// The compile a telco-m session's first what-if pays: its abstracted
+	// set, on a fresh copy like perfbench's provenance.compile_ms replay.
+	b.Run("telco-m-abstracted", func(b *testing.B) {
+		s, forest, B := telcoM(b)
+		comp, err := core.GreedyCompressor().Compress(s, forest, B)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			b.StopTimer()
+			active := comp.Abstracted.Clone()
+			b.StartTimer()
+			active.Compile()
+		}
+	})
 }
 
 // BenchmarkFig11 times the greedy across growing tree counts.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"sort"
@@ -16,6 +15,7 @@ import (
 
 	"provabs/internal/durable"
 	"provabs/internal/registry"
+	"provabs/internal/reqbody"
 )
 
 // Options tunes a Gateway. The zero value is usable; New fills defaults.
@@ -410,34 +410,60 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// createName peeks the session name (and whether this is a snapshot
-// import) out of a create body.
+// createName is the one member of a create body the gateway reads: the
+// session name it routes by.
 type createName struct {
-	Name        string `json:"name"`
-	SnapshotB64 string `json:"snapshot_b64"`
+	Name string `json:"name"`
+}
+
+// createBody reads a create body once, with readBody, and the session
+// name in it. The base64 members are lifted out before json.Unmarshal,
+// which then reads only the small rest and gives what it gives on the
+// whole body. createBody answers the request itself, and reports false,
+// when either step fails.
+func (g *Gateway) createBody(w http.ResponseWriter, r *http.Request) (body []byte, name string, ok bool) {
+	if body, ok = g.readBody(w, r, "create"); !ok {
+		return nil, "", false
+	}
+	named := body
+	if rest, _, lifted := reqbody.Lift(body, "provenance_b64", "snapshot_b64"); lifted {
+		named = rest
+	}
+	var req createName
+	if err := json.Unmarshal(named, &req); err != nil {
+		g.writeError(w, http.StatusBadRequest, fmt.Errorf("create: bad request body: %w", err))
+		return nil, "", false
+	}
+	if name = req.Name; name == "" {
+		g.writeError(w, http.StatusBadRequest, fmt.Errorf("create: the gateway requires a session name to route by"))
+		return nil, "", false
+	}
+	return body, name, true
+}
+
+// readBody reads a request body of at most MaxCreateBytes with
+// reqbody.Read. On a failure it answers the request itself — 413 when the
+// body is over the limit, 400 when reading it failed — and reports false.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request, verb string) ([]byte, bool) {
+	body, err := reqbody.Read(w, r, g.opts.MaxCreateBytes)
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			g.writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("%s: request body exceeds the %d-byte limit", verb, tooBig.Limit))
+			return nil, false
+		}
+		g.writeError(w, http.StatusBadRequest, fmt.Errorf("%s: reading body: %w", verb, err))
+		return nil, false
+	}
+	return body, true
 }
 
 // handleCreate buffers the create body (routing needs the name inside it),
 // charges the tenant's session quota, and forwards to the ring owner.
 func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.opts.MaxCreateBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			g.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("create: request body exceeds the %d-byte limit", tooBig.Limit))
-			return
-		}
-		g.writeError(w, http.StatusBadRequest, fmt.Errorf("create: reading body: %w", err))
-		return
-	}
-	var req createName
-	if err := json.Unmarshal(body, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, fmt.Errorf("create: bad request body: %w", err))
-		return
-	}
-	if req.Name == "" {
-		g.writeError(w, http.StatusBadRequest, fmt.Errorf("create: the gateway requires a session name to route by"))
+	body, name, ok := g.createBody(w, r)
+	if !ok {
 		return
 	}
 	tenant := tenantFor(r)
@@ -450,51 +476,51 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// (a 201 here means the placement was stale and the session is adopted
 	// like any backend-created one, outside tenant accounting).
 	g.mu.RLock()
-	placedAddr, placed := g.placements[req.Name]
+	placedAddr, placed := g.placements[name]
 	var b *backend
 	if placed {
 		b = g.backends[placedAddr]
-	} else if addr, ok := g.ring.Owner(req.Name); ok {
+	} else if addr, ok := g.ring.Owner(name); ok {
 		b = g.backends[addr]
 	}
 	g.mu.RUnlock()
 	if placed {
 		if b == nil {
 			g.writeUnavailable(w, 1, fmt.Errorf(
-				"session %q already exists on backend %s, which left the pool; retry shortly", req.Name, placedAddr))
+				"session %q already exists on backend %s, which left the pool; retry shortly", name, placedAddr))
 			return
 		}
 		if !b.isHealthy() {
 			g.writeUnavailable(w, g.probeRetrySeconds(b), fmt.Errorf(
-				"session %q already exists on backend %s, which is unreachable; retry shortly", req.Name, placedAddr))
+				"session %q already exists on backend %s, which is unreachable; retry shortly", name, placedAddr))
 			return
 		}
 		g.proxyBuffered(w, r, b, body, false) //nolint:errcheck // holder's verdict (409) already written
 		return
 	}
 
-	if err := g.limits.registerSession(tenant, req.Name); err != nil {
+	if err := g.limits.registerSession(tenant, name); err != nil {
 		if errors.Is(err, errSessionTaken) {
 			// Registered but not yet placed: a concurrent create is mid-flight.
-			g.writeError(w, http.StatusConflict, fmt.Errorf("session %q already exists", req.Name))
+			g.writeError(w, http.StatusConflict, fmt.Errorf("session %q already exists", name))
 			return
 		}
 		g.writeLimited(w, err)
 		return
 	}
 	if b == nil {
-		g.limits.releaseSession(req.Name)
+		g.limits.releaseSession(name)
 		g.writeUnavailable(w, 1, fmt.Errorf("gateway: no routable backends in the pool"))
 		return
 	}
 	status, err := g.proxyBuffered(w, r, b, body, false)
 	if err != nil || status != http.StatusCreated {
-		g.limits.releaseSession(req.Name)
+		g.limits.releaseSession(name)
 		return
 	}
 	g.mu.Lock()
-	g.placements[req.Name] = b.addr
-	g.statePlace(req.Name, b.addr, tenant)
+	g.placements[name] = b.addr
+	g.statePlace(name, b.addr, tenant)
 	g.mu.Unlock()
 }
 
@@ -654,15 +680,8 @@ func (g *Gateway) handleSessionVerb(w http.ResponseWriter, r *http.Request) {
 	// buffering is what makes that invariant trivially true.
 	var body []byte
 	if r.Body != nil && r.Method != http.MethodGet {
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, g.opts.MaxCreateBytes))
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				g.writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("%s: request body exceeds the %d-byte limit", verb, tooBig.Limit))
-				return
-			}
-			g.writeError(w, http.StatusBadRequest, fmt.Errorf("%s: reading body: %w", verb, err))
+		var ok bool
+		if body, ok = g.readBody(w, r, verb); !ok {
 			return
 		}
 	}

@@ -394,3 +394,61 @@ func TestGatewayOversizedBackendResponse(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayOneShotBodyLimit sends one-shot request bodies of declared and
+// of unknown length on both sides of MaxCreateBytes: the gateway relays a
+// body of exactly the limit whole and answers 413 for one byte more.
+func TestGatewayOneShotBodyLimit(t *testing.T) {
+	const limit = 4096
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		fmt.Fprint(w, len(body))
+	}))
+	t.Cleanup(backend.Close)
+	g, err := New([]string{backend.Listener.Addr().String()}, Options{
+		MaxCreateBytes: limit,
+		Logger:         log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Stop)
+	gts := httptest.NewServer(g.Handler())
+	t.Cleanup(gts.Close)
+	for _, tc := range []struct {
+		size    int
+		chunked bool
+		status  int
+	}{
+		{limit, false, http.StatusOK},
+		{limit + 1, false, http.StatusRequestEntityTooLarge},
+		{limit, true, http.StatusOK},
+		{limit + 1, true, http.StatusRequestEntityTooLarge},
+	} {
+		var body io.Reader = bytes.NewReader(bytes.Repeat([]byte("x"), tc.size))
+		if tc.chunked {
+			body = io.MultiReader(body) // no length known: sent chunked
+		}
+		resp, err := http.Post(gts.URL+"/v1/sessions/x/whatif", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%d bytes, chunked %v: status %d, want %d: %s", tc.size, tc.chunked, resp.StatusCode, tc.status, got)
+			continue
+		}
+		want := strconv.Itoa(tc.size)
+		if tc.status != http.StatusOK {
+			want = "whatif: request body exceeds the 4096-byte limit"
+		}
+		if !strings.Contains(string(got), want) {
+			t.Errorf("%d bytes, chunked %v: body %s, want %s", tc.size, tc.chunked, got, want)
+		}
+	}
+}

@@ -33,6 +33,8 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"time"
+
+	"provabs/internal/reqbody"
 )
 
 // RetryPolicy tunes gateway→backend retries. The zero value is usable;
@@ -187,11 +189,10 @@ func (g *Gateway) attemptOnce(ctx context.Context, b *backend, method, url strin
 	return &bufferedResponse{status: resp.StatusCode, header: resp.Header.Clone(), body: payload}, nil
 }
 
-// readResponse reads a backend response body of at most limit bytes. A
-// body of declared length — every buffered body the server sends — is read
-// into one buffer of exactly that size, and one declared over the limit is
-// refused before anything is allocated; a body of unknown length grows its
-// buffer as it arrives, up to the limit.
+// readResponse reads a backend response body of at most limit bytes with
+// reqbody.ReadAll, which grows its buffer with the bytes that arrive, up
+// to the declared length. A declared length over the limit is refused
+// before anything is allocated.
 func readResponse(resp *http.Response, method string, limit int64) ([]byte, error) {
 	n := resp.ContentLength
 	if method == http.MethodHead {
@@ -200,14 +201,7 @@ func readResponse(resp *http.Response, method string, limit int64) ([]byte, erro
 	if n > limit {
 		return nil, fmt.Errorf("response of %d bytes exceeds the %d-byte proxy buffer", n, limit)
 	}
-	if n >= 0 {
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(resp.Body, payload); err != nil {
-			return nil, fmt.Errorf("reading response: %w", err)
-		}
-		return payload, nil
-	}
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	payload, err := reqbody.ReadAll(io.LimitReader(resp.Body, limit+1), n)
 	if err != nil {
 		return nil, fmt.Errorf("reading response: %w", err)
 	}

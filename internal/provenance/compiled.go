@@ -1,6 +1,9 @@
 package provenance
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Kernel is a provenance set compiled for evaluation in the carrier C:
 // every monomial of every polynomial is flattened into dense coefficient
@@ -97,42 +100,77 @@ func CompileSet[T any, C Carrier[T]](cr C, s *Set) (*Kernel[T, C], error) {
 // CompilePolys flattens polynomials into a kernel over the given carrier
 // (no Vocab, no tags).
 func CompilePolys[T any, C Carrier[T]](cr C, polys []*Polynomial) (*Kernel[T, C], error) {
-	nTerms := 0
-	for _, p := range polys {
-		nTerms += p.Size()
-	}
 	c := &Kernel[T, C]{
 		carrier: cr,
 		kernelArrays: kernelArrays[T]{
-			polyOff: make([]int32, 1, len(polys)+1),
-			coeffs:  make([]T, 0, nTerms),
-			factOff: make([]int32, 1, nTerms+1),
+			polyOff: []int32{0},
+			factOff: []int32{0},
 			allPow1: true,
 		},
 	}
 	c.bulk, _ = any(cr).(bulkKernel[T])
-	for _, p := range polys {
-		for _, m := range p.Monomials() {
-			ct, err := cr.FromCoeff(m.Coeff)
-			if err != nil {
-				return nil, err
-			}
-			c.coeffs = append(c.coeffs, ct)
-			for _, f := range m.Vars() {
-				c.vars = append(c.vars, f.Var)
-				c.pows = append(c.pows, f.Pow)
-				if f.Pow != 1 {
-					c.allPow1 = false
-				}
-				if f.Var > c.maxVar {
-					c.maxVar = f.Var
-				}
-			}
-			c.factOff = append(c.factOff, int32(len(c.vars)))
-		}
-		c.polyOff = append(c.polyOff, int32(len(c.coeffs)))
+	maxVar, err := c.appendTerms(cr, polys)
+	if err != nil {
+		return nil, err
 	}
+	c.maxVar = maxVar
 	return c, nil
+}
+
+// appendTerms flattens polys onto the arrays, each polynomial's terms in
+// ascending key order (the order Monomials returns), decoding every key
+// straight into vars and pows. Each array grows at most once, presized
+// from the key bytes, so compiling allocates nothing per term. It returns
+// the largest Var it appended. When the carrier rejects a coefficient it
+// returns the error with the arrays part-extended; the caller discards or
+// truncates them.
+func (a *kernelArrays[T]) appendTerms(cr Carrier[T], polys []*Polynomial) (Var, error) {
+	nTerms, nFactors, maxTerms := 0, 0, 0
+	for _, p := range polys {
+		for k := range p.terms {
+			// A pair is two varints of a byte or more: a bound on the
+			// factor count that reads no key byte.
+			nFactors += len(k) / 2
+		}
+		nTerms += p.Size()
+		maxTerms = max(maxTerms, p.Size())
+	}
+	a.polyOff = slices.Grow(a.polyOff, len(polys))
+	a.coeffs = slices.Grow(a.coeffs, nTerms)
+	a.factOff = slices.Grow(a.factOff, nTerms)
+	a.vars = slices.Grow(a.vars, nFactors)
+	a.pows = slices.Grow(a.pows, nFactors)
+	var maxVar Var
+	keys := make([]MonomialKey, 0, maxTerms)
+	for _, p := range polys {
+		keys = keys[:0]
+		for k := range p.terms {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			ct, err := cr.FromCoeff(p.terms[k])
+			if err != nil {
+				return 0, err
+			}
+			a.coeffs = append(a.coeffs, ct)
+			for i := 0; i < len(k); {
+				v, n := k.uvarint(i)
+				pw, m := k.uvarint(n)
+				i = m
+				x := Var(int64(v>>1) ^ -int64(v&1))
+				a.vars = append(a.vars, x)
+				a.pows = append(a.pows, int32(pw))
+				if int32(pw) != 1 {
+					a.allPow1 = false
+				}
+				maxVar = max(maxVar, x)
+			}
+			a.factOff = append(a.factOff, int32(len(a.vars)))
+		}
+		a.polyOff = append(a.polyOff, int32(len(a.coeffs)))
+	}
+	return maxVar, nil
 }
 
 // Append extends the compiled form with additional polynomials in place —
@@ -154,45 +192,23 @@ func CompilePolys[T any, C Carrier[T]](cr C, polys []*Polynomial) (*Kernel[T, C]
 // Append mutates the receiver and must not run concurrently with
 // evaluation; callers (like the session Engine) serialize the two.
 func (c *Kernel[T, C]) Append(polys []*Polynomial, tags []string) bool {
-	ms := make([][]Monomial, len(polys))
-	newMax := c.maxVar
-	newCoeffs := make([]T, 0, len(polys))
-	for i, p := range polys {
-		ms[i] = p.Monomials()
-		for _, m := range ms[i] {
-			ct, err := c.carrier.FromCoeff(m.Coeff)
-			if err != nil {
-				return false // rebuild path reports the conversion error
-			}
-			newCoeffs = append(newCoeffs, ct)
-			for _, f := range m.Vars() {
-				if f.Var > newMax {
-					newMax = f.Var
-				}
-			}
+	before, firstPoly := c.kernelArrays, c.Len()
+	newMax, err := c.appendTerms(c.carrier, polys)
+	if err != nil || (c.varTermOff != nil && newMax > c.maxVar) {
+		// A rejected coefficient, or variables past the index sized to the
+		// old vocabulary: drop what was appended and let the caller rebuild.
+		c.kernelArrays = kernelArrays[T]{
+			polyOff: c.polyOff[:len(before.polyOff)],
+			coeffs:  c.coeffs[:len(before.coeffs)],
+			factOff: c.factOff[:len(before.factOff)],
+			vars:    c.vars[:len(before.vars)],
+			pows:    c.pows[:len(before.pows)],
+			allPow1: before.allPow1,
 		}
+		return false
 	}
-	if c.varTermOff != nil && newMax > c.maxVar {
-		return false // the index is sized to the old vocabulary: rebuild
-	}
-	firstPoly, firstTerm := c.Len(), len(c.coeffs)
-	nc := 0
-	for i := range polys {
-		for _, m := range ms[i] {
-			c.coeffs = append(c.coeffs, newCoeffs[nc])
-			nc++
-			for _, f := range m.Vars() {
-				c.vars = append(c.vars, f.Var)
-				c.pows = append(c.pows, f.Pow)
-				if f.Pow != 1 {
-					c.allPow1 = false
-				}
-			}
-			c.factOff = append(c.factOff, int32(len(c.vars)))
-		}
-		c.polyOff = append(c.polyOff, int32(len(c.coeffs)))
-	}
-	c.maxVar = newMax
+	firstTerm := len(before.coeffs)
+	c.maxVar = max(c.maxVar, newMax)
 	c.Tags = append(c.Tags, tags...)
 	if c.varTermOff != nil {
 		c.patchIndex(firstPoly, firstTerm)

@@ -66,36 +66,41 @@ func (p *Polynomial) Size() int {
 
 // Vars returns V(P), the set of distinct variables, as a sorted slice.
 func (p *Polynomial) Vars() []Var {
-	seen, _ := p.markVars(nil, nil)
+	seen, _, _ := p.markVars(nil, nil)
 	return varsOf(seen)
 }
 
 // Granularity returns |P|_V, the number of distinct variables.
 func (p *Polynomial) Granularity() int {
-	seen, _ := p.markVars(nil, nil)
+	seen, _, _ := p.markVars(nil, nil)
 	return countVars(seen)
 }
 
 // VarSet returns the set of distinct variables as a map.
 func (p *Polynomial) VarSet() map[Var]bool {
-	seen, _ := p.markVars(nil, nil)
+	seen, _, _ := p.markVars(nil, nil)
 	return varSetOf(seen)
 }
 
-// markVars sets seen[v] for every variable v of p, growing seen as needed.
-// Keys are decoded into buf, which it returns for reuse, so a walk over any
-// number of terms allocates only when seen or buf grows.
-func (p *Polynomial) markVars(seen []bool, buf []VarPow) ([]bool, []VarPow) {
+// markVars sets seen[v] for every variable v of p, growing seen as needed,
+// and counts the marks it newly set. Keys are decoded into buf, which it
+// returns for reuse, so a walk over any number of terms allocates only when
+// seen or buf grows.
+func (p *Polynomial) markVars(seen []bool, buf []VarPow) ([]bool, []VarPow, int) {
+	added := 0
 	for k := range p.terms {
 		buf = k.AppendVars(buf[:0])
 		for _, vp := range buf {
 			if int(vp.Var) >= len(seen) {
 				seen = append(seen, make([]bool, int(vp.Var)+1-len(seen))...)
 			}
-			seen[vp.Var] = true
+			if !seen[vp.Var] {
+				seen[vp.Var] = true
+				added++
+			}
 		}
 	}
-	return seen, buf
+	return seen, buf, added
 }
 
 // varsOf lists the marked variables in ascending order.

@@ -26,6 +26,8 @@ type Set struct {
 
 	compiledMu sync.Mutex
 	compiled   *Compiled
+	varMarks   []bool // varMarks[v] when v occurs in a polynomial; nil until VarCount builds it
+	varCount   int    // the number of marks set
 }
 
 // NewSet returns an empty set over the given vocabulary.
@@ -49,6 +51,11 @@ func (s *Set) Add(tag string, p *Polynomial) {
 	if s.compiled != nil && !s.compiled.Append([]*Polynomial{p}, []string{tag}) {
 		s.compiled = nil
 	}
+	if s.varMarks != nil {
+		var added int
+		s.varMarks, _, added = p.markVars(s.varMarks, nil)
+		s.varCount += added
+	}
 	s.compiledMu.Unlock()
 }
 
@@ -67,13 +74,36 @@ func (s *Set) Compiled() *Compiled {
 	return s.compiled
 }
 
-// InvalidateCompiled drops the cached compiled form; the next Compiled call
-// rebuilds it. Add calls this automatically — it exists for callers that
-// mutate Polys, Tags, or the polynomials themselves in place.
+// InvalidateCompiled drops the cached compiled form and the VarCount memo;
+// the next call of either rebuilds it. Add keeps both current itself — this
+// exists for callers that mutate Polys, Tags, or the polynomials themselves
+// in place.
 func (s *Set) InvalidateCompiled() {
 	s.compiledMu.Lock()
 	s.compiled = nil
+	s.varMarks, s.varCount = nil, 0
 	s.compiledMu.Unlock()
+}
+
+// VarCount returns |P|_V, the count Granularity walks every key for, from a
+// memo kept beside the compiled cache: built on first use under the same
+// lock, extended by Add, dropped by InvalidateCompiled. Decode fills it
+// while it reads a set Encode wrote. Like the compiled cache, it goes
+// stale when Polys or a polynomial is mutated in place without
+// InvalidateCompiled. Safe for concurrent use with itself.
+func (s *Set) VarCount() int {
+	s.compiledMu.Lock()
+	defer s.compiledMu.Unlock()
+	if s.varMarks == nil {
+		s.varMarks = make([]bool, 1) // never nil once built; Var 0 is never marked
+		var buf []VarPow
+		for _, p := range s.Polys {
+			var added int
+			s.varMarks, buf, added = p.markVars(s.varMarks, buf)
+			s.varCount += added
+		}
+	}
+	return s.varCount
 }
 
 // Len returns the number of polynomials.
@@ -106,7 +136,7 @@ func (s *Set) markVars() []bool {
 	}
 	var buf []VarPow
 	for _, p := range s.Polys {
-		seen, buf = p.markVars(seen, buf)
+		seen, buf, _ = p.markVars(seen, buf)
 	}
 	return seen
 }

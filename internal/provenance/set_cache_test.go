@@ -98,3 +98,31 @@ func TestCompiledConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestVarCountMemo pins the variable-count memo beside the compiled cache:
+// built on first use, extended by Add, dropped by InvalidateCompiled.
+func TestVarCountMemo(t *testing.T) {
+	vb := NewVocab()
+	s := NewSet(vb)
+	s.Add("a", MustParse(vb, "2·x·y + 3·y"))
+	if got := s.VarCount(); got != 2 {
+		t.Fatalf("VarCount = %d, want 2", got)
+	}
+	s.Add("b", MustParse(vb, "5·x + z^2"))
+	if got, want := s.VarCount(), s.Granularity(); got != 3 || got != want {
+		t.Fatalf("VarCount after an Add with a new variable = %d, want 3 (Granularity %d)", got, want)
+	}
+	s.Add("c", MustParse(vb, "x·z"))
+	if got := s.VarCount(); got != 3 {
+		t.Fatalf("VarCount after an Add of known variables = %d, want 3", got)
+	}
+	// An in-place mutation is invisible until InvalidateCompiled.
+	s.Polys[0].AddTerm(1, vb.Var("w"))
+	s.InvalidateCompiled()
+	if got := s.VarCount(); got != 4 {
+		t.Fatalf("VarCount after InvalidateCompiled = %d, want 4", got)
+	}
+	if got := NewSet(nil).VarCount(); got != 0 {
+		t.Fatalf("VarCount of an empty set = %d, want 0", got)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,12 +37,12 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request, sess *regi
 // handleCreateFromSnapshot is the import half of export: decode, validate
 // (checksums, kernel consistency), restore without recompiling, register.
 func (s *Server) handleCreateFromSnapshot(w http.ResponseWriter, r *http.Request, req *createRequest) {
-	if req.Path != "" || req.ProvenanceB64 != "" || len(req.Trees) > 0 {
+	if req.Path != "" || len(req.provB64) > 0 || len(req.Trees) > 0 {
 		s.writeError(w, r, http.StatusBadRequest,
 			fmt.Errorf("create: snapshot_b64 is a complete session; path, provenance_b64 and trees must be empty"))
 		return
 	}
-	raw, err := base64.StdEncoding.DecodeString(req.SnapshotB64)
+	raw, err := unbase64(req.snapB64)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("create: bad snapshot_b64: %w", err))
 		return

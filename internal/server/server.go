@@ -75,6 +75,7 @@ import (
 	"provabs/internal/hypo"
 	"provabs/internal/provenance"
 	"provabs/internal/registry"
+	"provabs/internal/reqbody"
 	"provabs/internal/scenql"
 	"provabs/internal/semiring"
 	"provabs/internal/session"
@@ -302,7 +303,12 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 // 400), anything else malformed 400. Returns false once the error response
 // has been written.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any, what string) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	return s.decoded(w, r, json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v), what)
+}
+
+// decoded answers a request body's decode error, if any, as decodeJSON
+// does, and reports whether there was none.
+func (s *Server) decoded(w http.ResponseWriter, r *http.Request, err error, what string) bool {
 	if err == nil {
 		return true
 	}
@@ -335,12 +341,56 @@ type createRequest struct {
 	// other provenance source: the snapshot carries the set, the trees,
 	// and any compression state of the exporting session.
 	SnapshotB64 string `json:"snapshot_b64,omitempty"`
+
+	// provB64 and snapB64 hold the two base64 sources whichever way the
+	// body was decoded: views into the body when decodeCreate lifted them
+	// out, copies of the fields above when encoding/json decoded them.
+	provB64, snapB64 []byte
 }
+
+// decodeCreate decodes a create body that reading ended with rerr (nil on
+// a complete read). The base64 members are lifted out of the body, so
+// encoding/json decodes only the small remainder; a body the lift does not
+// take is decoded whole. Either way the request, or the error, is what a
+// json.Decoder reading the body would give: after a read error the bytes
+// read are decoded with that error behind them.
+func decodeCreate(body []byte, rerr error) (*createRequest, error) {
+	var rd io.Reader = bytes.NewReader(body)
+	var vals [][]byte // the lifted members; nil when the body is decoded whole
+	if rerr != nil {
+		rd = io.MultiReader(rd, errReader{rerr})
+	} else if rest, v, ok := reqbody.Lift(body, "provenance_b64", "snapshot_b64"); ok {
+		rd, vals = bytes.NewReader(rest), v
+	}
+	req := new(createRequest)
+	if err := json.NewDecoder(rd).Decode(req); err != nil {
+		return nil, err
+	}
+	if vals != nil {
+		req.provB64, req.snapB64 = vals[0], vals[1]
+	} else {
+		req.provB64, req.snapB64 = []byte(req.ProvenanceB64), []byte(req.SnapshotB64)
+	}
+	return req, nil
+}
+
+// unbase64 decodes standard base64 straight from the body's bytes, with
+// base64.StdEncoding.DecodeString's errors.
+func unbase64(src []byte) ([]byte, error) {
+	dst := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
+	n, err := base64.StdEncoding.Decode(dst, src)
+	return dst[:n], err
+}
+
+// errReader returns err from every Read.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // loadSet materializes the request's provenance source.
 func (s *Server) loadSet(req *createRequest) (*provenance.Set, error) {
 	switch {
-	case req.Path != "" && req.ProvenanceB64 != "":
+	case req.Path != "" && len(req.provB64) > 0:
 		return nil, fmt.Errorf("create: path and provenance_b64 are mutually exclusive")
 	case req.Path != "":
 		if s.sessionDir == "" {
@@ -355,12 +405,12 @@ func (s *Server) loadSet(req *createRequest) (*provenance.Set, error) {
 		}
 		defer f.Close()
 		return provenance.Decode(f)
-	case req.ProvenanceB64 != "":
-		raw, err := base64.StdEncoding.DecodeString(req.ProvenanceB64)
+	case len(req.provB64) > 0:
+		raw, err := unbase64(req.provB64)
 		if err != nil {
 			return nil, fmt.Errorf("create: bad provenance_b64: %w", err)
 		}
-		return provenance.Decode(bytes.NewReader(raw))
+		return provenance.DecodeBytes(raw)
 	}
 	return nil, fmt.Errorf("create: provide path or provenance_b64")
 }
@@ -392,16 +442,18 @@ func infoOf(sess *registry.Session) sessionInfo {
 	return sessionInfo{Name: sess.Name(), Created: sess.Created(), Stats: sess.Engine().Stats()}
 }
 
+// handleCreate reads the body once, with reqbody.Read, and decodes it with
+// decodeCreate.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req createRequest
-	if !s.decodeJSON(w, r, s.maxCreate, &req, "create request") {
+	req, err := decodeCreate(reqbody.Read(w, r, s.maxCreate))
+	if !s.decoded(w, r, err, "create request") {
 		return
 	}
-	if req.SnapshotB64 != "" {
-		s.handleCreateFromSnapshot(w, r, &req)
+	if len(req.snapB64) > 0 {
+		s.handleCreateFromSnapshot(w, r, req)
 		return
 	}
-	set, err := s.loadSet(&req)
+	set, err := s.loadSet(req)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
@@ -691,7 +743,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request, sess *re
 		"variable_loss": comp.VL,
 		"adequate":      comp.Adequate,
 		"monomials":     comp.Abstracted.Size(),
-		"variables":     comp.Abstracted.Granularity(),
+		"variables":     comp.Abstracted.VarCount(), // built once: Stats reads the same memo
 		"elapsed_ms":    comp.Elapsed.Milliseconds(),
 	}
 	if comp.VVS != nil {

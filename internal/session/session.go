@@ -343,14 +343,16 @@ func (s *Stats) Accumulate(o Stats) {
 
 // Stats reports the session's current shape and counters. Compiles counts
 // actual compilations observed — a healthy steady state holds it constant
-// across evaluations.
+// across evaluations. Variables comes from the active set's memoized count
+// (provenance.Set.VarCount), which Add extends and Compress replaces with
+// the abstracted set's, so Stats walks no keys once it is built.
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	st := Stats{
 		Polynomials:     e.active.Len(),
 		Monomials:       e.active.Size(),
-		Variables:       e.active.Granularity(),
+		Variables:       e.active.VarCount(),
 		SourceMonomials: e.set.Size(),
 		Compressed:      e.comp != nil,
 		Scenarios:       e.scenarios.Load(),

@@ -874,3 +874,43 @@ func TestStreamInChainsAcrossMicroBatches(t *testing.T) {
 			st.Scenarios, st.ChainedEvals)
 	}
 }
+
+// TestStatsVariablesConcurrent races Stats on a fresh session, whose
+// variable count is built lazily under the set's lock (run it with -race
+// -count=10), and checks the count follows an Add that brings a new
+// variable and a Compress that replaces the active set.
+func TestStatsVariablesConcurrent(t *testing.T) {
+	set, forest := fixture(t)
+	want := set.Granularity()
+	e, err := Open(set, forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := e.Stats().Variables; got != want {
+				t.Errorf("Stats().Variables = %d, want %d", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+
+	e.Add("zip 10003", provenance.MustParse(set.Vocab, "9·p1·m1 + 4·newvar"))
+	if got := e.Stats().Variables; got != want+1 {
+		t.Fatalf("Stats().Variables after an Add with a new variable = %d, want %d", got, want+1)
+	}
+	comp, err := e.Compress(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.Stats().Variables, comp.Abstracted.Granularity(); got != want {
+		t.Fatalf("Stats().Variables after Compress = %d, want the abstracted set's %d", got, want)
+	}
+	e.Add("zip 10004", provenance.MustParse(set.Vocab, "2·m1 + 3·other"))
+	if got, want := e.Stats().Variables, e.Active().Granularity(); got != want {
+		t.Fatalf("Stats().Variables after a post-Compress Add = %d, want %d", got, want)
+	}
+}

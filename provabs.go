@@ -398,7 +398,10 @@ func NewScenario() *Scenario { return hypo.NewScenario() }
 // Encode writes a provenance set in the compact binary format.
 func Encode(w io.Writer, s *Set) error { return provenance.Encode(w, s) }
 
-// Decode reads a provenance set written by Encode.
+// Decode reads a provenance set written by Encode. It reads r to its end
+// before parsing: on a pipe or socket it returns only once the writer
+// closes it, and whatever follows the set is consumed and ignored. A
+// stream that carries more after the set must be framed by its caller.
 func Decode(r io.Reader) (*Set, error) { return provenance.Decode(r) }
 
 // EncodedSize returns the byte size Encode would produce — the
