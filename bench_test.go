@@ -14,6 +14,7 @@ import (
 	"provabs/internal/abstree"
 	"provabs/internal/bench"
 	"provabs/internal/core"
+	"provabs/internal/durable"
 	"provabs/internal/hypo"
 	"provabs/internal/provenance"
 	"provabs/internal/sampling"
@@ -399,7 +400,10 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkOpen times session.Open on telco-m with perfbench's forest; Open
-// does nothing but check the forest's compatibility with the set.
+// does nothing but check the forest's compatibility with the set. The set
+// is built in code, so the check compiles it in the first iteration, once;
+// every later iteration walks that kernel, as Open does on a decoded set
+// (BenchmarkSetup's open step).
 func BenchmarkOpen(b *testing.B) {
 	s, forest, _ := telcoM(b)
 	b.ReportAllocs()
@@ -408,6 +412,127 @@ func BenchmarkOpen(b *testing.B) {
 		if _, err := session.Open(s, forest); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSetup is the in-process mirror of perfbench's set-up. Starting
+// from telco-m and telco-s as Encode writes them (the bytes a create
+// body's provenance_b64 carries), it times each step of a session's
+// set-up as its own sub-benchmark, on the state the step before leaves:
+// DecodeBytes; session.Open with perfbench's forest (the plans tree 2×64
+// and the quarter tree); greedy Compress at B = |P|/2; the abstracted
+// set's variable count, which the compress response reports; and the
+// first WhatIf, which evaluates the abstracted set. A last step times the
+// way back: DecodeSnapshot and session.Restore of the compressed session's
+// snapshot, the path of durable recovery and of an import. The steps
+// after open rebuild that state with the timer stopped, so give them a
+// fixed count: go test -run '^$' -bench BenchmarkSetup -benchtime 10x.
+func BenchmarkSetup(b *testing.B) {
+	medium, forest, _ := telcoM(b)
+	small, err := telco.SyntheticProvenance(telco.Config{Customers: 2000, Zips: 200, Plans: 128, Months: 12, Seed: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, size := range []struct {
+		name string
+		src  *provenance.Set
+	}{{"telco-m", medium}, {"telco-s", small}} {
+		src := size.src
+		var buf bytes.Buffer
+		if err := provenance.Encode(&buf, src); err != nil {
+			b.Fatal(err)
+		}
+		enc, bound := buf.Bytes(), src.Size()/2
+		open := func(b *testing.B) *session.Engine {
+			set, err := provenance.DecodeBytes(enc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := session.Open(set, forest)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return e
+		}
+		compress := func(b *testing.B, e *session.Engine) *core.Compression {
+			comp, err := e.Compress(bound, session.WithStrategy(session.StrategyGreedy))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return comp
+		}
+		b.Run(size.name+"/decode", func(b *testing.B) {
+			b.SetBytes(int64(len(enc)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := provenance.DecodeBytes(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(size.name+"/open", func(b *testing.B) {
+			set, err := provenance.DecodeBytes(enc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := session.Open(set, forest); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(size.name+"/compress", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := open(b)
+				b.StartTimer()
+				compress(b, e)
+			}
+		})
+		b.Run(size.name+"/varcount", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				comp := compress(b, open(b))
+				b.StartTimer()
+				comp.Abstracted.VarCount()
+			}
+		})
+		b.Run(size.name+"/whatif", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := open(b)
+				compress(b, e)
+				b.StartTimer()
+				if _, err := e.WhatIf(hypo.NewScenario()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(size.name+"/restore", func(b *testing.B) {
+			e := open(b)
+			compress(b, e)
+			var snap bytes.Buffer
+			if err := e.WithState(func(st *session.SnapshotState) error {
+				return durable.EncodeSnapshot(&snap, st, 1)
+			}); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(snap.Len()))
+			b.ReportAllocs()
+			for b.Loop() {
+				st, _, err := durable.DecodeSnapshot(bytes.NewReader(snap.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := session.Restore(st); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -64,11 +64,15 @@ func (f *Forest) TreeOfLabel(label string) (*Tree, int, bool) {
 // occurs as a polynomial variable, and every monomial contains at most one
 // node of each tree.
 //
-// It checks every tree in one walk over the set's keys, looking each
-// variable's tree up in an array, and builds no Monomial per term. Of
-// several violations it reports the one a tree-by-tree scan would meet
-// first: trees in order, a tree's internal labels before its monomials, and
-// monomials by polynomial, then key.
+// It checks every tree in one walk over the set's compiled term arrays
+// (s.Compiled: a decoded set arrives compiled, and a set built in code
+// compiles here once, for its evaluation and compression to reuse),
+// looking each variable's tree up in an array. Of several violations it
+// reports the one a tree-by-tree scan would meet first: trees in order, a
+// tree's internal labels before its monomials, and monomials by
+// polynomial, then key — the kernel's own order, so each tree's first
+// violation is the first one the walk meets. A polynomial mutated in place
+// is seen only after s.InvalidateCompiled.
 func (f *Forest) CompatibleWith(s *provenance.Set) error {
 	nv := s.Vocab.Len() + 1
 	treeOf := make([]int32, nv) // treeOf[v]: the tree v is a leaf of, or -1
@@ -88,42 +92,43 @@ func (f *Forest) CompatibleWith(s *provenance.Set) error {
 		}
 		return treeOf[v]
 	}
+	k := s.Compiled().TermArrays()
 	inP := make([]bool, nv)
 	type violation struct {
 		found bool
 		poly  int
-		key   provenance.MonomialKey
-		coeff float64
+		term  int32
 		nodes int
 	}
 	first := make([]violation, len(f.Trees))
-	var buf []provenance.VarPow
-	for pi, p := range s.Polys {
-		for k, c := range p.Terms() {
-			buf = k.AppendVars(buf[:0])
-		vars:
-			for i, vp := range buf {
-				ti := tree(vp.Var)
-				if vp.Var > 0 && int(vp.Var) < nv {
-					inP[vp.Var] = true
+	pi := 0
+	for t := range int32(len(k.Coeffs)) {
+		for t >= k.PolyOff[pi+1] {
+			pi++
+		}
+		vars := k.Vars[k.FactOff[t]:k.FactOff[t+1]]
+	vars:
+		for i, v := range vars {
+			ti := tree(v)
+			if v > 0 && int(v) < nv {
+				inP[v] = true
+			}
+			if ti < 0 || first[ti].found {
+				continue
+			}
+			for _, w := range vars[:i] {
+				if tree(w) == ti {
+					continue vars // counted at the tree's first node
 				}
-				if ti < 0 {
-					continue
+			}
+			nodes := 1
+			for _, w := range vars[i+1:] {
+				if tree(w) == ti {
+					nodes++
 				}
-				for _, w := range buf[:i] {
-					if tree(w.Var) == ti {
-						continue vars // counted at the tree's first node
-					}
-				}
-				nodes := 1
-				for _, w := range buf[i+1:] {
-					if tree(w.Var) == ti {
-						nodes++
-					}
-				}
-				if v := &first[ti]; nodes > 1 && (!v.found || pi == v.poly && k < v.key) {
-					*v = violation{found: true, poly: pi, key: k, coeff: c, nodes: nodes}
-				}
+			}
+			if nodes > 1 {
+				first[ti] = violation{found: true, poly: pi, term: t, nodes: nodes}
 			}
 		}
 	}
@@ -137,7 +142,12 @@ func (f *Forest) CompatibleWith(s *provenance.Set) error {
 			}
 		}
 		if v := first[ti]; v.found {
-			m := provenance.NewMonomialPows(v.coeff, v.key.AppendVars(nil)...)
+			lo, hi := k.FactOff[v.term], k.FactOff[v.term+1]
+			pairs := make([]provenance.VarPow, 0, hi-lo)
+			for j := lo; j < hi; j++ {
+				pairs = append(pairs, provenance.VarPow{Var: k.Vars[j], Pow: k.Pows[j]})
+			}
+			m := provenance.NewMonomialPows(k.Coeffs[v.term], pairs...)
 			return fmt.Errorf("abstree: monomial %s of polynomial %d contains %d nodes of tree %d; compatibility requires at most one", m.String(s.Vocab), v.poly, v.nodes, ti)
 		}
 	}
@@ -151,11 +161,12 @@ func (f *Forest) CompatibleWith(s *provenance.Set) error {
 // to that child (choosing such a node is equivalent to choosing its child,
 // so keeping both only adds no-op abstraction steps — Example 15's cleaned
 // forest exhibits this contraction). Trees whose root becomes empty are
-// removed entirely.
+// removed entirely. Which variables occur comes from the set's VarCount
+// memo (provenance.Set.Occurs), not from a walk of its keys.
 func (f *Forest) Clean(s *provenance.Set) *Forest {
-	active := make(map[string]bool)
-	for v := range s.VarSet() {
-		active[s.Vocab.Name(v)] = true
+	active := func(label string) bool {
+		v, ok := s.Vocab.Lookup(label)
+		return ok && s.Occurs(v)
 	}
 	var trees []*Tree
 	for _, t := range f.Trees {
@@ -173,9 +184,9 @@ func (f *Forest) Clean(s *provenance.Set) *Forest {
 	return &Forest{Trees: trees}
 }
 
-func cleanSpec(t *Tree, n int, active map[string]bool) (Spec, bool) {
+func cleanSpec(t *Tree, n int, active func(string) bool) (Spec, bool) {
 	if t.IsLeaf(n) {
-		if active[t.Label(n)] {
+		if active(t.Label(n)) {
 			return Spec{Label: t.Label(n)}, true
 		}
 		return Spec{}, false

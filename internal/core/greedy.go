@@ -294,7 +294,7 @@ func newGroups(t *table) *groups {
 			varStart: t.varStart,
 			vars:     slices.Clone(t.vars),
 			hash:     slices.Clone(t.hash),
-			gone:     make([]bool, len(t.keys)),
+			gone:     make([]bool, t.len()),
 		},
 		coeff: slices.Clone(t.coeffs),
 	}

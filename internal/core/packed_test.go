@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +104,9 @@ func checkCompressParity(t *testing.T, name string, s *provenance.Set, f *abstre
 	abstracted := func(what string, comp *Compression, res *Result, want *Result) {
 		t.Helper()
 		same(what+" compressor", &Result{VVS: comp.VVS, ML: comp.ML, VL: comp.VL, Adequate: comp.Adequate}, res)
+		if diff := kernelDiff(comp.Abstracted); diff != "" {
+			t.Fatalf("%s B=%d %s: %s", name, B, what, diff)
+		}
 		if diff := bitDiff(comp.Abstracted, s.Substitute(comp.VVS.Subst(s.Vocab))); diff != "" {
 			t.Fatalf("%s B=%d %s: Abstracted differs from Substitute: %s", name, B, what, diff)
 		}
@@ -169,11 +175,60 @@ func bitDiff(a, b *provenance.Set) string {
 	return ""
 }
 
+// kernelDiff checks the abstracted set a compressor returns arrives with
+// its kernel built: the first Compiled does not compile, the kernel's
+// arrays equal a fresh compile of the set's maps (coefficients by
+// Float64bits), and VarCount equals Granularity. It describes the first
+// failure, or returns "". (TestAbstractedVarCountSeeded checks the first
+// VarCount allocates nothing.)
+func kernelDiff(abs *provenance.Set) string {
+	var seeded *provenance.Compiled
+	if n := mallocs(func() { seeded = abs.Compiled() }); n != 0 && !raceEnabled {
+		return fmt.Sprintf("the first Compiled allocated %d times: no kernel was seeded", n)
+	}
+	if vars, g := abs.VarCount(), abs.Granularity(); vars != g {
+		return fmt.Sprintf("VarCount %d, Granularity %d", vars, g)
+	}
+	fresh, err := provenance.CompileSet(provenance.Float{}, abs)
+	if err != nil {
+		return err.Error()
+	}
+	got, want := provenance.DumpCompiled(seeded), provenance.DumpCompiled(fresh)
+	switch {
+	case seeded.Vocab != abs.Vocab || strings.Join(seeded.Tags, "\x00") != strings.Join(abs.Tags, "\x00"):
+		return "the kernel's vocabulary or tags are not the set's"
+	case !slices.Equal(got.PolyOff, want.PolyOff) || !slices.Equal(got.FactOff, want.FactOff):
+		return fmt.Sprintf("kernel offsets %v %v, a fresh compile's %v %v", got.PolyOff, got.FactOff, want.PolyOff, want.FactOff)
+	case !slices.Equal(got.Vars, want.Vars) || !slices.Equal(got.Pows, want.Pows):
+		return fmt.Sprintf("kernel factors %v^%v, a fresh compile's %v^%v", got.Vars, got.Pows, want.Vars, want.Pows)
+	case seeded.MaxVar() != fresh.MaxVar():
+		return fmt.Sprintf("kernel MaxVar %d, a fresh compile's %d", seeded.MaxVar(), fresh.MaxVar())
+	}
+	for i := range want.Coeffs {
+		if math.Float64bits(got.Coeffs[i]) != math.Float64bits(want.Coeffs[i]) {
+			return fmt.Sprintf("kernel coefficient %d is %x, a fresh compile's %x", i, math.Float64bits(got.Coeffs[i]), math.Float64bits(want.Coeffs[i]))
+		}
+	}
+	return ""
+}
+
+// mallocs reports the heap allocations fn made. Like testing.AllocsPerRun
+// it runs on one P, so no other goroutine allocates meanwhile.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestPackedCompressMatchesOracle: on 500 random instances, greedy (both
 // tie-breaks) and optimal (on the first tree) pick the VVS, ML, VL and
 // adequacy the string-keyed oracles pick, at B = 1, a random bound and
 // B = |P|, and the compressors' abstracted sets are Float64bits-identical
-// to Substitute's.
+// to Substitute's and arrive compiled, their kernels identical to a fresh
+// compile's.
 func TestPackedCompressMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -201,7 +256,8 @@ func FuzzCompressParity(f *testing.F) {
 
 // TestPackedCompressTelcoM checks greedy parity at perfbench's largest
 // set-up: telco-m, the Table 2 type 1 plans tree 2×64 plus the quarter
-// tree, B = |P|/2.
+// tree, B = |P|/2, on the set built in code and on the set as the server
+// receives it (Encode, then DecodeBytes, which seeds its kernel).
 func TestPackedCompressTelcoM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds telco-m (230k monomials) twice")
@@ -217,25 +273,74 @@ func TestPackedCompressTelcoM(t *testing.T) {
 		}
 		return s, abstree.MustForest(plans, telco.QuarterTree())
 	}
-	s, f := build()
 	so, fo := build()
-	B := s.Size() / 2
-	comp, err := GreedyCompressor().Compress(s, f, B)
-	if err != nil {
-		t.Fatal(err)
-	}
+	B := so.Size() / 2
 	want, err := oracleGreedy(so, fo, B, GreedyOptions{TieBreakML: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := &Result{VVS: comp.VVS, ML: comp.ML, VL: comp.VL, Adequate: comp.Adequate}
-	if g, w := strings.Join(got.VVS.Labels(), ","), strings.Join(want.VVS.Labels(), ","); g != w ||
-		got.ML != want.ML || got.VL != want.VL || got.Adequate != want.Adequate {
-		t.Fatalf("packed {%s} ML=%d VL=%d adequate=%v, oracle {%s} ML=%d VL=%d adequate=%v",
-			g, got.ML, got.VL, got.Adequate, w, want.ML, want.VL, want.Adequate)
+	oracle := so.Substitute(want.VVS.Subst(so.Vocab))
+	s, f := build()
+	var buf bytes.Buffer
+	if err := provenance.Encode(&buf, s); err != nil {
+		t.Fatal(err)
 	}
-	if diff := bitDiff(comp.Abstracted, so.Substitute(want.VVS.Subst(so.Vocab))); diff != "" {
-		t.Fatalf("Abstracted differs from the oracle's: %s", diff)
+	decoded, err := provenance.DecodeBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		s    *provenance.Set
+	}{{"built", s}, {"decoded", decoded}} {
+		comp, err := GreedyCompressor().Compress(in.s, f, B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := &Result{VVS: comp.VVS, ML: comp.ML, VL: comp.VL, Adequate: comp.Adequate}
+		if g, w := strings.Join(got.VVS.Labels(), ","), strings.Join(want.VVS.Labels(), ","); g != w ||
+			got.ML != want.ML || got.VL != want.VL || got.Adequate != want.Adequate {
+			t.Fatalf("%s: packed {%s} ML=%d VL=%d adequate=%v, oracle {%s} ML=%d VL=%d adequate=%v",
+				in.name, g, got.ML, got.VL, got.Adequate, w, want.ML, want.VL, want.Adequate)
+		}
+		if diff := bitDiff(comp.Abstracted, oracle); diff != "" {
+			t.Fatalf("%s: Abstracted differs from the oracle's: %s", in.name, diff)
+		}
+		if diff := kernelDiff(comp.Abstracted); diff != "" {
+			t.Fatalf("%s: %s", in.name, diff)
+		}
+	}
+}
+
+// TestAbstractedVarCountSeeded: the variable count a compress response
+// reports comes from the memo the abstraction seeds, so on a fresh
+// Compression.Abstracted VarCount equals Granularity and allocates
+// nothing. AllocsPerRun's warm-up call and each run read a compression of
+// their own, so every call is a set's first.
+func TestAbstractedVarCountSeeded(t *testing.T) {
+	const runs = 5
+	s, plans, _ := example13(t)
+	for _, c := range []Compressor{GreedyCompressor(), OptimalCompressor()} {
+		fresh := make([]*provenance.Set, 0, runs+1)
+		for range runs + 1 {
+			comp, err := c.Compress(s, abstree.MustForest(plans), 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh = append(fresh, comp.Abstracted)
+		}
+		counts := make([]int, 0, runs+1)
+		allocs := testing.AllocsPerRun(runs, func() {
+			counts = append(counts, fresh[len(counts)].VarCount())
+		})
+		if allocs != 0 && !raceEnabled {
+			t.Errorf("%s: the first VarCount of a fresh abstracted set allocated %v times", c.Name(), allocs)
+		}
+		for i, got := range counts {
+			if want := fresh[i].Granularity(); got != want {
+				t.Errorf("%s: VarCount %d, Granularity %d", c.Name(), got, want)
+			}
+		}
 	}
 }
 

@@ -1,25 +1,27 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"slices"
-	"strings"
 
 	"provabs/internal/provenance"
 )
 
 // table is the packed monomial table the selection algorithms run on: the
-// set's monomials in flat arrays, grouped by polynomial and, within a
-// polynomial, in key order — the order Set.Substitute sums merged
-// coefficients in. An occurrence index maps each indexed variable to the
-// monomials holding it. A table is built per call and dropped when the call
-// returns.
+// set's compiled kernel (provenance.Set.Compiled), read in place — its
+// monomials grouped by polynomial and, within a polynomial, in key order,
+// the order Set.Substitute sums merged coefficients in — with each
+// monomial's pairs and hash beside it. An occurrence index maps each
+// indexed variable to the monomials holding it. A table is built per call
+// and dropped when the call returns.
 type table struct {
 	set       *provenance.Set
-	polyStart []int32 // polynomial i holds monomials polyStart[i] .. polyStart[i+1]-1
-	poly      []int32 // poly[m]: the polynomial monomial m belongs to
-	keys      []provenance.MonomialKey
-	coeffs    []float64
-	varStart  []int32             // monomial m's pairs are vars[varStart[m]:varStart[m+1]]
+	polyStart []int32             // polynomial i holds monomials polyStart[i] .. polyStart[i+1]-1 (the kernel's)
+	poly      []int32             // poly[m]: the polynomial monomial m belongs to
+	coeffs    []float64           // the kernel's; read only
+	varStart  []int32             // monomial m's pairs are vars[varStart[m]:varStart[m+1]] (the kernel's)
 	vars      []provenance.VarPow // ascending Var within each monomial
 	hash      []uint64            // monomialHash of each monomial
 	slot      []int32             // slot[v]: v's row in the occurrence index, -1 if unindexed
@@ -33,43 +35,30 @@ type occurrence struct {
 	pow int32 // the variable's exponent in it
 }
 
-// newTable packs s and indexes the occurrences of the given variables.
+// newTable reads s's compiled kernel, with no map walk, sort or key
+// decoding, and indexes the occurrences of the given variables.
 func newTable(s *provenance.Set, indexed []provenance.Var) *table {
-	n := s.Size()
+	k := s.Compiled().TermArrays()
+	n := len(k.Coeffs)
 	t := &table{
 		set:       s,
-		polyStart: make([]int32, 0, len(s.Polys)+1),
-		poly:      make([]int32, 0, n),
-		keys:      make([]provenance.MonomialKey, 0, n),
-		coeffs:    make([]float64, 0, n),
-		varStart:  make([]int32, 1, n+1),
-		vars:      make([]provenance.VarPow, 0, 2*n),
-		hash:      make([]uint64, 0, n),
+		polyStart: k.PolyOff,
+		poly:      make([]int32, n),
+		coeffs:    k.Coeffs,
+		varStart:  k.FactOff,
+		vars:      make([]provenance.VarPow, len(k.Vars)),
+		hash:      make([]uint64, n),
 		slot:      make([]int32, s.Vocab.Len()+1),
 	}
-	type term struct {
-		key   provenance.MonomialKey
-		coeff float64
+	for f, v := range k.Vars {
+		t.vars[f] = provenance.VarPow{Var: v, Pow: k.Pows[f]}
 	}
-	var terms []term
-	for pi, p := range s.Polys {
-		t.polyStart = append(t.polyStart, int32(len(t.keys)))
-		terms = terms[:0]
-		for k, c := range p.Terms() {
-			terms = append(terms, term{k, c})
-		}
-		slices.SortFunc(terms, func(a, b term) int { return strings.Compare(string(a.key), string(b.key)) })
-		for _, tm := range terms {
-			from := len(t.vars)
-			t.vars = tm.key.AppendVars(t.vars)
-			t.poly = append(t.poly, int32(pi))
-			t.keys = append(t.keys, tm.key)
-			t.coeffs = append(t.coeffs, tm.coeff)
-			t.varStart = append(t.varStart, int32(len(t.vars)))
-			t.hash = append(t.hash, monomialHash(int32(pi), t.vars[from:]))
+	for pi := range len(k.PolyOff) - 1 {
+		for m := k.PolyOff[pi]; m < k.PolyOff[pi+1]; m++ {
+			t.poly[m] = int32(pi)
+			t.hash[m] = monomialHash(int32(pi), t.pairs(m))
 		}
 	}
-	t.polyStart = append(t.polyStart, int32(len(t.keys)))
 
 	for i := range t.slot {
 		t.slot[i] = -1
@@ -92,17 +81,20 @@ func newTable(s *provenance.Set, indexed []provenance.Var) *table {
 	}
 	t.occ = make([]occurrence, t.occStart[rows])
 	fill := append([]int32(nil), t.occStart[:rows]...)
-	for m := range t.keys {
-		for _, vp := range t.pairs(int32(m)) {
+	for m := range int32(n) {
+		for _, vp := range t.pairs(m) {
 			if t.has(vp.Var) && t.slot[vp.Var] >= 0 {
 				r := t.slot[vp.Var]
-				t.occ[fill[r]] = occurrence{m: int32(m), pow: vp.Pow}
+				t.occ[fill[r]] = occurrence{m: m, pow: vp.Pow}
 				fill[r]++
 			}
 		}
 	}
 	return t
 }
+
+// len returns the number of monomials.
+func (t *table) len() int { return len(t.coeffs) }
 
 // has reports whether v lies in the vocabulary the table was built over.
 func (t *table) has(v provenance.Var) bool { return v > 0 && int(v) < len(t.slot) }
@@ -136,11 +128,16 @@ func (t *table) groupML(rs *residueSet, vars []provenance.Var) int {
 	return t.source().groupML(rs, vars, occs)
 }
 
-// abstract returns P↓S for the substitution. It is term for term the set
-// Set.Substitute returns: the same keys, and merged coefficients summed in
-// the same sorted source-key order, so the same bits. The keys of
-// substituted monomials are encoded into one buffer and sliced out of one
-// string, so the build allocates per polynomial, not per monomial.
+// abstract returns P↓S for the substitution, compiled. It is term for term
+// the set Set.Substitute returns: the same keys, and merged coefficients
+// summed in the same ascending source-key order, so the same bits. Each
+// polynomial's substituted monomials are sorted by their new keys (source
+// order breaking ties) and fed to one provenance.SetBuilder, so the set
+// arrives with the kernel its first evaluation reads and the VarCount memo
+// its variable count reads (unless a source coefficient is NaN, which the
+// builder merges the slow way). Every key is encoded into one buffer, and
+// the builder gives each polynomial's keys one string, so the build
+// allocates per polynomial, not per monomial.
 func (t *table) abstract(subst map[provenance.Var]provenance.Var) *provenance.Set {
 	to := make([]provenance.Var, len(t.slot)) // to[v]: v's image, 0 if v stays
 	for v, w := range subst {
@@ -148,14 +145,9 @@ func (t *table) abstract(subst map[provenance.Var]provenance.Var) *provenance.Se
 			to[v] = w
 		}
 	}
-	var arena []byte
-	end := make([]int32, len(t.keys)) // end of m's new key in arena; -1 keeps the source key
-	var buf []provenance.VarPow
-	for m := range t.keys {
-		end[m] = -1
-		buf = buf[:0]
+	image := func(buf []provenance.VarPow, m int32) []provenance.VarPow {
 		changed := false
-		for _, p := range t.pairs(int32(m)) {
+		for _, p := range t.pairs(m) {
 			if t.has(p.Var) && to[p.Var] != 0 {
 				p.Var = to[p.Var]
 				changed = true
@@ -163,28 +155,75 @@ func (t *table) abstract(subst map[provenance.Var]provenance.Var) *provenance.Se
 			buf = append(buf, p)
 		}
 		if changed {
-			arena = provenance.AppendKey(arena, canonical(buf))
-			end[m] = int32(len(arena))
+			return canonical(buf)
 		}
+		return buf
 	}
-	str := string(arena)
-	polys := make([]*provenance.Polynomial, len(t.set.Polys))
-	var keys []provenance.MonomialKey
-	from := int32(0)
-	for pi := range polys {
-		lo, hi := t.polyStart[pi], t.polyStart[pi+1]
-		keys = keys[:0]
-		for m := lo; m < hi; m++ {
-			if end[m] < 0 {
-				keys = append(keys, t.keys[m])
-				continue
+
+	// Every monomial's new key, and each polynomial's monomials sorted by
+	// it, source order breaking ties. A key's first eight bytes, as a
+	// zero-padded big-endian number, order any two keys they tell apart as
+	// bytes.Compare does, and the sort reads them without touching arena.
+	n := t.len()
+	arena := make([]byte, 0, 3*len(t.vars))
+	off := make([]int32, n+1) // monomial m's new key is arena[off[m]:off[m+1]]
+	ents := make([]keyed, n)
+	var buf []provenance.VarPow
+	for m := range int32(n) {
+		buf = image(buf[:0], m)
+		arena = provenance.AppendKey(arena, buf)
+		off[m+1] = int32(len(arena))
+		var pre [8]byte
+		copy(pre[:], arena[off[m]:off[m+1]])
+		ents[m] = keyed{pre: binary.BigEndian.Uint64(pre[:]), m: m}
+	}
+	key := func(m int32) []byte { return arena[off[m]:off[m+1]] }
+	same := func(a, b keyed) bool { return a.pre == b.pre && bytes.Equal(key(a.m), key(b.m)) }
+
+	// Count each polynomial's distinct new keys and their pairs, which
+	// size the builder.
+	npolys := len(t.polyStart) - 1
+	distinct := make([]int32, npolys)
+	terms, pairs := 0, 0
+	for pi := range npolys {
+		e := ents[t.polyStart[pi]:t.polyStart[pi+1]]
+		slices.SortFunc(e, func(a, b keyed) int {
+			if a.pre != b.pre {
+				return cmp.Compare(a.pre, b.pre)
 			}
-			keys = append(keys, provenance.MonomialKey(str[from:end[m]]))
-			from = end[m]
+			if c := bytes.Compare(key(a.m), key(b.m)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.m, b.m)
+		})
+		for i, x := range e {
+			if i == 0 || !same(x, e[i-1]) {
+				distinct[pi]++
+				pairs += int(t.varStart[x.m+1] - t.varStart[x.m]) // canonical never adds a pair
+			}
 		}
-		polys[pi] = provenance.FromKeys(keys, t.coeffs[lo:hi])
+		terms += int(distinct[pi])
 	}
-	return &provenance.Set{Vocab: t.set.Vocab, Polys: polys, Tags: t.set.Tags}
+
+	b := provenance.NewSetBuilder(t.set.Vocab, npolys, terms, pairs)
+	for pi := range npolys {
+		b.Poly(int(distinct[pi]))
+		e := ents[t.polyStart[pi]:t.polyStart[pi+1]]
+		for i, x := range e {
+			if i == 0 || !same(x, e[i-1]) {
+				buf = image(buf[:0], x.m)
+			} // else x merges into the term before it, whose pairs buf holds
+			b.Term(key(x.m), t.coeffs[x.m], buf)
+		}
+	}
+	return b.Set(t.set.Tags)
+}
+
+// keyed is a monomial and the first eight bytes of its new key, for
+// sorting.
+type keyed struct {
+	pre uint64
+	m   int32
 }
 
 // canonical sorts pairs by Var and merges repeated variables by adding

@@ -10,9 +10,14 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"provabs/internal/abstree"
@@ -91,9 +96,108 @@ func FuzzWALScan(f *testing.F) {
 	})
 }
 
+// kernelSnapshot is the snapshot of the one-polynomial set expr over x and
+// y, with its kernel section's coefficients, factor variables and
+// exponents overwritten by coeffs, vars and pows (each as long as the
+// kernel's own) and the section's checksum recomputed. The baseline and
+// inverted index sections are left as they are.
+func kernelSnapshot(tb testing.TB, expr string, coeffs []float64, vars []string, pows []int32) []byte {
+	vb := provenance.NewVocab()
+	vb.Vars("x", "y")
+	set := provenance.NewSet(vb)
+	set.Add("P", provenance.MustParse(vb, expr))
+	eng, err := session.Open(set, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eng.WithState(func(st *session.SnapshotState) error {
+		return EncodeSnapshot(&buf, st, 1)
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	b := buf.Bytes()
+	for off := 24; off+8 <= len(b); { // sections follow the 24-byte header
+		id := binary.LittleEndian.Uint32(b[off:])
+		n := int(binary.LittleEndian.Uint32(b[off+4:]))
+		payload := b[off+8 : off+8+n]
+		if id == secKernel {
+			// 1 polynomial, then the term and factor counts, PolyOff (2)
+			// and FactOff (terms+1); then the coefficients, the factor
+			// variables and the exponents.
+			at := 3 + 4*2 + 4*(int(payload[1])+1)
+			for _, c := range coeffs {
+				binary.LittleEndian.PutUint64(payload[at:], math.Float64bits(c))
+				at += 8
+			}
+			for _, v := range vars {
+				binary.LittleEndian.PutUint32(payload[at:], uint32(vb.Var(v)))
+				at += 4
+			}
+			for _, pw := range pows {
+				binary.LittleEndian.PutUint32(payload[at:], uint32(pw))
+				at += 4
+			}
+			binary.LittleEndian.PutUint32(b[off+8+n:], crc32.Checksum(payload, castagnoli))
+			return b
+		}
+		off += 8 + n + 4
+	}
+	tb.Fatal("no kernel section")
+	return nil
+}
+
+// seedRepeatedVarSnapshot is a snapshot whose kernel is consistent in
+// every checked respect but one: a term lists a variable twice. It is the
+// snapshot of x + x·y with the kernel's factor variables [x, x, y]
+// rewritten to [y, x, x], which leaves the baseline and the inverted index
+// unchanged.
+func seedRepeatedVarSnapshot(tb testing.TB) []byte {
+	return kernelSnapshot(tb, "x + x·y", []float64{1, 1}, []string{"y", "x", "x"}, []int32{1, 1, 1})
+}
+
+// seedPermutedKernelSnapshot is a snapshot whose kernel is consistent in
+// every checked respect but one: a polynomial's terms are out of key
+// order. It is the snapshot of x + 2·x^2 with its two terms swapped, which
+// leaves the baseline (3 either way) and the inverted index (x in both
+// terms) unchanged.
+func seedPermutedKernelSnapshot(tb testing.TB) []byte {
+	return kernelSnapshot(tb, "x + 2·x^2", []float64{2, 1}, []string{"x", "x"}, []int32{2, 1})
+}
+
+// TestDecodeRejectsRepeatedVariable: a term that lists one variable twice
+// is refused in a snapshot's kernel and in a WAL add record, where it used
+// to reach NewMonomialPows, which adds the exponents in int32.
+func TestDecodeRejectsRepeatedVariable(t *testing.T) {
+	if _, _, err := DecodeSnapshot(bytes.NewReader(seedRepeatedVarSnapshot(t))); !errors.Is(err, ErrCorrupt) ||
+		!strings.Contains(err.Error(), "strictly ascending") {
+		t.Errorf("DecodeSnapshot of a kernel term x·x: err = %v, want a corrupt snapshot", err)
+	}
+	rec := append([]byte{recAdd}, 2) // seq 2
+	rec = append(rec, 1, 'P', 1)     // tag "P", one term
+	rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(1))
+	rec = append(rec, 2, 1, 0xff, 0xff, 0xff, 0xff, 0x07, 1, 0xff, 0xff, 0xff, 0xff, 0x07) // x^(2^31−1)·x^(2^31−1)
+	if _, err := decodeRecord(rec); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "strictly ascending") {
+		t.Errorf("decodeRecord of an add record holding x·x: err = %v, want a corrupt record", err)
+	}
+}
+
+// TestDecodeRejectsPermutedKernel: a snapshot whose kernel lists a
+// polynomial's terms out of key order is refused. It used to restore, and
+// the compatibility check and compression, which read terms in key order,
+// then met them in another.
+func TestDecodeRejectsPermutedKernel(t *testing.T) {
+	if _, _, err := DecodeSnapshot(bytes.NewReader(seedPermutedKernelSnapshot(t))); !errors.Is(err, ErrCorrupt) ||
+		!strings.Contains(err.Error(), "ascending key order") {
+		t.Errorf("DecodeSnapshot of a kernel holding 2·x^2 + x: err = %v, want a corrupt snapshot", err)
+	}
+}
+
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(seedSnapshot(f, false))
 	f.Add(seedSnapshot(f, true))
+	f.Add(seedRepeatedVarSnapshot(f))
+	f.Add(seedPermutedKernelSnapshot(f))
 	f.Add([]byte("PVSN"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -114,7 +218,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 func TestWriteFuzzCorpus(t *testing.T) {
 	seeds := map[string][][]byte{
 		"FuzzWALScan":        {seedWAL(t)},
-		"FuzzSnapshotDecode": {seedSnapshot(t, false), seedSnapshot(t, true)},
+		"FuzzSnapshotDecode": {seedSnapshot(t, false), seedSnapshot(t, true), seedRepeatedVarSnapshot(t), seedPermutedKernelSnapshot(t)},
 	}
 	write := os.Getenv("PROVABS_WRITE_FUZZ_CORPUS") == "1"
 	for target, inputs := range seeds {

@@ -218,7 +218,9 @@ func decodeRecord(payload []byte) (walRecord, error) {
 // decodePoly parses the shared polynomial body into terms. Variable ids
 // are only bounds-checked here; buildPoly range-checks them against the
 // actual vocabulary at apply time, after any preceding vocab record has
-// grown it.
+// grown it. A term's variables must be strictly ascending, as appendPoly
+// writes them: a repeated one would reach NewMonomialPows, which adds its
+// exponents in int32 and may wrap them.
 func decodePoly(r *byteReader) ([]dumpTerm, error) {
 	nTerms, err := r.uvarint()
 	if err != nil {
@@ -257,6 +259,9 @@ func decodePoly(r *byteReader) ([]dumpTerm, error) {
 			if pw == 0 || pw > math.MaxInt32 {
 				return nil, fmt.Errorf("%w: exponent %d out of range", ErrCorrupt, pw)
 			}
+			if n := len(t.factors); n > 0 && provenance.Var(v) <= t.factors[n-1].Var {
+				return nil, fmt.Errorf("%w: variable %d follows variable %d in one monomial; variables must be strictly ascending", ErrCorrupt, v, t.factors[n-1].Var)
+			}
 			t.factors = append(t.factors, provenance.VarPow{Var: provenance.Var(v), Pow: int32(pw)})
 		}
 		terms = append(terms, t)
@@ -267,14 +272,25 @@ func decodePoly(r *byteReader) ([]dumpTerm, error) {
 // buildPoly turns decoded terms into a polynomial, range-checking every
 // variable against the vocabulary size at apply time.
 func buildPoly(terms []dumpTerm, vocabLen int) (*provenance.Polynomial, error) {
+	if err := checkVocab(terms, vocabLen); err != nil {
+		return nil, err
+	}
 	p := provenance.NewPolynomial()
 	for _, t := range terms {
-		for _, f := range t.factors {
-			if int(f.Var) > vocabLen {
-				return nil, fmt.Errorf("%w: add record references variable %d outside the vocabulary (size %d)", ErrCorrupt, f.Var, vocabLen)
-			}
-		}
 		p.AddMonomial(provenance.NewMonomialPows(t.coeff, t.factors...))
 	}
 	return p, nil
+}
+
+// checkVocab range-checks every variable of decoded terms against the
+// vocabulary size.
+func checkVocab(terms []dumpTerm, vocabLen int) error {
+	for _, t := range terms {
+		for _, f := range t.factors {
+			if int(f.Var) > vocabLen {
+				return fmt.Errorf("%w: polynomial references variable %d outside the vocabulary (size %d)", ErrCorrupt, f.Var, vocabLen)
+			}
+		}
+	}
+	return nil
 }

@@ -460,35 +460,9 @@ func DecodeSnapshot(r io.Reader) (*session.SnapshotState, uint64, error) {
 		return nil, 0, fmt.Errorf("%w: snapshot source section presence disagrees with the compressed flag", ErrCorrupt)
 	}
 	if hasSource {
-		r := &byteReader{b: srcPayload}
-		n, err := r.uvarint()
-		if err != nil {
+		if st.Source, err = decodeSource(srcPayload, vb); err != nil {
 			return nil, 0, err
 		}
-		if n > uint64(r.remaining())+1 {
-			return nil, 0, fmt.Errorf("%w: source section claims %d polynomials", ErrCorrupt, n)
-		}
-		src := provenance.NewSet(vb)
-		for i := uint64(0); i < n; i++ {
-			tag, err := r.lenString(maxNameLen)
-			if err != nil {
-				return nil, 0, err
-			}
-			terms, err := decodePoly(r)
-			if err != nil {
-				return nil, 0, err
-			}
-			p, err := buildPoly(terms, vb.Len())
-			if err != nil {
-				return nil, 0, err
-			}
-			src.Polys = append(src.Polys, p)
-			src.Tags = append(src.Tags, tag)
-		}
-		if r.remaining() != 0 {
-			return nil, 0, fmt.Errorf("%w: trailing bytes in source section", ErrCorrupt)
-		}
-		st.Source = src
 	} else {
 		st.Source = active
 	}
@@ -516,6 +490,48 @@ func DecodeSnapshot(r io.Reader) (*session.SnapshotState, uint64, error) {
 	}
 
 	return st, lastSeq, nil
+}
+
+// decodeSource parses the snapshot's source section. appendPoly writes
+// each polynomial's terms in ascending key order, so they go through one
+// provenance.SetBuilder and the set arrives with its compiled kernel: the
+// forest's compatibility check in session.Restore reads that kernel
+// instead of compiling the set.
+func decodeSource(payload []byte, vb *provenance.Vocab) (*provenance.Set, error) {
+	r := &byteReader{b: payload}
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.remaining())+1 {
+		return nil, fmt.Errorf("%w: source section claims %d polynomials", ErrCorrupt, n)
+	}
+	b := provenance.NewSetBuilder(vb, int(n), 0, 0)
+	tags := make([]string, 0, n)
+	var key []byte
+	for i := uint64(0); i < n; i++ {
+		tag, err := r.lenString(maxNameLen)
+		if err != nil {
+			return nil, err
+		}
+		terms, err := decodePoly(r)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkVocab(terms, vb.Len()); err != nil {
+			return nil, err
+		}
+		b.Poly(len(terms))
+		for _, t := range terms {
+			key = provenance.AppendKey(key[:0], t.factors)
+			b.Term(key, t.coeff, t.factors)
+		}
+		tags = append(tags, tag)
+	}
+	if r.remaining() != 0 {
+		return nil, fmt.Errorf("%w: trailing bytes in source section", ErrCorrupt)
+	}
+	return b.Set(tags), nil
 }
 
 func boolByte(b bool) byte {

@@ -93,11 +93,17 @@ func Decode(r io.Reader) (*Set, error) {
 // that repeats a variable with exponents summing past 2^31−1, which an
 // exponent cannot hold.
 //
-// A term whose (Var, Pow) pairs are strictly ascending, as Encode writes
-// every term, builds its canonical key in one reused buffer; a term whose
-// key is above every key its polynomial holds so far is stored without a
-// duplicate lookup. Any other term is canonicalized by NewMonomialPows and
-// merged as AddMonomial merges, exactly as a hand-built polynomial would be.
+// Every term goes through one SetBuilder as read; a first walk over the
+// terms sizes the kernel's arrays, so they never grow. A term whose
+// (Var, Pow) pairs are strictly ascending builds its canonical key in one
+// reused buffer and goes to SetBuilder.Term; any other is canonicalized by
+// NewMonomialPows and merged as AddMonomial merges, exactly as a
+// hand-built polynomial would be. So while every term is as Encode writes
+// it — ascending pairs, a non-zero coefficient, a key not below the one
+// before it in its polynomial — the set arrives with its compiled kernel
+// and its VarCount memo already built, the way RestoreSet's arrives with
+// an injected kernel; from the first term that is not, both are dropped,
+// to be built lazily.
 func DecodeBytes(data []byte) (*Set, error) {
 	d := decoder{data: data}
 	if len(data) < len(codecMagic) {
@@ -139,10 +145,9 @@ func DecodeBytes(data []byte) (*Set, error) {
 		return nil, err
 	}
 	n = d.capped(npolys, 2) // a polynomial takes at least its tag length and term count
-	s := &Set{Vocab: vb, Polys: make([]*Polynomial, 0, n), Tags: make([]string, 0, n)}
-	marks := make([]bool, vb.Len()+1) // the variables of the terms stored
-	count := 0
-	exact := true // every term took the ascending path, so marks is V(P)
+	nterms, npairs := d.count(npolys)
+	b := NewSetBuilder(vb, n, nterms, npairs)
+	tags := make([]string, 0, n)
 	var key []byte
 	var pairs []VarPow
 	for i := uint64(0); i < npolys; i++ {
@@ -154,8 +159,7 @@ func DecodeBytes(data []byte) (*Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &Polynomial{terms: make(map[MonomialKey]float64, d.capped(nterms, termMinBytes))}
-		var top MonomialKey // the largest key stored in p; valid when p holds one
+		b.Poly(d.capped(nterms, termMinBytes))
 		for t := uint64(0); t < nterms; t++ {
 			if len(data)-d.off < 8 {
 				return nil, d.short()
@@ -190,37 +194,63 @@ func DecodeBytes(data []byte) (*Set, error) {
 				key = binary.AppendVarint(key, v)
 				key = binary.AppendUvarint(key, pw)
 			}
-			if !ascending {
-				if pw := mergedPowOverflow(pairs); pw != 0 {
-					return nil, fmt.Errorf("provenance: exponent %d out of range", pw)
-				}
-			}
-			if !ascending || coeff == 0 || math.IsNaN(coeff) || (len(p.terms) > 0 && string(key) <= string(top)) {
-				// A zero sum drops the term, and adding a NaN to the empty
-				// slot's 0 may change its bits: only addKey gets both right.
-				m := NewMonomialPows(coeff, pairs...)
-				k := m.Key()
-				p.addKey(k, m.Coeff)
-				top = max(top, k)
-				exact = false
+			if ascending {
+				b.Term(key, coeff, pairs)
 				continue
 			}
-			top = MonomialKey(key)
-			p.terms[top] = coeff
-			for _, vp := range pairs {
-				if !marks[vp.Var] {
-					marks[vp.Var] = true
-					count++
+			if pw := mergedPowOverflow(pairs); pw != 0 {
+				return nil, fmt.Errorf("provenance: exponent %d out of range", pw)
+			}
+			m := NewMonomialPows(coeff, pairs...)
+			b.unordered(m.Key(), m.Coeff)
+		}
+		tags = append(tags, string(tag))
+	}
+	return b.Set(tags), nil
+}
+
+// count walks the polynomials that follow as DecodeBytes reads them,
+// checking nothing, and returns how many terms and (Var, Pow) pairs the
+// input holds before it ends: sizes for the kernel's arrays, each bounded
+// by the bytes it was counted from.
+func (d decoder) count(npolys uint64) (terms, pairs int) {
+	for ; npolys > 0; npolys-- {
+		if _, err := d.bytes(); err != nil {
+			return
+		}
+		nterms, err := d.uvarint()
+		if err != nil {
+			return
+		}
+		for ; nterms > 0; nterms-- {
+			if len(d.data)-d.off < 9 {
+				return
+			}
+			d.off += 8
+			nvp := uint64(d.data[d.off])
+			if nvp < 0x80 {
+				d.off++
+			} else if nvp, err = d.uvarint(); err != nil {
+				return
+			}
+			if nvp > uint64(len(d.data)-d.off) {
+				return
+			}
+			data, off := d.data, d.off
+			for need := 2 * nvp; need > 0; off++ { // a varint ends at its first byte below 0x80
+				if off == len(data) {
+					return
+				}
+				if data[off] < 0x80 {
+					need--
 				}
 			}
+			d.off = off
+			terms++
+			pairs += int(nvp)
 		}
-		s.Polys = append(s.Polys, p)
-		s.Tags = append(s.Tags, string(tag))
 	}
-	if exact {
-		s.varMarks, s.varCount = marks, count
-	}
-	return s, nil
+	return
 }
 
 // mergedPowOverflow sorts pairs by variable and returns the first sum of

@@ -100,6 +100,18 @@ func CompileSet[T any, C Carrier[T]](cr C, s *Set) (*Kernel[T, C], error) {
 // CompilePolys flattens polynomials into a kernel over the given carrier
 // (no Vocab, no tags).
 func CompilePolys[T any, C Carrier[T]](cr C, polys []*Polynomial) (*Kernel[T, C], error) {
+	c := newKernel[T](cr)
+	maxVar, err := c.appendTerms(cr, polys)
+	if err != nil {
+		return nil, err
+	}
+	c.maxVar = maxVar
+	return c, nil
+}
+
+// newKernel returns an empty kernel over the carrier: no polynomials, and
+// the fused loops found when the carrier has them.
+func newKernel[T any, C Carrier[T]](cr C) *Kernel[T, C] {
 	c := &Kernel[T, C]{
 		carrier: cr,
 		kernelArrays: kernelArrays[T]{
@@ -109,12 +121,7 @@ func CompilePolys[T any, C Carrier[T]](cr C, polys []*Polynomial) (*Kernel[T, C]
 		},
 	}
 	c.bulk, _ = any(cr).(bulkKernel[T])
-	maxVar, err := c.appendTerms(cr, polys)
-	if err != nil {
-		return nil, err
-	}
-	c.maxVar = maxVar
-	return c, nil
+	return c
 }
 
 // appendTerms flattens polys onto the arrays, each polynomial's terms in
@@ -218,6 +225,33 @@ func (c *Kernel[T, C]) Append(polys []*Polynomial, tags []string) bool {
 		c.evalRange(firstPoly, c.Len(), c.NewValuation(), c.baseline)
 	}
 	return true
+}
+
+// TermArrays is the flat term data of a compiled kernel, in the layout
+// CompiledDump documents: polynomial i owns terms [PolyOff[i],
+// PolyOff[i+1]), term t owns factors [FactOff[t], FactOff[t+1]). Each
+// polynomial's terms are in ascending key order, and each term's factors
+// in ascending Var order.
+type TermArrays[T any] struct {
+	PolyOff []int32
+	Coeffs  []T
+	FactOff []int32
+	Vars    []Var
+	Pows    []int32
+}
+
+// TermArrays returns the kernel's term data without copying it, for
+// callers that walk every term in the kernel's order: the slices alias the
+// kernel's own arrays and must not be written. Append extends the arrays
+// but never rewrites the part a view already covers.
+func (c *Kernel[T, C]) TermArrays() TermArrays[T] {
+	return TermArrays[T]{
+		PolyOff: slices.Clip(c.polyOff),
+		Coeffs:  slices.Clip(c.coeffs),
+		FactOff: slices.Clip(c.factOff),
+		Vars:    slices.Clip(c.vars),
+		Pows:    slices.Clip(c.pows),
+	}
 }
 
 // Carrier returns the carrier the kernel evaluates in.

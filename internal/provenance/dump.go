@@ -18,6 +18,7 @@ package provenance
 // but never a valid kernel.)
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 )
@@ -88,19 +89,14 @@ func RestoreSet(vb *Vocab, d *CompiledDump) (*Set, error) {
 	}
 
 	nPolys := d.NPolys()
-	c := &Compiled{
-		Vocab: vb,
-		Tags:  append([]string(nil), d.Tags...),
-		kernelArrays: kernelArrays[float64]{
-			polyOff: append([]int32(nil), d.PolyOff...),
-			coeffs:  append([]float64(nil), d.Coeffs...),
-			factOff: append([]int32(nil), d.FactOff...),
-			vars:    append([]Var(nil), d.Vars...),
-			pows:    append([]int32(nil), d.Pows...),
-			allPow1: true,
-		},
-	}
-	c.bulk, _ = any(c.carrier).(bulkKernel[float64])
+	c := newKernel[float64](Float{})
+	c.Vocab = vb
+	c.Tags = append([]string(nil), d.Tags...)
+	c.polyOff = append([]int32(nil), d.PolyOff...)
+	c.coeffs = append([]float64(nil), d.Coeffs...)
+	c.factOff = append([]int32(nil), d.FactOff...)
+	c.vars = append([]Var(nil), d.Vars...)
+	c.pows = append([]int32(nil), d.Pows...)
 	for _, p := range c.pows {
 		if p != 1 {
 			c.allPow1 = false
@@ -113,10 +109,9 @@ func RestoreSet(vb *Vocab, d *CompiledDump) (*Set, error) {
 		}
 	}
 
-	// Rebuild the source polynomials from the term data. A canonical
-	// polynomial has one term per distinct variable part; a size mismatch
-	// after the canonicalizing rebuild means the dump held duplicate or
-	// zero-coefficient terms and was never produced by Dump.
+	// Rebuild the source polynomials from the term data. validateArrays
+	// has made every key distinct, so a canonical dump loses no term here;
+	// a zero coefficient means the dump was never produced by Dump.
 	polys := make([]*Polynomial, nPolys)
 	for pi := 0; pi < nPolys; pi++ {
 		p := NewPolynomial()
@@ -129,9 +124,6 @@ func RestoreSet(vb *Vocab, d *CompiledDump) (*Set, error) {
 				vp = append(vp, VarPow{Var: d.Vars[f], Pow: d.Pows[f]})
 			}
 			p.AddMonomial(NewMonomialPows(d.Coeffs[t], vp...))
-		}
-		if p.Size() != int(d.PolyOff[pi+1]-d.PolyOff[pi]) {
-			return nil, fmt.Errorf("provenance: dump polynomial %d has duplicate terms (non-canonical)", pi)
 		}
 		polys[pi] = p
 	}
@@ -207,6 +199,31 @@ func (d *CompiledDump) validateArrays(vb *Vocab) error {
 		}
 		if d.Pows[i] < 1 {
 			return fmt.Errorf("provenance: dump factor %d has non-positive exponent %d", i, d.Pows[i])
+		}
+	}
+	// A kernel's term lists each variable once, in ascending order, and a
+	// polynomial's terms are in strictly ascending key order, as Compile
+	// lays them out. A repeated variable would rebuild, through
+	// NewMonomialPows, into a polynomial whose exponent sum an int32 may
+	// wrap, while the kernel keeps both factors: the two forms of one set
+	// would disagree. The compatibility check and compression read terms
+	// in key order, and a repeated key is a duplicate term.
+	var pairs []VarPow
+	var key, prev []byte
+	for pi := 0; pi < nPolys; pi++ {
+		for t := d.PolyOff[pi]; t < d.PolyOff[pi+1]; t++ {
+			pairs = pairs[:0]
+			for f := d.FactOff[t]; f < d.FactOff[t+1]; f++ {
+				if n := len(pairs); n > 0 && d.Vars[f] <= pairs[n-1].Var {
+					return fmt.Errorf("provenance: dump term %d lists variable %d after %d; a term's variables must be strictly ascending", t, d.Vars[f], pairs[n-1].Var)
+				}
+				pairs = append(pairs, VarPow{Var: d.Vars[f], Pow: d.Pows[f]})
+			}
+			key = AppendKey(key[:0], pairs)
+			if t > d.PolyOff[pi] && bytes.Compare(key, prev) <= 0 {
+				return fmt.Errorf("provenance: dump polynomial %d lists term %d out of key order; a polynomial's terms must be in strictly ascending key order", pi, t)
+			}
+			key, prev = prev, key
 		}
 	}
 	return nil

@@ -150,18 +150,6 @@ func (p *Polynomial) Terms() iter.Seq2[MonomialKey, float64] {
 	}
 }
 
-// FromKeys builds the polynomial Σ coeffs[i]·keys[i], adding the terms in
-// order: equal keys merge by summing their coefficients left to right, and a
-// sum of exactly zero drops the term, as in AddMonomial. Keys must be
-// canonical (Monomial.Key or AppendKey output).
-func FromKeys(keys []MonomialKey, coeffs []float64) *Polynomial {
-	p := &Polynomial{terms: make(map[MonomialKey]float64, len(keys))}
-	for i, k := range keys {
-		p.addKey(k, coeffs[i])
-	}
-	return p
-}
-
 // Monomials returns the monomials in a deterministic (key-sorted) order.
 func (p *Polynomial) Monomials() []Monomial {
 	keys := make([]string, 0, len(p.terms))

@@ -17,8 +17,15 @@ import "sync"
 // re-compiles across Adds — the cached pointer, its inverted indexes and
 // its baseline vector all survive. Only when an added polynomial's
 // variables outgrow the built index's vocabulary does Add fall back to
-// invalidation and a full rebuild. Callers that mutate Polys or the
-// polynomials in place must call InvalidateCompiled themselves.
+// invalidation and a full rebuild.
+//
+// The cache is more than an evaluation aid: the compatibility check
+// (abstree.Forest.CompatibleWith), forest cleaning and compression all
+// read the compiled arrays and the VarCount memo rather than the maps, and
+// a set from DecodeBytes or from a compression (SetBuilder) arrives with
+// both already built. Callers that mutate Polys or the polynomials in
+// place must therefore call InvalidateCompiled themselves, before the set
+// is evaluated, checked or compressed again.
 type Set struct {
 	Vocab *Vocab
 	Polys []*Polynomial
@@ -62,9 +69,13 @@ func (s *Set) Add(tag string, p *Polynomial) {
 // Compiled returns the set compiled for evaluation, building it on first
 // use and caching it across mutations: Add extends the cached form in
 // place, so the pointer held by a long-lived session stays valid (and keeps
-// growing) instead of being replaced. Callers that need a frozen snapshot
-// should call Compile instead. Compiled is safe for concurrent use with
-// itself (but, like the rest of Set, not with concurrent mutation).
+// growing) instead of being replaced. A set that DecodeBytes or a
+// SetBuilder made holds its kernel from the start. The compatibility check
+// and compression read this cache too, so a set built in code compiles
+// here once, at its first check, and evaluation reuses that compile.
+// Callers that need a frozen snapshot should call Compile instead.
+// Compiled is safe for concurrent use with itself (but, like the rest of
+// Set, not with concurrent mutation).
 func (s *Set) Compiled() *Compiled {
 	s.compiledMu.Lock()
 	defer s.compiledMu.Unlock()
@@ -87,23 +98,40 @@ func (s *Set) InvalidateCompiled() {
 
 // VarCount returns |P|_V, the count Granularity walks every key for, from a
 // memo kept beside the compiled cache: built on first use under the same
-// lock, extended by Add, dropped by InvalidateCompiled. Decode fills it
-// while it reads a set Encode wrote. Like the compiled cache, it goes
-// stale when Polys or a polynomial is mutated in place without
-// InvalidateCompiled. Safe for concurrent use with itself.
+// lock, extended by Add, dropped by InvalidateCompiled. DecodeBytes fills
+// it while it reads a set Encode wrote, and a SetBuilder while it builds.
+// Like the compiled cache, it goes stale when Polys or a polynomial is
+// mutated in place without InvalidateCompiled. Safe for concurrent use
+// with itself.
 func (s *Set) VarCount() int {
 	s.compiledMu.Lock()
 	defer s.compiledMu.Unlock()
-	if s.varMarks == nil {
-		s.varMarks = make([]bool, 1) // never nil once built; Var 0 is never marked
-		var buf []VarPow
-		for _, p := range s.Polys {
-			var added int
-			s.varMarks, buf, added = p.markVars(s.varMarks, buf)
-			s.varCount += added
-		}
-	}
+	s.markVarsLocked()
 	return s.varCount
+}
+
+// Occurs reports whether v occurs in some polynomial of the set, from the
+// VarCount memo (built on first use, as VarCount builds it).
+func (s *Set) Occurs(v Var) bool {
+	s.compiledMu.Lock()
+	defer s.compiledMu.Unlock()
+	s.markVarsLocked()
+	return v > 0 && int(v) < len(s.varMarks) && s.varMarks[v]
+}
+
+// markVarsLocked builds the VarCount memo unless it exists. The caller
+// holds compiledMu.
+func (s *Set) markVarsLocked() {
+	if s.varMarks != nil {
+		return
+	}
+	s.varMarks = make([]bool, 1) // never nil once built; Var 0 is never marked
+	var buf []VarPow
+	for _, p := range s.Polys {
+		var added int
+		s.varMarks, buf, added = p.markVars(s.varMarks, buf)
+		s.varCount += added
+	}
 }
 
 // Len returns the number of polynomials.

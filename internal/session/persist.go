@@ -93,6 +93,13 @@ func Restore(st *SnapshotState, opts ...Option) (*Engine, error) {
 		if err := f.CompatibleWith(st.Source); err != nil {
 			return nil, fmt.Errorf("session: snapshot forest: %w", err)
 		}
+		if st.Compressed && st.Source != st.Active {
+			// The check read the source's kernel (a decoded snapshot
+			// brings it; a state built in code compiled it here), which a
+			// compressed session never evaluates: keep one kernel, the
+			// active set's.
+			st.Source.InvalidateCompiled()
+		}
 		forest = f
 	}
 	e := &Engine{set: st.Source, forest: forest, active: st.Active}

@@ -69,7 +69,9 @@ type Engine struct {
 // Open starts a session over the set. forest may be nil for an
 // evaluation-only session (Compress then errors). A non-nil forest is
 // validated against the set up front, so scenario streams never trip over
-// an incompatible abstraction mid-session.
+// an incompatible abstraction mid-session. The check reads the set's
+// compiled cache: a decoded set brings its own, and a set built in code
+// compiles here once, for Compress and the first evaluation to reuse.
 func Open(set *provenance.Set, forest *abstree.Forest, opts ...Option) (*Engine, error) {
 	if set == nil {
 		return nil, fmt.Errorf("session: Open needs a provenance set")
@@ -88,9 +90,11 @@ func Open(set *provenance.Set, forest *abstree.Forest, opts ...Option) (*Engine,
 
 // Compress selects an abstraction for bound B with the configured strategy
 // (StrategyAuto by default: optimal for a single tree, greedy for a forest)
-// and switches the session's evaluation target to the abstracted set. The
-// compiled cache is invalidated; the next evaluation compiles the
-// abstracted provenance once.
+// and switches the session's evaluation target to the abstracted set.
+// Optimal and greedy hand over the abstracted set already compiled, so the
+// next evaluation finds its kernel built; the other strategies' sets
+// compile on that evaluation, once. The source set's compiled cache is
+// dropped: the session never evaluates the source again.
 func (e *Engine) Compress(B int, opts ...CompressOption) (*core.Compression, error) {
 	cfg := defaultCompressConfig()
 	for _, o := range opts {
@@ -111,8 +115,9 @@ func (e *Engine) Compress(B int, opts ...CompressOption) (*core.Compression, err
 	}
 	e.comp = comp
 	e.active = comp.Abstracted
-	e.floatBase.p.Store(nil) // the old kernel's baseline dies with it
-	e.dropRuntimesLocked()   // semiring kernels compiled the old active set
+	e.set.InvalidateCompiled() // only the active set is evaluated from here on
+	e.floatBase.p.Store(nil)   // the old kernel's baseline dies with it
+	e.dropRuntimesLocked()     // semiring kernels compiled the old active set
 	return comp, nil
 }
 
