@@ -184,22 +184,43 @@ func BenchmarkFig10(b *testing.B) {
 			return m
 		}
 		vo, va := val(w.Set), val(abs)
+		po, pa := mapPolys(w.Set), mapPolys(abs)
 		b.Run(name+"/original", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				w.Set.Eval(vo)
+				evalPolys(po, vo)
 			}
 		})
 		b.Run(name+"/compressed", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				abs.Eval(va)
+				evalPolys(pa, va)
 			}
 		})
 	}
 }
 
-// BenchmarkCompiledEval compares the map-based Set.Eval hot path against
-// the compiled dense-array path on the telco and TPC-H workloads, single
-// scenario and 100-scenario batch (sequential and parallel). The compiled
+// mapPolys returns the set's members in their map form, which the
+// map-based evaluation benchmarks run on.
+func mapPolys(s *provenance.Set) []*provenance.Polynomial {
+	out := make([]*provenance.Polynomial, s.Len())
+	for i := range out {
+		out[i] = s.Poly(i)
+	}
+	return out
+}
+
+// evalPolys evaluates every polynomial on its map form.
+func evalPolys(ps []*provenance.Polynomial, val map[provenance.Var]float64) []float64 {
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		out[i] = p.Eval(val)
+	}
+	return out
+}
+
+// BenchmarkCompiledEval compares map-based evaluation (Polynomial.Eval on
+// every member) against the compiled dense-array path on the telco and
+// TPC-H workloads, single scenario and 100-scenario batch (sequential and
+// parallel). The compiled
 // batch is the production what-if path; the acceptance target is ≥2× over
 // map-based evaluation on 100 telco scenarios.
 func BenchmarkCompiledEval(b *testing.B) {
@@ -220,9 +241,10 @@ func BenchmarkCompiledEval(b *testing.B) {
 			}
 			scenarios[i] = sc
 		}
+		polys := mapPolys(w.Set)
 		b.Run(name+"/map", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				w.Set.Eval(val)
+				evalPolys(polys, val)
 			}
 		})
 		b.Run(name+"/compiled", func(b *testing.B) {
@@ -234,7 +256,7 @@ func BenchmarkCompiledEval(b *testing.B) {
 		b.Run(name+"/map-batch100", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for range scenarios {
-					w.Set.Eval(val)
+					evalPolys(polys, val)
 				}
 			}
 		})
@@ -828,7 +850,8 @@ func itoa(i int) string {
 
 // BenchmarkCompiledAppend measures the incremental-compile path: one
 // Set.Add folded into the live Compiled (index and baseline patched in
-// place) versus the pre-incremental invalidate-and-recompile. The set is
+// place) versus that Add followed by a fresh Set.Compile, the whole-set
+// compile the pre-incremental behavior paid per Add. The set is
 // re-cloned outside the timer every few thousand ops so a long -benchtime
 // run cannot grow it without bound; BENCH_5.json records the same
 // comparison on the full workloads via `provbench -experiment planner`.
@@ -856,9 +879,8 @@ func BenchmarkCompiledAppend(b *testing.B) {
 				}
 				set.Add("bench", poly)
 				if rebuild {
-					set.InvalidateCompiled()
+					set.Compile()
 				}
-				set.Compiled()
 			}
 		})
 	}

@@ -167,7 +167,8 @@ func cmdStats(args []string) error {
 		set.MinPolySize(), set.MeanPolySize(), set.MaxPolySize())
 	fmt.Printf("encoded bytes: %d\n", provenance.EncodedSize(set))
 	if *verbose {
-		for i, p := range set.Polys {
+		for i := range set.Len() {
+			p := set.Poly(i)
 			fmt.Printf("  %-30s %d monomials, %d variables\n", set.Tags[i], p.Size(), p.Granularity())
 		}
 	}

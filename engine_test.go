@@ -192,7 +192,7 @@ func ExampleOpen() {
 	forest, _ := provabs.NewForest(provabs.MustParseTree("Year(q1(m1,m3))"))
 	eng, _ := provabs.Open(set, forest)
 	comp, _ := eng.Compress(1) // StrategyAuto: optimal on a single tree
-	fmt.Println(comp.Abstracted.Polys[0].String(vb))
+	fmt.Println(comp.Abstracted.Poly(0).String(vb))
 	answers, _ := eng.WhatIf(provabs.NewScenario().Set("q1", 0.8))
 	fmt.Printf("%.2f\n", answers[0].Value)
 	// Output:

@@ -45,7 +45,7 @@ func main() {
 		comp.VVS, comp.ML, comp.VL)
 	fmt.Printf("compressed: %d monomials over %d variables\n",
 		comp.Abstracted.Size(), comp.Abstracted.Granularity())
-	fmt.Printf("  %s\n", comp.Abstracted.Polys[0].String(vb))
+	fmt.Printf("  %s\n", comp.Abstracted.Poly(0).String(vb))
 
 	// 4. Hypothetical reasoning: "what if prices drop 20% in the first
 	// quarter?" — a single assignment to the meta-variable q1, answered

@@ -107,8 +107,8 @@ func semiringScenarios() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, p := range set.Polys {
-		fmt.Printf("%-18s %s\n", set.Tags[i], p.String(vb))
+	for i := range set.Len() {
+		fmt.Printf("%-18s %s\n", set.Tags[i], set.Poly(i).String(vb))
 	}
 
 	// One Engine over the tuple provenance answers every semiring what-if,

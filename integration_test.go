@@ -145,12 +145,12 @@ func TestPipelineSemiringAfterAbstraction(t *testing.T) {
 		}
 		return sVal
 	}
-	for i := range s.Polys {
-		a, err := semiring.Eval[int64](semiring.Counting{}, s.Polys[i], val)
+	for i := range s.Len() {
+		a, err := semiring.Eval[int64](semiring.Counting{}, s.Poly(i), val)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := semiring.Eval[int64](semiring.Counting{}, abs.Polys[i], val)
+		b, err := semiring.Eval[int64](semiring.Counting{}, abs.Poly(i), val)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,8 +27,8 @@ func oracleCompatibleWith(f *Forest, s *provenance.Set) error {
 			}
 			memberVar[v] = true
 		}
-		for pi, p := range s.Polys {
-			for _, m := range p.Monomials() {
+		for pi := range s.Len() {
+			for _, m := range s.Poly(pi).Monomials() {
 				count := 0
 				for _, vp := range m.Vars() {
 					if memberVar[vp.Var] {

@@ -64,15 +64,12 @@ func (f *Forest) TreeOfLabel(label string) (*Tree, int, bool) {
 // occurs as a polynomial variable, and every monomial contains at most one
 // node of each tree.
 //
-// It checks every tree in one walk over the set's compiled term arrays
-// (s.Compiled: a decoded set arrives compiled, and a set built in code
-// compiles here once, for its evaluation and compression to reuse),
-// looking each variable's tree up in an array. Of several violations it
-// reports the one a tree-by-tree scan would meet first: trees in order, a
-// tree's internal labels before its monomials, and monomials by
-// polynomial, then key — the kernel's own order, so each tree's first
-// violation is the first one the walk meets. A polynomial mutated in place
-// is seen only after s.InvalidateCompiled.
+// It checks every tree in one walk over the set's term arrays
+// (s.Compiled, the set's own storage), looking each variable's tree up in
+// an array. Of several violations it reports the one a tree-by-tree scan
+// would meet first: trees in order, a tree's internal labels before its
+// monomials, and monomials by polynomial, then key — the kernel's own
+// order, so each tree's first violation is the first one the walk meets.
 func (f *Forest) CompatibleWith(s *provenance.Set) error {
 	nv := s.Vocab.Len() + 1
 	treeOf := make([]int32, nv) // treeOf[v]: the tree v is a leaf of, or -1
@@ -161,8 +158,8 @@ func (f *Forest) CompatibleWith(s *provenance.Set) error {
 // to that child (choosing such a node is equivalent to choosing its child,
 // so keeping both only adds no-op abstraction steps — Example 15's cleaned
 // forest exhibits this contraction). Trees whose root becomes empty are
-// removed entirely. Which variables occur comes from the set's VarCount
-// memo (provenance.Set.Occurs), not from a walk of its keys.
+// removed entirely. Which variables occur comes from the variable marks
+// the set keeps (provenance.Set.Occurs), not from a walk of its terms.
 func (f *Forest) Clean(s *provenance.Set) *Forest {
 	active := func(label string) bool {
 		v, ok := s.Vocab.Lookup(label)

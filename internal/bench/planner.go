@@ -113,10 +113,10 @@ func appendPolys(w *Workload, n int) ([]*provenance.Polynomial, error) {
 	return out, nil
 }
 
-// runAddBench times n Add+Compiled iterations against a fresh clone of the
+// runAddBench times n Add iterations against a fresh clone of the
 // workload, with the delta index and baseline pre-built (the steady state
-// of a long session). rebuild forces the pre-incremental behavior by
-// invalidating the compiled cache before every re-access.
+// of a long session). rebuild adds a fresh Set.Compile after every Add:
+// the whole-set compile the pre-incremental behavior paid per Add.
 func runAddBench(w *Workload, polys []*provenance.Polynomial, rebuild bool) Metric {
 	set := w.Set.Clone()
 	c := set.Compiled()
@@ -126,9 +126,8 @@ func runAddBench(w *Workload, polys []*provenance.Polynomial, rebuild bool) Metr
 	for i, p := range polys {
 		set.Add(fmt.Sprintf("added%d", i), p)
 		if rebuild {
-			set.InvalidateCompiled()
+			set.Compile()
 		}
-		set.Compiled()
 	}
 	return Metric{NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(len(polys))}
 }

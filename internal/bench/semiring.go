@@ -98,9 +98,9 @@ func RunSemiringBench(sc Scale, names ...string) (*SemiringReport, error) {
 // about; the coefficient values are not load-bearing for throughput.
 func naturalizeSet(s *provenance.Set) *provenance.Set {
 	out := provenance.NewSet(s.Vocab)
-	for i, p := range s.Polys {
+	for i := range s.Len() {
 		np := provenance.NewPolynomial()
-		for j, m := range p.Monomials() {
+		for j, m := range s.Poly(i).Monomials() {
 			np.AddMonomial(provenance.NewMonomialPows(float64(1+(i+j)%3), m.Vars()...))
 		}
 		tag := ""

@@ -154,7 +154,7 @@ func TestResidueTableMatchesNaive(t *testing.T) {
 			vars = append(vars, v)
 			set[v] = true
 		}
-		rt := newResidueTable(s, set)
+		rt := newResidueTable(polysOf(s), set)
 		fast := rt.groupML(vars)
 		naive := NaiveGroupML(s, vars, vb.Var("FRESH_"+strings.Join(group, "_")))
 		if fast != naive {
@@ -343,13 +343,16 @@ func TestQuickOptimalMatchesBruteForce(t *testing.T) {
 func TestQuickGreedyConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s, t1 := randomInstance(rng)
+		s0, t1 := randomInstance(rng)
 		// A second tree over fresh month-like variables on the same set.
-		vb := s.Vocab
+		vb := s0.Vocab
 		m1, m2 := vb.Var("mm1"), vb.Var("mm2")
-		for _, p := range s.Polys {
+		s := provenance.NewSet(vb)
+		for i := range s0.Len() {
+			p := s0.Poly(i)
 			p.AddTerm(2, m1)
 			p.AddTerm(3, m2)
+			s.Add(s0.Tags[i], p)
 		}
 		t2 := abstree.MustParseTree("MM(mm1,mm2)")
 		forest := abstree.MustForest(t1, t2)
@@ -418,7 +421,7 @@ func TestQuickResidueML(t *testing.T) {
 		if len(vars) == 0 {
 			return true
 		}
-		rt := newResidueTable(s, set)
+		rt := newResidueTable(polysOf(s), set)
 		return rt.groupML(vars) == NaiveGroupML(s, vars, s.Vocab.Var("FRESH"))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {

@@ -38,27 +38,18 @@ type GreedyOptions struct {
 
 // GreedyVVSOpts is GreedyVVS with explicit options.
 func GreedyVVSOpts(s *provenance.Set, forest *abstree.Forest, B int, opts GreedyOptions) (*Result, error) {
-	res, _, err := greedy(s, forest, B, opts)
-	return res, err
-}
-
-// greedy runs Algorithm 2 and also returns the table it ran on, from which
-// the compressor builds the abstracted set.
-func greedy(s *provenance.Set, forest *abstree.Forest, B int, opts GreedyOptions) (*Result, *table, error) {
 	if B < 1 {
-		return nil, nil, fmt.Errorf("core: bound B=%d must be at least 1", B)
+		return nil, fmt.Errorf("core: bound B=%d must be at least 1", B)
 	}
 	inst, err := NewInstance(s, forest)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var leaves []provenance.Var
 	for _, t := range inst.Forest.Trees {
 		leaves = append(leaves, activeLeafVars(s, t, t.Root())...)
 	}
-	tab := newTable(s, leaves)
-	res, err := greedyOnTable(inst, tab, B, opts)
-	return res, tab, err
+	return greedyOnTable(inst, newTable(s, leaves), B, opts)
 }
 
 func greedyOnTable(inst *Instance, tab *table, B int, opts GreedyOptions) (*Result, error) {

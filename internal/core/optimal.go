@@ -29,8 +29,8 @@ func OptimalVVS(s *provenance.Set, tree *abstree.Tree, B int) (*Result, error) {
 	return res, err
 }
 
-// optimal runs Algorithm 1 and also returns the abstracted set, built once
-// on the table; the selection's monomial loss is read off its size.
+// optimal runs Algorithm 1 and also returns the abstracted set; the
+// selection's monomial loss is read off its size.
 func optimal(s *provenance.Set, tree *abstree.Tree, B int) (*Result, *provenance.Set, error) {
 	if B < 1 {
 		return nil, nil, fmt.Errorf("core: bound B=%d must be at least 1", B)
@@ -53,7 +53,7 @@ func optimal(s *provenance.Set, tree *abstree.Tree, B int) (*Result, *provenance
 	if err != nil {
 		return nil, nil, err
 	}
-	abs := tab.abstract(res.VVS.Subst(s.Vocab))
+	abs := s.Substitute(res.VVS.Subst(s.Vocab))
 	res.ML = s.Size() - abs.Size()
 	return res, abs, nil
 }

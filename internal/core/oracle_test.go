@@ -31,9 +31,9 @@ type residueTable struct {
 // newResidueTable builds the table for the given leaf variables in a
 // single pass over each polynomial (the essence of the §4.1 optimization:
 // the polynomials are traversed once, not once per tree node or variable).
-func newResidueTable(s *provenance.Set, leafVars map[provenance.Var]bool) *residueTable {
+func newResidueTable(ps []*provenance.Polynomial, leafVars map[provenance.Var]bool) *residueTable {
 	rt := &residueTable{byVar: make(map[provenance.Var][]groupKey, len(leafVars))}
-	for pi, p := range s.Polys {
+	for pi, p := range ps {
 		tag := int32(pi)
 		p.VisitResidues(leafVars, func(v provenance.Var, r provenance.MonomialKey) {
 			rt.byVar[v] = append(rt.byVar[v], groupKey{poly: tag, key: r})
@@ -55,6 +55,24 @@ func (rt *residueTable) groupML(vars []provenance.Var) int {
 		}
 	}
 	return total - len(union)
+}
+
+// polysOf returns the set's polynomials in map form.
+func polysOf(s *provenance.Set) []*provenance.Polynomial {
+	out := make([]*provenance.Polynomial, s.Len())
+	for i := range out {
+		out[i] = s.Poly(i)
+	}
+	return out
+}
+
+// sizeOf is |P|_M of map polynomials.
+func sizeOf(ps []*provenance.Polynomial) int {
+	n := 0
+	for _, p := range ps {
+		n += p.Size()
+	}
+	return n
 }
 
 func varSet(vars []provenance.Var) map[provenance.Var]bool {
@@ -112,7 +130,7 @@ func oracleGreedy(s *provenance.Set, forest *abstree.Forest, B int, opts GreedyO
 		}
 	}
 
-	cur := s.Clone() // current P↓S, updated after each promotion
+	cur := polysOf(s) // current P↓S in map form, updated after each promotion
 	curML := 0
 	totalVL := 0
 
@@ -194,9 +212,11 @@ func oracleGreedy(s *provenance.Set, forest *abstree.Forest, B int, opts GreedyO
 		for _, v := range vars {
 			subst[v] = meta
 		}
-		before := cur.Size()
-		cur = cur.Substitute(subst)
-		curML += before - cur.Size()
+		before := sizeOf(cur)
+		for i, p := range cur {
+			cur[i] = p.Substitute(subst)
+		}
+		curML += before - sizeOf(cur)
 		totalVL += len(vars) - 1
 
 		for _, ch := range t.Children(pick.node) {
@@ -260,7 +280,7 @@ func oracleOptimal(s *provenance.Set, tree *abstree.Tree, B int) (*Result, error
 			leafVars[v] = true
 		}
 	}
-	rt := newResidueTable(s, leafVars)
+	rt := newResidueTable(polysOf(s), leafVars)
 
 	tables := make([]nodeTable, t.Len())
 	// Bottom-up: children have higher indices than parents is NOT guaranteed

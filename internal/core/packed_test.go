@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -104,13 +103,14 @@ func checkCompressParity(t *testing.T, name string, s *provenance.Set, f *abstre
 	abstracted := func(what string, comp *Compression, res *Result, want *Result) {
 		t.Helper()
 		same(what+" compressor", &Result{VVS: comp.VVS, ML: comp.ML, VL: comp.VL, Adequate: comp.Adequate}, res)
-		if diff := kernelDiff(comp.Abstracted); diff != "" {
+		own := substitutePolys(s, comp.VVS.Subst(s.Vocab))
+		if diff := kernelDiff(comp.Abstracted, s.Tags, own); diff != "" {
 			t.Fatalf("%s B=%d %s: %s", name, B, what, diff)
 		}
-		if diff := bitDiff(comp.Abstracted, s.Substitute(comp.VVS.Subst(s.Vocab))); diff != "" {
-			t.Fatalf("%s B=%d %s: Abstracted differs from Substitute: %s", name, B, what, diff)
+		if diff := bitDiff(comp.Abstracted, own); diff != "" {
+			t.Fatalf("%s B=%d %s: Abstracted differs from the map Substitute: %s", name, B, what, diff)
 		}
-		if diff := bitDiff(comp.Abstracted, so.Substitute(want.VVS.Subst(so.Vocab))); diff != "" {
+		if diff := bitDiff(comp.Abstracted, substitutePolys(so, want.VVS.Subst(so.Vocab))); diff != "" {
 			t.Fatalf("%s B=%d %s: Abstracted differs from the oracle's: %s", name, B, what, diff)
 		}
 	}
@@ -152,75 +152,73 @@ func checkCompressParity(t *testing.T, name string, s *provenance.Set, f *abstre
 	}
 }
 
-// bitDiff describes the first term where a and b differ, comparing
-// coefficients by Float64bits; "" when they are identical.
-func bitDiff(a, b *provenance.Set) string {
-	if a.Len() != b.Len() || strings.Join(a.Tags, "\x00") != strings.Join(b.Tags, "\x00") {
-		return fmt.Sprintf("%d vs %d polynomials or different tags", a.Len(), b.Len())
+// bitDiff describes the first term where the set's polynomials differ
+// from want's maps, comparing coefficients by Float64bits; "" when they
+// are identical.
+func bitDiff(a *provenance.Set, want []*provenance.Polynomial) string {
+	if a.Len() != len(want) {
+		return fmt.Sprintf("%d vs %d polynomials", a.Len(), len(want))
 	}
-	for i := range a.Polys {
-		want := make(map[provenance.MonomialKey]uint64, a.Polys[i].Size())
-		for k, c := range a.Polys[i].Terms() {
-			want[k] = math.Float64bits(c)
+	for i, w := range want {
+		bits := make(map[provenance.MonomialKey]uint64, w.Size())
+		for k, c := range w.Terms() {
+			bits[k] = math.Float64bits(c)
 		}
-		if a.Polys[i].Size() != b.Polys[i].Size() {
-			return fmt.Sprintf("polynomial %d: %d vs %d terms", i, a.Polys[i].Size(), b.Polys[i].Size())
+		got := a.Poly(i)
+		if got.Size() != w.Size() {
+			return fmt.Sprintf("polynomial %d: %d vs %d terms", i, got.Size(), w.Size())
 		}
-		for k, c := range b.Polys[i].Terms() {
-			if w, ok := want[k]; !ok || w != math.Float64bits(c) {
-				return fmt.Sprintf("polynomial %d: term %x: %x vs %x (present %v)", i, k, w, math.Float64bits(c), ok)
+		for k, c := range got.Terms() {
+			if x, ok := bits[k]; !ok || x != math.Float64bits(c) {
+				return fmt.Sprintf("polynomial %d: term %x: %x vs %x (present %v)", i, k, math.Float64bits(c), x, ok)
 			}
 		}
 	}
 	return ""
 }
 
-// kernelDiff checks the abstracted set a compressor returns arrives with
-// its kernel built: the first Compiled does not compile, the kernel's
-// arrays equal a fresh compile of the set's maps (coefficients by
-// Float64bits), and VarCount equals Granularity. It describes the first
-// failure, or returns "". (TestAbstractedVarCountSeeded checks the first
-// VarCount allocates nothing.)
-func kernelDiff(abs *provenance.Set) string {
-	var seeded *provenance.Compiled
-	if n := mallocs(func() { seeded = abs.Compiled() }); n != 0 && !raceEnabled {
-		return fmt.Sprintf("the first Compiled allocated %d times: no kernel was seeded", n)
+// substitutePolys is P↓S on the map form, polynomial by polynomial
+// (Polynomial.Substitute): the map-based Set.Substitute, kept as the
+// oracle the compressors' abstracted sets are checked against.
+func substitutePolys(s *provenance.Set, subst map[provenance.Var]provenance.Var) []*provenance.Polynomial {
+	out := polysOf(s)
+	for i, p := range out {
+		out[i] = p.Substitute(subst)
 	}
-	if vars, g := abs.VarCount(), abs.Granularity(); vars != g {
-		return fmt.Sprintf("VarCount %d, Granularity %d", vars, g)
+	return out
+}
+
+// kernelDiff checks the abstracted set's kernel against want's maps
+// flattened by Set.Add — arrays, coefficients by Float64bits, and largest
+// variable — its vocabulary and tags against the source's, and its
+// VarCount against want's variables. It describes the first failure, or
+// returns "".
+func kernelDiff(abs *provenance.Set, tags []string, want []*provenance.Polynomial) string {
+	flat := provenance.NewSet(abs.Vocab)
+	for i, p := range want {
+		flat.Add(tags[i], p)
 	}
-	fresh, err := provenance.CompileSet(provenance.Float{}, abs)
-	if err != nil {
-		return err.Error()
+	if vars, g := abs.VarCount(), flat.Granularity(); vars != g {
+		return fmt.Sprintf("VarCount %d, the oracle's variables %d", vars, g)
 	}
-	got, want := provenance.DumpCompiled(seeded), provenance.DumpCompiled(fresh)
+	k, fresh := abs.Compiled(), flat.Compiled()
+	got, w := provenance.DumpCompiled(k), provenance.DumpCompiled(fresh)
 	switch {
-	case seeded.Vocab != abs.Vocab || strings.Join(seeded.Tags, "\x00") != strings.Join(abs.Tags, "\x00"):
-		return "the kernel's vocabulary or tags are not the set's"
-	case !slices.Equal(got.PolyOff, want.PolyOff) || !slices.Equal(got.FactOff, want.FactOff):
-		return fmt.Sprintf("kernel offsets %v %v, a fresh compile's %v %v", got.PolyOff, got.FactOff, want.PolyOff, want.FactOff)
-	case !slices.Equal(got.Vars, want.Vars) || !slices.Equal(got.Pows, want.Pows):
-		return fmt.Sprintf("kernel factors %v^%v, a fresh compile's %v^%v", got.Vars, got.Pows, want.Vars, want.Pows)
-	case seeded.MaxVar() != fresh.MaxVar():
-		return fmt.Sprintf("kernel MaxVar %d, a fresh compile's %d", seeded.MaxVar(), fresh.MaxVar())
+	case k.Vocab != abs.Vocab || strings.Join(k.Tags, "\x00") != strings.Join(tags, "\x00") || strings.Join(abs.Tags, "\x00") != strings.Join(tags, "\x00"):
+		return "the kernel's vocabulary or tags are not the source's"
+	case !slices.Equal(got.PolyOff, w.PolyOff) || !slices.Equal(got.FactOff, w.FactOff):
+		return fmt.Sprintf("kernel offsets %v %v, the oracle's %v %v", got.PolyOff, got.FactOff, w.PolyOff, w.FactOff)
+	case !slices.Equal(got.Vars, w.Vars) || !slices.Equal(got.Pows, w.Pows):
+		return fmt.Sprintf("kernel factors %v^%v, the oracle's %v^%v", got.Vars, got.Pows, w.Vars, w.Pows)
+	case k.MaxVar() != fresh.MaxVar():
+		return fmt.Sprintf("kernel MaxVar %d, the oracle's %d", k.MaxVar(), fresh.MaxVar())
 	}
-	for i := range want.Coeffs {
-		if math.Float64bits(got.Coeffs[i]) != math.Float64bits(want.Coeffs[i]) {
-			return fmt.Sprintf("kernel coefficient %d is %x, a fresh compile's %x", i, math.Float64bits(got.Coeffs[i]), math.Float64bits(want.Coeffs[i]))
+	for i := range w.Coeffs {
+		if math.Float64bits(got.Coeffs[i]) != math.Float64bits(w.Coeffs[i]) {
+			return fmt.Sprintf("kernel coefficient %d is %x, the oracle's %x", i, math.Float64bits(got.Coeffs[i]), math.Float64bits(w.Coeffs[i]))
 		}
 	}
 	return ""
-}
-
-// mallocs reports the heap allocations fn made. Like testing.AllocsPerRun
-// it runs on one P, so no other goroutine allocates meanwhile.
-func mallocs(fn func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
 }
 
 // TestPackedCompressMatchesOracle: on 500 random instances, greedy (both
@@ -279,7 +277,7 @@ func TestPackedCompressTelcoM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := so.Substitute(want.VVS.Subst(so.Vocab))
+	oracle := substitutePolys(so, want.VVS.Subst(so.Vocab))
 	s, f := build()
 	var buf bytes.Buffer
 	if err := provenance.Encode(&buf, s); err != nil {
@@ -306,17 +304,17 @@ func TestPackedCompressTelcoM(t *testing.T) {
 		if diff := bitDiff(comp.Abstracted, oracle); diff != "" {
 			t.Fatalf("%s: Abstracted differs from the oracle's: %s", in.name, diff)
 		}
-		if diff := kernelDiff(comp.Abstracted); diff != "" {
+		if diff := kernelDiff(comp.Abstracted, in.s.Tags, oracle); diff != "" {
 			t.Fatalf("%s: %s", in.name, diff)
 		}
 	}
 }
 
 // TestAbstractedVarCountSeeded: the variable count a compress response
-// reports comes from the memo the abstraction seeds, so on a fresh
-// Compression.Abstracted VarCount equals Granularity and allocates
-// nothing. AllocsPerRun's warm-up call and each run read a compression of
-// their own, so every call is a set's first.
+// reports comes from the variable marks the abstraction's builder fills,
+// so on a fresh Compression.Abstracted VarCount equals Granularity and
+// allocates nothing. AllocsPerRun's warm-up call and each run read a
+// compression of their own, so every call is a set's first.
 func TestAbstractedVarCountSeeded(t *testing.T) {
 	const runs = 5
 	s, plans, _ := example13(t)
@@ -350,11 +348,11 @@ func TestCompressionElapsedCoversBuild(t *testing.T) {
 	s, plans, _ := example13(t)
 	const build = 20 * time.Millisecond
 	comp, err := timed("greedy", s, func() (*Result, *provenance.Set, error) {
-		res, tab, err := greedy(s, abstree.MustForest(plans), 9, GreedyOptions{TieBreakML: true})
+		res, err := GreedyVVSOpts(s, abstree.MustForest(plans), 9, GreedyOptions{TieBreakML: true})
 		if err != nil {
 			return nil, nil, err
 		}
-		abs := tab.abstract(res.VVS.Subst(s.Vocab))
+		abs := s.Substitute(res.VVS.Subst(s.Vocab))
 		time.Sleep(build) // stands in for a slow build
 		return res, abs, nil
 	})
@@ -399,7 +397,7 @@ func TestGreedySumsMergesInCurrentKeyOrder(t *testing.T) {
 		t.Errorf("string-keyed oracle ML=%d, want 3", want.ML)
 	}
 	a, b := vb.Var("A"), vb.Var("B")
-	if got := comp.Abstracted.Polys[0]; got.Size() != 1 || got.Coeff(a, b) != 1 {
+	if got := comp.Abstracted.Poly(0); got.Size() != 1 || got.Coeff(a, b) != 1 {
 		t.Errorf("abstracted %s, want 1·A·B", got.String(vb))
 	}
 }

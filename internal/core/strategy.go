@@ -97,16 +97,15 @@ func OptimalCompressor() Compressor {
 	}}
 }
 
-// GreedyCompressor returns Algorithm 2 as a Compressor. The abstracted set
-// is built from the table the selection ran on.
+// GreedyCompressor returns Algorithm 2 as a Compressor.
 func GreedyCompressor() Compressor {
 	return CompressorFunc{Label: "greedy", Fn: func(s *provenance.Set, forest *abstree.Forest, B int) (*Compression, error) {
 		return timed("greedy", s, func() (*Result, *provenance.Set, error) {
-			res, tab, err := greedy(s, forest, B, GreedyOptions{TieBreakML: true})
+			res, err := GreedyVVSOpts(s, forest, B, GreedyOptions{TieBreakML: true})
 			if err != nil {
 				return nil, nil, err
 			}
-			return res, tab.abstract(res.VVS.Subst(s.Vocab)), nil
+			return res, s.Substitute(res.VVS.Subst(s.Vocab)), nil
 		})
 	}}
 }

@@ -1,23 +1,15 @@
 package core
 
-import (
-	"bytes"
-	"cmp"
-	"encoding/binary"
-	"slices"
-
-	"provabs/internal/provenance"
-)
+import "provabs/internal/provenance"
 
 // table is the packed monomial table the selection algorithms run on: the
-// set's compiled kernel (provenance.Set.Compiled), read in place — its
-// monomials grouped by polynomial and, within a polynomial, in key order,
-// the order Set.Substitute sums merged coefficients in — with each
-// monomial's pairs and hash beside it. An occurrence index maps each
+// set's kernel (provenance.Set.Compiled), read in place — its monomials
+// grouped by polynomial and, within a polynomial, in key order, the order
+// Set.Substitute sums merged coefficients in — with each monomial's pairs
+// and hash beside it. An occurrence index maps each
 // indexed variable to the monomials holding it. A table is built per call
 // and dropped when the call returns.
 type table struct {
-	set       *provenance.Set
 	polyStart []int32             // polynomial i holds monomials polyStart[i] .. polyStart[i+1]-1 (the kernel's)
 	poly      []int32             // poly[m]: the polynomial monomial m belongs to
 	coeffs    []float64           // the kernel's; read only
@@ -35,13 +27,12 @@ type occurrence struct {
 	pow int32 // the variable's exponent in it
 }
 
-// newTable reads s's compiled kernel, with no map walk, sort or key
-// decoding, and indexes the occurrences of the given variables.
+// newTable reads s's kernel, with no sort or key decoding, and indexes
+// the occurrences of the given variables.
 func newTable(s *provenance.Set, indexed []provenance.Var) *table {
 	k := s.Compiled().TermArrays()
 	n := len(k.Coeffs)
 	t := &table{
-		set:       s,
 		polyStart: k.PolyOff,
 		poly:      make([]int32, n),
 		coeffs:    k.Coeffs,
@@ -126,119 +117,6 @@ func (t *table) groupML(rs *residueSet, vars []provenance.Var) int {
 		occs[i] = t.occurrences(v)
 	}
 	return t.source().groupML(rs, vars, occs)
-}
-
-// abstract returns P↓S for the substitution, compiled. It is term for term
-// the set Set.Substitute returns: the same keys, and merged coefficients
-// summed in the same ascending source-key order, so the same bits. Each
-// polynomial's substituted monomials are sorted by their new keys (source
-// order breaking ties) and fed to one provenance.SetBuilder, so the set
-// arrives with the kernel its first evaluation reads and the VarCount memo
-// its variable count reads (unless a source coefficient is NaN, which the
-// builder merges the slow way). Every key is encoded into one buffer, and
-// the builder gives each polynomial's keys one string, so the build
-// allocates per polynomial, not per monomial.
-func (t *table) abstract(subst map[provenance.Var]provenance.Var) *provenance.Set {
-	to := make([]provenance.Var, len(t.slot)) // to[v]: v's image, 0 if v stays
-	for v, w := range subst {
-		if t.has(v) && w != v {
-			to[v] = w
-		}
-	}
-	image := func(buf []provenance.VarPow, m int32) []provenance.VarPow {
-		changed := false
-		for _, p := range t.pairs(m) {
-			if t.has(p.Var) && to[p.Var] != 0 {
-				p.Var = to[p.Var]
-				changed = true
-			}
-			buf = append(buf, p)
-		}
-		if changed {
-			return canonical(buf)
-		}
-		return buf
-	}
-
-	// Every monomial's new key, and each polynomial's monomials sorted by
-	// it, source order breaking ties. A key's first eight bytes, as a
-	// zero-padded big-endian number, order any two keys they tell apart as
-	// bytes.Compare does, and the sort reads them without touching arena.
-	n := t.len()
-	arena := make([]byte, 0, 3*len(t.vars))
-	off := make([]int32, n+1) // monomial m's new key is arena[off[m]:off[m+1]]
-	ents := make([]keyed, n)
-	var buf []provenance.VarPow
-	for m := range int32(n) {
-		buf = image(buf[:0], m)
-		arena = provenance.AppendKey(arena, buf)
-		off[m+1] = int32(len(arena))
-		var pre [8]byte
-		copy(pre[:], arena[off[m]:off[m+1]])
-		ents[m] = keyed{pre: binary.BigEndian.Uint64(pre[:]), m: m}
-	}
-	key := func(m int32) []byte { return arena[off[m]:off[m+1]] }
-	same := func(a, b keyed) bool { return a.pre == b.pre && bytes.Equal(key(a.m), key(b.m)) }
-
-	// Count each polynomial's distinct new keys and their pairs, which
-	// size the builder.
-	npolys := len(t.polyStart) - 1
-	distinct := make([]int32, npolys)
-	terms, pairs := 0, 0
-	for pi := range npolys {
-		e := ents[t.polyStart[pi]:t.polyStart[pi+1]]
-		slices.SortFunc(e, func(a, b keyed) int {
-			if a.pre != b.pre {
-				return cmp.Compare(a.pre, b.pre)
-			}
-			if c := bytes.Compare(key(a.m), key(b.m)); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.m, b.m)
-		})
-		for i, x := range e {
-			if i == 0 || !same(x, e[i-1]) {
-				distinct[pi]++
-				pairs += int(t.varStart[x.m+1] - t.varStart[x.m]) // canonical never adds a pair
-			}
-		}
-		terms += int(distinct[pi])
-	}
-
-	b := provenance.NewSetBuilder(t.set.Vocab, npolys, terms, pairs)
-	for pi := range npolys {
-		b.Poly(int(distinct[pi]))
-		e := ents[t.polyStart[pi]:t.polyStart[pi+1]]
-		for i, x := range e {
-			if i == 0 || !same(x, e[i-1]) {
-				buf = image(buf[:0], x.m)
-			} // else x merges into the term before it, whose pairs buf holds
-			b.Term(key(x.m), t.coeffs[x.m], buf)
-		}
-	}
-	return b.Set(t.set.Tags)
-}
-
-// keyed is a monomial and the first eight bytes of its new key, for
-// sorting.
-type keyed struct {
-	pre uint64
-	m   int32
-}
-
-// canonical sorts pairs by Var and merges repeated variables by adding
-// their exponents, in place.
-func canonical(ps []provenance.VarPow) []provenance.VarPow {
-	slices.SortFunc(ps, func(a, b provenance.VarPow) int { return int(a.Var) - int(b.Var) })
-	out := ps[:0]
-	for _, p := range ps {
-		if n := len(out); n > 0 && out[n-1].Var == p.Var {
-			out[n-1].Pow += p.Pow
-		} else {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // view is one state of the abstraction over a table. Each group is a

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"provabs/internal/provenance"
 )
@@ -100,21 +101,20 @@ func appendAddRecord(dst []byte, seq uint64, tag string, p *provenance.Polynomia
 	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.AppendUvarint(dst, uint64(len(tag)))
 	dst = append(dst, tag...)
-	return appendPoly(dst, p)
+	return appendPoly(dst, p.Compile().TermArrays(), 0)
 }
 
-// appendPoly encodes a polynomial's canonical monomials — the codec shared
-// by WAL add records and the snapshot's source-set section.
-func appendPoly(dst []byte, p *provenance.Polynomial) []byte {
-	ms := p.Monomials()
-	dst = binary.AppendUvarint(dst, uint64(len(ms)))
-	for _, m := range ms {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Coeff))
-		vars := m.Vars()
-		dst = binary.AppendUvarint(dst, uint64(len(vars)))
-		for _, f := range vars {
-			dst = binary.AppendUvarint(dst, uint64(f.Var))
-			dst = binary.AppendUvarint(dst, uint64(f.Pow))
+// appendPoly encodes polynomial i of a kernel's term arrays, its terms in
+// the kernel's ascending key order — the codec shared by WAL add records
+// and the snapshot's source-set section.
+func appendPoly(dst []byte, k provenance.TermArrays[float64], i int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(k.PolyOff[i+1]-k.PolyOff[i]))
+	for t := k.PolyOff[i]; t < k.PolyOff[i+1]; t++ {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(k.Coeffs[t]))
+		dst = binary.AppendUvarint(dst, uint64(k.FactOff[t+1]-k.FactOff[t]))
+		for f := k.FactOff[t]; f < k.FactOff[t+1]; f++ {
+			dst = binary.AppendUvarint(dst, uint64(k.Vars[f]))
+			dst = binary.AppendUvarint(dst, uint64(k.Pows[f]))
 		}
 	}
 	return dst
@@ -218,55 +218,66 @@ func decodeRecord(payload []byte) (walRecord, error) {
 // decodePoly parses the shared polynomial body into terms. Variable ids
 // are only bounds-checked here; buildPoly range-checks them against the
 // actual vocabulary at apply time, after any preceding vocab record has
-// grown it. A term's variables must be strictly ascending, as appendPoly
-// writes them: a repeated one would reach NewMonomialPows, which adds its
-// exponents in int32 and may wrap them.
+// grown it.
 func decodePoly(r *byteReader) ([]dumpTerm, error) {
+	var terms []dumpTerm
+	_, err := readPoly(r, nil, func(coeff float64, factors []provenance.VarPow) error {
+		terms = append(terms, dumpTerm{coeff: coeff, factors: slices.Clone(factors)})
+		return nil
+	})
+	return terms, err
+}
+
+// readPoly parses the shared polynomial body, handing each term to term
+// with its factors in buf, which it reuses and returns. A term's
+// variables must be strictly ascending, as appendPoly writes them.
+func readPoly(r *byteReader, buf []provenance.VarPow, term func(coeff float64, factors []provenance.VarPow) error) ([]provenance.VarPow, error) {
 	nTerms, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
 	// Each term costs at least 9 bytes (8-byte coefficient + factor count).
 	if nTerms > uint64(r.remaining()/9)+1 {
-		return nil, fmt.Errorf("%w: polynomial claims %d terms", ErrCorrupt, nTerms)
+		return buf, fmt.Errorf("%w: polynomial claims %d terms", ErrCorrupt, nTerms)
 	}
-	terms := make([]dumpTerm, 0, nTerms)
 	for i := uint64(0); i < nTerms; i++ {
 		bits, err := r.u64()
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 		nf, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 		if nf > uint64(r.remaining()/2)+1 {
-			return nil, fmt.Errorf("%w: monomial claims %d factors", ErrCorrupt, nf)
+			return buf, fmt.Errorf("%w: monomial claims %d factors", ErrCorrupt, nf)
 		}
-		t := dumpTerm{coeff: math.Float64frombits(bits), factors: make([]provenance.VarPow, 0, nf)}
+		buf = buf[:0]
 		for j := uint64(0); j < nf; j++ {
 			v, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return buf, err
 			}
 			pw, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return buf, err
 			}
 			if v == 0 || v > math.MaxInt32 {
-				return nil, fmt.Errorf("%w: variable id %d out of range", ErrCorrupt, v)
+				return buf, fmt.Errorf("%w: variable id %d out of range", ErrCorrupt, v)
 			}
 			if pw == 0 || pw > math.MaxInt32 {
-				return nil, fmt.Errorf("%w: exponent %d out of range", ErrCorrupt, pw)
+				return buf, fmt.Errorf("%w: exponent %d out of range", ErrCorrupt, pw)
 			}
-			if n := len(t.factors); n > 0 && provenance.Var(v) <= t.factors[n-1].Var {
-				return nil, fmt.Errorf("%w: variable %d follows variable %d in one monomial; variables must be strictly ascending", ErrCorrupt, v, t.factors[n-1].Var)
+			if n := len(buf); n > 0 && provenance.Var(v) <= buf[n-1].Var {
+				return buf, fmt.Errorf("%w: variable %d follows variable %d in one monomial; variables must be strictly ascending", ErrCorrupt, v, buf[n-1].Var)
 			}
-			t.factors = append(t.factors, provenance.VarPow{Var: provenance.Var(v), Pow: int32(pw)})
+			buf = append(buf, provenance.VarPow{Var: provenance.Var(v), Pow: int32(pw)})
 		}
-		terms = append(terms, t)
+		if err := term(math.Float64frombits(bits), buf); err != nil {
+			return buf, err
+		}
 	}
-	return terms, nil
+	return buf, nil
 }
 
 // buildPoly turns decoded terms into a polynomial, range-checking every
@@ -286,10 +297,19 @@ func buildPoly(terms []dumpTerm, vocabLen int) (*provenance.Polynomial, error) {
 // vocabulary size.
 func checkVocab(terms []dumpTerm, vocabLen int) error {
 	for _, t := range terms {
-		for _, f := range t.factors {
-			if int(f.Var) > vocabLen {
-				return fmt.Errorf("%w: polynomial references variable %d outside the vocabulary (size %d)", ErrCorrupt, f.Var, vocabLen)
-			}
+		if err := checkFactors(t.factors, vocabLen); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkFactors range-checks one term's variables against the vocabulary
+// size.
+func checkFactors(factors []provenance.VarPow, vocabLen int) error {
+	for _, f := range factors {
+		if int(f.Var) > vocabLen {
+			return fmt.Errorf("%w: polynomial references variable %d outside the vocabulary (size %d)", ErrCorrupt, f.Var, vocabLen)
 		}
 	}
 	return nil

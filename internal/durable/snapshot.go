@@ -153,16 +153,17 @@ func EncodeSnapshot(w io.Writer, st *session.SnapshotState, lastSeq uint64) erro
 
 	// 7 source (only when the source differs from the active set)
 	if st.Compressed {
+		src := st.Source.Compiled().TermArrays()
 		buf = nil
 		buf = binary.AppendUvarint(buf, uint64(st.Source.Len()))
-		for i, p := range st.Source.Polys {
+		for i := range st.Source.Len() {
 			tag := ""
 			if i < len(st.Source.Tags) {
 				tag = st.Source.Tags[i]
 			}
 			buf = binary.AppendUvarint(buf, uint64(len(tag)))
 			buf = append(buf, tag...)
-			buf = appendPoly(buf, p)
+			buf = appendPoly(buf, src, i)
 		}
 		add(secSource, buf)
 	}
@@ -209,8 +210,11 @@ func EncodeSnapshot(w io.Writer, st *session.SnapshotState, lastSeq uint64) erro
 }
 
 // DecodeSnapshot reads and fully validates a snapshot, returning the
-// reconstructed session state (with the compiled cache injected into the
-// active set) and the last WAL sequence number the snapshot covers.
+// reconstructed session state (the active set's kernel warm, its index
+// and baseline checked against the snapshot's) and the last WAL sequence
+// number the snapshot covers. No section builds a Polynomial: the kernel
+// section becomes the active set through provenance.RestoreSet, the
+// source section is decoded into its kernel arrays (decodeSource).
 func DecodeSnapshot(r io.Reader) (*session.SnapshotState, uint64, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	header := make([]byte, 24)
@@ -492,11 +496,10 @@ func DecodeSnapshot(r io.Reader) (*session.SnapshotState, uint64, error) {
 	return st, lastSeq, nil
 }
 
-// decodeSource parses the snapshot's source section. appendPoly writes
-// each polynomial's terms in ascending key order, so they go through one
-// provenance.SetBuilder and the set arrives with its compiled kernel: the
-// forest's compatibility check in session.Restore reads that kernel
-// instead of compiling the set.
+// decodeSource parses the snapshot's source section straight into one
+// provenance.SetBuilder, whose arrays a first walk (countSource) sizes, so
+// the source kernel's arrays are allocated once. appendPoly writes each
+// polynomial's terms in ascending key order, the builder's fast path.
 func decodeSource(payload []byte, vb *provenance.Vocab) (*provenance.Set, error) {
 	r := &byteReader{b: payload}
 	n, err := r.uvarint()
@@ -506,25 +509,27 @@ func decodeSource(payload []byte, vb *provenance.Vocab) (*provenance.Set, error)
 	if n > uint64(r.remaining())+1 {
 		return nil, fmt.Errorf("%w: source section claims %d polynomials", ErrCorrupt, n)
 	}
-	b := provenance.NewSetBuilder(vb, int(n), 0, 0)
+	terms, factors := countSource(*r, n)
+	b := provenance.NewSetBuilder(vb, int(n), terms, factors)
 	tags := make([]string, 0, n)
 	var key []byte
+	var buf []provenance.VarPow
+	term := func(coeff float64, factors []provenance.VarPow) error {
+		if err := checkFactors(factors, vb.Len()); err != nil {
+			return err
+		}
+		key = provenance.AppendKey(key[:0], factors)
+		b.Term(key, coeff, factors)
+		return nil
+	}
 	for i := uint64(0); i < n; i++ {
 		tag, err := r.lenString(maxNameLen)
 		if err != nil {
 			return nil, err
 		}
-		terms, err := decodePoly(r)
-		if err != nil {
+		b.Poly()
+		if buf, err = readPoly(r, buf, term); err != nil {
 			return nil, err
-		}
-		if err := checkVocab(terms, vb.Len()); err != nil {
-			return nil, err
-		}
-		b.Poly(len(terms))
-		for _, t := range terms {
-			key = provenance.AppendKey(key[:0], t.factors)
-			b.Term(key, t.coeff, t.factors)
 		}
 		tags = append(tags, tag)
 	}
@@ -532,6 +537,45 @@ func decodeSource(payload []byte, vb *provenance.Vocab) (*provenance.Set, error)
 		return nil, fmt.Errorf("%w: trailing bytes in source section", ErrCorrupt)
 	}
 	return b.Set(tags), nil
+}
+
+// countSource walks the n polynomials that follow as decodeSource reads
+// them, checking nothing, and returns how many terms and factors the
+// section holds before it ends: sizes for the source kernel's arrays, each
+// bounded by the bytes it was counted from.
+func countSource(r byteReader, n uint64) (terms, factors int) {
+	for ; n > 0; n-- {
+		tag, err := r.uvarint()
+		if err != nil || tag > uint64(r.remaining()) {
+			return
+		}
+		r.off += int(tag)
+		nt, err := r.uvarint()
+		if err != nil {
+			return
+		}
+		for ; nt > 0; nt-- {
+			if r.remaining() < 9 { // an 8-byte coefficient and a factor count
+				return
+			}
+			r.off += 8
+			nf, err := r.uvarint()
+			if err != nil || nf > uint64(r.remaining()) {
+				return
+			}
+			for need := 2 * nf; need > 0; r.off++ { // a varint ends at its first byte below 0x80
+				if r.off == len(r.b) {
+					return
+				}
+				if r.b[r.off] < 0x80 {
+					need--
+				}
+			}
+			terms++
+			factors += int(nf)
+		}
+	}
+	return
 }
 
 func boolByte(b bool) byte {

@@ -328,7 +328,7 @@ type RecoveryInfo struct {
 }
 
 // Recover rebuilds a session from its durable state: decode the snapshot,
-// restore the engine (compiled cache injected, no recompile), then replay
+// restore the engine (its kernel arrives warm, no recompile), then replay
 // WAL records past the snapshot's sequence through Engine.Add — which
 // extends the compiled form via Compiled.Append. A torn WAL tail is
 // truncated with a warning; a corrupt middle or snapshot fails recovery.

@@ -102,7 +102,7 @@ func TestRunningExampleProvenance(t *testing.T) {
 	var p10001 *provenance.Polynomial
 	for i, tag := range set.Tags {
 		if tag == "10001" {
-			p10001 = set.Polys[i]
+			p10001 = set.Poly(i)
 		}
 	}
 	if p10001 == nil {
@@ -142,7 +142,7 @@ func TestRunningExampleScenario(t *testing.T) {
 	}
 	m3, _ := c.Vocab.Lookup("m3")
 	scenario := map[provenance.Var]float64{m3: 0.8}
-	got := set.Eval(scenario)
+	got := set.Compiled().EvalMap(scenario)
 
 	// Reference: rebuild the catalog with March prices cut 20%.
 	ref := figure1Catalog(t)
@@ -162,7 +162,7 @@ func TestRunningExampleScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := refSet.Eval(nil) // all variables default to 1
+	want := refSet.Compiled().EvalMap(nil) // all variables default to 1
 	if len(got) != len(want) {
 		t.Fatalf("group count mismatch: %d vs %d", len(got), len(want))
 	}
@@ -321,8 +321,8 @@ func TestModel1SemiringProvenance(t *testing.T) {
 		t.Fatalf("output tuples = %d, want 1", set.Len())
 	}
 	want := provenance.MustParse(vb, "r1·s1 + r2·s1 + r3·s2")
-	if !set.Polys[0].Equal(want) {
-		t.Errorf("annotation = %s, want %s", set.Polys[0].String(vb), want.String(vb))
+	if !set.Poly(0).Equal(want) {
+		t.Errorf("annotation = %s, want %s", set.Poly(0).String(vb), want.String(vb))
 	}
 }
 

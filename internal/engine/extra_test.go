@@ -251,8 +251,8 @@ func TestGroupProvenanceConstantFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.Polys[0].Coeff() != 2.5 {
-		t.Errorf("constant polynomial = %v", set.Polys[0].Coeff())
+	if set.Poly(0).Coeff() != 2.5 {
+		t.Errorf("constant polynomial = %v", set.Poly(0).Coeff())
 	}
 	if _, err := GroupProvenance(vb, res, "nope"); err == nil {
 		t.Error("unknown column accepted")

@@ -62,7 +62,7 @@ func TestExample24Claim23(t *testing.T) {
 	}
 	// Spot-check Example 24's P^(1,3)_S coefficient: 9·x1·x3.
 	x1, x3 := vb.Var("x1"), vb.Var("x3")
-	if got := abs.Polys[0].Coeff(x1, x3); got != 9 {
+	if got := abs.Poly(0).Coeff(x1, x3); got != 9 {
 		t.Errorf("coeff of x1·x3 = %v, want 9", got)
 	}
 }

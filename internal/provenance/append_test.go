@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -110,33 +111,74 @@ func TestAppendEquivalence(t *testing.T) {
 	}
 }
 
-// TestAppendVocabFallback pins the rebuild fallback: once the inverted index
-// is built, appending a polynomial with a variable beyond the compiled
-// vocabulary is declined and leaves the receiver untouched.
-func TestAppendVocabFallback(t *testing.T) {
+// TestAppendVocabGrowth: once the inverted index and baseline are built,
+// appending polynomials with variables beyond the indexed vocabulary
+// patches both — the index grows rows for the new variables — into
+// exactly what a fresh compile builds, and delta answers on the new
+// variables match a full evaluation.
+func TestAppendVocabGrowth(t *testing.T) {
 	vb := NewVocab()
 	s := NewSet(vb)
 	s.Add("a", MustParse(vb, "2·x·y + 3·y"))
 	c := s.Compile()
 	c.NewDeltaEval()
-	grown := MustParse(vb, "5·brandnew")
-	if c.Append([]*Polynomial{grown}, []string{"b"}) {
-		t.Fatal("Append accepted a variable beyond the indexed vocabulary")
+	c.Baseline()
+	grown := []*Polynomial{MustParse(vb, "5·brandnew"), MustParse(vb, "x·later^2 + 1"), NewPolynomial()}
+	if !c.Append(grown, []string{"b", "c", "d"}) {
+		t.Fatal("Append declined variables beyond the indexed vocabulary")
 	}
-	if c.Len() != 1 || c.Size() != 2 {
-		t.Fatalf("declined Append mutated the receiver: len %d size %d", c.Len(), c.Size())
+	for i, p := range grown {
+		s.Add([]string{"b", "c", "d"}[i], p)
 	}
-	// Without the index the same append succeeds and extends the valuation.
-	c2 := s.Compile()
-	if !c2.Append([]*Polynomial{grown}, []string{"b"}) {
-		t.Fatal("Append declined with no index built")
+	if c.Len() != 4 || c.ValuationLen() != int(vb.Var("later"))+1 {
+		t.Fatalf("appended compiled len %d, valuation %d", c.Len(), c.ValuationLen())
 	}
-	if c2.Len() != 2 || c2.ValuationLen() != int(vb.Var("brandnew"))+1 {
-		t.Fatalf("appended compiled len %d, valuation %d", c2.Len(), c2.ValuationLen())
+	got, want := DumpCompiled(c), DumpCompiled(s.Compile())
+	for name, pair := range map[string][2][]int32{
+		"VarTermOff":   {got.VarTermOff, want.VarTermOff},
+		"VarPolyOff":   {got.VarPolyOff, want.VarPolyOff},
+		"VarPolyIDs":   {got.VarPolyIDs, want.VarPolyIDs},
+		"VarPolyTerms": {got.VarPolyTerms, want.VarPolyTerms},
+	} {
+		if !slices.Equal(pair[0], pair[1]) {
+			t.Errorf("patched %s %v, fresh build %v", name, pair[0], pair[1])
+		}
 	}
-	got := c2.Eval(c2.NewValuation(), nil)
-	if got[1] != 5 {
-		t.Fatalf("appended polynomial = %v, want 5", got[1])
+	if !slices.Equal(got.Baseline, want.Baseline) {
+		t.Errorf("patched baseline %v, fresh %v", got.Baseline, want.Baseline)
+	}
+	val := c.NewValuation()
+	val[vb.Var("brandnew")], val[vb.Var("later")] = 3, 2
+	touched := []Var{vb.Var("brandnew"), vb.Var("later")}
+	if d, full := c.EvalDelta(touched, val, nil), c.Eval(val, nil); !slices.Equal(d, full) || full[1] != 15 || full[2] != 5 {
+		t.Fatalf("delta answers %v, full %v, want [.. 15 5 0]", d, full)
+	}
+}
+
+// TestDropIndex: DropIndex discards a kernel's inverted index and
+// baseline, so Append patches neither; the next delta evaluation builds
+// both afresh, equal to a fresh compile's.
+func TestDropIndex(t *testing.T) {
+	vb := NewVocab()
+	s := NewSet(vb)
+	s.Add("a", MustParse(vb, "2·x·y + 3·y"))
+	c := s.Compiled()
+	c.NewDeltaEval()
+	c.Baseline()
+	c.DropIndex()
+	s.Add("b", MustParse(vb, "5·z + x^2"))
+	if c.varTermOff != nil || c.baseline != nil {
+		t.Fatal("Append patched an index or baseline DropIndex discarded")
+	}
+	val := c.NewValuation()
+	val[vb.Var("z")] = 2
+	if got, want := c.EvalDelta([]Var{vb.Var("z")}, val, nil), c.Eval(val, nil); !slices.Equal(got, want) {
+		t.Fatalf("delta answers %v after DropIndex, full %v", got, want)
+	}
+	got, want := DumpCompiled(c), DumpCompiled(s.Compile())
+	if !slices.Equal(got.VarPolyIDs, want.VarPolyIDs) || !slices.Equal(got.VarTermOff, want.VarTermOff) || !slices.Equal(got.Baseline, want.Baseline) {
+		t.Fatalf("rebuilt index %v %v and baseline %v, a fresh compile's %v %v %v",
+			got.VarTermOff, got.VarPolyIDs, got.Baseline, want.VarTermOff, want.VarPolyIDs, want.Baseline)
 	}
 }
 

@@ -2,36 +2,31 @@ package provenance
 
 import (
 	"bytes"
-	"math"
+	"cmp"
+	"encoding/binary"
+	"slices"
 )
 
-// SetBuilder assembles a Set term by term, polynomial by polynomial. Fed
-// each polynomial's terms in ascending key order — the order Encode writes
-// and the compiled kernel holds — it builds three things in one pass: the
-// map polynomials, the compiled float kernel (the arrays Compile would
-// flatten those maps into, bit for bit), and the VarCount memo. The set
-// Set returns then arrives compiled: neither its first evaluation nor its
-// first VarCount reads a key. Terms in any other order still build the
-// right maps; the kernel and the memo are then built lazily (see Term).
+// SetBuilder assembles a Set term by term, polynomial by polynomial,
+// straight into the arrays of its kernel, and marks the set's variables
+// as it goes. Terms merge as AddMonomial merges them into a polynomial's
+// map: the coefficients of one key are summed, from zero, in the order
+// given, and a key whose sum is exactly zero is dropped. Terms given in
+// ascending key order (the order Encode writes and a kernel holds) are
+// merged as they arrive; a polynomial whose terms arrive in any other
+// order is sorted, stably by key, when it ends.
 //
-// A polynomial's keys are copied into one buffer and become map keys as
-// substrings of one string, so building allocates per polynomial, not per
-// term. The kernel's arrays are allocated once, at the sizes NewSetBuilder
-// is given; a builder fed more terms or factors than that grows them.
+// The arrays are allocated once, at the sizes NewSetBuilder is given; a
+// builder fed more terms or factors than that grows them.
 type SetBuilder struct {
-	vb    *Vocab
-	polys []*Polynomial
-	k     *Compiled // nil once an unordered term dropped the kernel
-	marks []bool    // the variables of the kept terms; nil with k
-	count int       // the number of marks set
+	s *Set      // the set being built: its kernel and variable marks
+	k *Compiled // s's kernel
 
-	cur  *Polynomial
-	base int     // the current polynomial's first term in k.coeffs
-	keys []byte  // the current polynomial's keys, end to end
-	ends []int32 // ends[i]: where its i'th kept term's key ends in keys
-
-	pending bool    // a term awaits its merge partners: key keys[at:], factors k.vars[from:]
-	at      int     // where the pending term's key starts in keys
+	open    bool    // a polynomial is being built
+	base    int     // its first term in k.coeffs
+	sorted  bool    // its keys have arrived in ascending order
+	pending bool    // a term awaits its merge partners
+	key     []byte  // the pending term's key; its factors are k.vars[from:]
 	from    int     // where its factors start in k.vars
 	sum     float64 // its coefficient so far
 }
@@ -46,51 +41,35 @@ func NewSetBuilder(vb *Vocab, polys, terms, factors int) *SetBuilder {
 	k.factOff = make([]int32, 1, terms+1)
 	k.vars = make([]Var, 0, factors)
 	k.pows = make([]int32, 0, factors)
-	return &SetBuilder{
-		vb:    vb,
-		polys: make([]*Polynomial, 0, polys),
-		k:     k,
-		marks: make([]bool, vb.Len()+1),
-	}
+	return &SetBuilder{s: &Set{Vocab: vb, k: k, marks: make([]bool, vb.Len()+1)}, k: k}
 }
 
-// Poly starts the next polynomial, with map room for terms terms.
-func (b *SetBuilder) Poly(terms int) {
+// Poly starts the next polynomial.
+func (b *SetBuilder) Poly() {
 	b.endPoly()
-	b.cur = &Polynomial{terms: make(map[MonomialKey]float64, terms)}
-	b.polys = append(b.polys, b.cur)
-	if b.k != nil {
-		b.base = len(b.k.coeffs)
-	}
+	b.open, b.sorted, b.base = true, true, len(b.k.coeffs)
 }
 
 // Term adds coeff times the monomial key to the current polynomial, as
 // AddMonomial would; pairs are key's (Var, Pow) pairs in ascending Var
-// order, and the builder keeps neither slice. Terms in ascending key order
-// build the kernel and the memo as they come: an equal key merges into the
-// term before it, the coefficients summed in the order given and a sum of
-// exactly zero dropping the term, as AddMonomial's merge does. A key below
-// the one before it, or a zero or NaN coefficient (adding a NaN to an
-// empty slot's 0 may change its bits), goes through unordered instead.
+// order, and the builder keeps neither slice.
 func (b *SetBuilder) Term(key []byte, coeff float64, pairs []VarPow) {
-	if b.k == nil || coeff == 0 || math.IsNaN(coeff) {
-		b.unordered(MonomialKey(key), coeff)
-		return
-	}
 	if b.pending {
-		switch c := bytes.Compare(key, b.keys[b.at:]); {
-		case c == 0:
+		c := bytes.Compare(key, b.key)
+		if c == 0 {
 			b.sum += coeff
 			return
-		case c < 0:
-			b.unordered(MonomialKey(key), coeff)
-			return
+		}
+		if c < 0 {
+			b.sorted = false
 		}
 		b.settle()
 	}
 	k := b.k
-	b.pending, b.at, b.from, b.sum = true, len(b.keys), len(k.vars), coeff
-	b.keys = append(b.keys, key...)
+	b.pending, b.from = true, len(k.vars)
+	b.sum = 0
+	b.sum += coeff // as AddMonomial adds to an absent key's zero: a signalling NaN is quieted
+	b.key = append(b.key[:0], key...)
 	for _, vp := range pairs {
 		k.vars = append(k.vars, vp.Var)
 		k.pows = append(k.pows, vp.Pow)
@@ -99,87 +78,177 @@ func (b *SetBuilder) Term(key []byte, coeff float64, pairs []VarPow) {
 
 // settle keeps the pending term, unless its coefficients summed to zero.
 func (b *SetBuilder) settle() {
-	if !b.pending {
-		return
-	}
 	b.pending = false
 	k := b.k
 	if b.sum == 0 {
-		b.keys = b.keys[:b.at]
 		k.vars, k.pows = k.vars[:b.from], k.pows[:b.from]
 		return
 	}
-	b.ends = append(b.ends, int32(len(b.keys)))
 	k.coeffs = append(k.coeffs, b.sum)
-	for f := b.from; f < len(k.vars); f++ {
-		v := k.vars[f]
-		if k.pows[f] != 1 {
-			k.allPow1 = false
-		}
-		k.maxVar = max(k.maxVar, v)
-		if int(v) >= len(b.marks) {
-			b.marks = append(b.marks, make([]bool, int(v)+1-len(b.marks))...)
-		}
-		if !b.marks[v] {
-			b.marks[v] = true
-			b.count++
-		}
-	}
 	k.factOff = append(k.factOff, int32(len(k.vars)))
 }
 
-// store moves the current polynomial's kept terms into its map, each key a
-// substring of one string.
-func (b *SetBuilder) store() {
-	b.settle()
-	if len(b.ends) == 0 {
-		return
-	}
-	str := string(b.keys)
-	from := int32(0)
-	for i, end := range b.ends {
-		b.cur.terms[MonomialKey(str[from:end])] = b.k.coeffs[b.base+i]
-		from = end
-	}
-	b.keys, b.ends = b.keys[:0], b.ends[:0]
-}
-
-// unordered merges coeff·key into the current polynomial as AddMonomial
-// does, whatever the keys before it; key must be canonical. The set then
-// no longer arrives compiled: the kernel and the memo are dropped, and the
-// set builds both lazily, like any other. Every later term, through Term
-// or unordered, merges the same way.
-func (b *SetBuilder) unordered(key MonomialKey, coeff float64) {
-	if b.k != nil {
-		b.store()
-		b.k, b.marks = nil, nil
-	}
-	b.cur.addKey(key, coeff)
-}
-
-// endPoly closes the current polynomial, if any.
+// endPoly closes the current polynomial, if any: it sorts the polynomial
+// when its keys arrived out of order, and marks its variables.
 func (b *SetBuilder) endPoly() {
-	if b.cur == nil {
+	if !b.open {
 		return
 	}
-	if b.k != nil {
-		b.store()
-		b.k.polyOff = append(b.k.polyOff, int32(len(b.k.coeffs)))
+	if b.pending {
+		b.settle()
 	}
-	b.cur = nil
+	if !b.sorted {
+		b.sortPoly()
+	}
+	k := b.k
+	from := int(k.factOff[b.base])
+	k.noteFactors(from)
+	b.s.mark(k.vars[from:])
+	k.polyOff = append(k.polyOff, int32(len(k.coeffs)))
+	b.open = false
+}
+
+// sortPoly puts the current polynomial's settled terms in ascending key
+// order, the order they arrived in breaking ties, and merges equal keys by
+// feeding them to Term again.
+func (b *SetBuilder) sortPoly() {
+	k := b.k
+	lo := b.base
+	n := len(k.coeffs) - lo
+	var keys []byte
+	end := make([]int, n+1) // term lo+i's key is keys[end[i]:end[i+1]]
+	order := make([]int, n)
+	for i := range n {
+		keys = k.appendKey(keys, lo+i)
+		end[i+1], order[i] = len(keys), i
+	}
+	key := func(i int) []byte { return keys[end[i]:end[i+1]] }
+	slices.SortStableFunc(order, func(i, j int) int { return bytes.Compare(key(i), key(j)) })
+
+	f0 := k.factOff[lo]
+	coeffs, factOff := slices.Clone(k.coeffs[lo:]), slices.Clone(k.factOff[lo:])
+	vars, pows := slices.Clone(k.vars[f0:]), slices.Clone(k.pows[f0:])
+	k.coeffs, k.factOff, k.vars, k.pows = k.coeffs[:lo], k.factOff[:lo+1], k.vars[:f0], k.pows[:f0]
+	b.sorted = true
+	var pairs []VarPow
+	for _, i := range order {
+		pairs = pairs[:0]
+		for f := factOff[i] - f0; f < factOff[i+1]-f0; f++ {
+			pairs = append(pairs, VarPow{Var: vars[f], Pow: pows[f]})
+		}
+		b.Term(key(i), coeffs[i], pairs)
+	}
+	if b.pending {
+		b.settle()
+	}
 }
 
 // Set closes the last polynomial and returns the set, tagged with tags
-// (shared, not copied; it may be shorter than the set, as Set.Tags may),
-// with its compiled cache and its VarCount memo in place. The builder must
-// not be used afterwards.
+// (shared, not copied; it may be shorter than the set, as Set.Tags may).
+// The builder must not be used afterwards.
 func (b *SetBuilder) Set(tags []string) *Set {
 	b.endPoly()
-	s := &Set{Vocab: b.vb, Polys: b.polys, Tags: tags}
-	if b.k != nil {
-		b.k.Tags = tags
-		s.compiled = b.k
-		s.varMarks, s.varCount = b.marks, b.count
+	b.s.Tags, b.k.Tags = tags, tags
+	return b.s
+}
+
+// Substitute returns P↓S for the variable mapping subst (leaf variable →
+// abstracting meta-variable), sharing the vocabulary and tags: each
+// monomial's variables are mapped (variables absent from subst, or mapped
+// to NoVar, stay), and monomials that become identical merge, summing
+// their coefficients in ascending source-key order — the paper's
+// abstraction semantics (Example 2), bit for bit what
+// Polynomial.Substitute gives each member.
+//
+// Every new key is encoded into one buffer, each polynomial's monomials
+// are sorted by it, and the sorted terms go to one SetBuilder, sized from
+// a count of the distinct keys, so the set's arrays are allocated once.
+func (s *Set) Substitute(subst map[Var]Var) *Set {
+	k := s.k
+	to := make([]Var, int(k.maxVar)+1) // to[v]: v's image, 0 if v stays
+	for v, w := range subst {
+		if v > 0 && int(v) < len(to) && w > 0 && w != v {
+			to[v] = w
+		}
 	}
-	return s
+	image := func(buf []VarPow, t int) []VarPow {
+		changed := false
+		for f := k.factOff[t]; f < k.factOff[t+1]; f++ {
+			p := VarPow{Var: k.vars[f], Pow: k.pows[f]}
+			if w := to[p.Var]; w != 0 {
+				p.Var, changed = w, true
+			}
+			buf = append(buf, p)
+		}
+		if changed {
+			// A sum past 2^31−1 wraps, as Polynomial.Substitute wraps it; a
+			// compatible forest never maps two variables of one monomial
+			// to one.
+			buf, _ = canonicalPairs(buf)
+		}
+		return buf
+	}
+
+	// Every monomial's new key, and each polynomial's monomials sorted by
+	// it, source order breaking ties. A key's first eight bytes, as a
+	// zero-padded big-endian number, order any two keys they tell apart as
+	// bytes.Compare does, and the sort reads them without touching arena.
+	n := k.Size()
+	arena := make([]byte, 0, 3*len(k.vars))
+	off := make([]int32, n+1) // monomial t's new key is arena[off[t]:off[t+1]]
+	ents := make([]keyed, n)
+	var buf []VarPow
+	for t := range n {
+		buf = image(buf[:0], t)
+		arena = AppendKey(arena, buf)
+		off[t+1] = int32(len(arena))
+		var pre [8]byte
+		copy(pre[:], arena[off[t]:off[t+1]])
+		ents[t] = keyed{pre: binary.BigEndian.Uint64(pre[:]), t: int32(t)}
+	}
+	key := func(t int32) []byte { return arena[off[t]:off[t+1]] }
+	same := func(a, b keyed) bool { return a.pre == b.pre && bytes.Equal(key(a.t), key(b.t)) }
+
+	// Count the distinct new keys and their pairs, which size the builder;
+	// canonicalPairs never adds a pair.
+	npolys := s.Len()
+	terms, pairs := 0, 0
+	for pi := range npolys {
+		e := ents[k.polyOff[pi]:k.polyOff[pi+1]]
+		slices.SortFunc(e, func(a, b keyed) int {
+			if a.pre != b.pre {
+				return cmp.Compare(a.pre, b.pre)
+			}
+			if c := bytes.Compare(key(a.t), key(b.t)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.t, b.t)
+		})
+		for i, x := range e {
+			if i == 0 || !same(x, e[i-1]) {
+				terms++
+				pairs += int(k.factOff[x.t+1] - k.factOff[x.t])
+			}
+		}
+	}
+
+	b := NewSetBuilder(s.Vocab, npolys, terms, pairs)
+	for pi := range npolys {
+		b.Poly()
+		e := ents[k.polyOff[pi]:k.polyOff[pi+1]]
+		for i, x := range e {
+			if i == 0 || !same(x, e[i-1]) {
+				buf = image(buf[:0], int(x.t))
+			} // else x merges into the term before it, whose pairs buf holds
+			b.Term(key(x.t), k.coeffs[x.t], buf)
+		}
+	}
+	return b.Set(slices.Clip(s.Tags))
+}
+
+// keyed is a monomial and the first eight bytes of its new key, for
+// sorting.
+type keyed struct {
+	pre uint64
+	t   int32
 }

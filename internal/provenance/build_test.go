@@ -1,8 +1,6 @@
 package provenance
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -38,34 +36,46 @@ func kernelDiff(got, want *Compiled) string {
 	return ""
 }
 
-// setDiff describes the first term where two sets differ, comparing
-// coefficients by Float64bits; "" when they are identical.
-func setDiff(a, b *Set) string {
-	if a.Len() != b.Len() || strings.Join(a.Tags, "\x00") != strings.Join(b.Tags, "\x00") || len(a.Tags) != len(b.Tags) {
-		return fmt.Sprintf("%d vs %d polynomials or different tags", a.Len(), b.Len())
+// polysDiff describes the first term where the set's polynomials differ
+// from want's maps, comparing coefficients by Float64bits; "" when they
+// are identical.
+func polysDiff(s *Set, want []*Polynomial) string {
+	if s.Len() != len(want) {
+		return fmt.Sprintf("%d vs %d polynomials", s.Len(), len(want))
 	}
-	for i := range a.Polys {
-		if a.Polys[i].Size() != b.Polys[i].Size() {
-			return fmt.Sprintf("polynomial %d: %d vs %d terms", i, a.Polys[i].Size(), b.Polys[i].Size())
+	for i, w := range want {
+		got := s.Poly(i)
+		if got.Size() != w.Size() {
+			return fmt.Sprintf("polynomial %d: %d vs %d terms", i, got.Size(), w.Size())
 		}
-		for k, c := range a.Polys[i].terms {
-			if w, ok := b.Polys[i].terms[k]; !ok || math.Float64bits(w) != math.Float64bits(c) {
-				return fmt.Sprintf("polynomial %d: term %x: %v vs %v (present %v)", i, k, c, w, ok)
+		for k, c := range got.terms {
+			if x, ok := w.terms[k]; !ok || math.Float64bits(x) != math.Float64bits(c) {
+				return fmt.Sprintf("polynomial %d: term %x: %v vs %v (present %v)", i, k, c, x, ok)
 			}
 		}
 	}
 	return ""
 }
 
+// granularityOf is |P|_V of map polynomials, counted from their keys.
+func granularityOf(ps []*Polynomial) int {
+	seen := map[Var]bool{}
+	for _, p := range ps {
+		for _, v := range p.Vars() {
+			seen[v] = true
+		}
+	}
+	return len(seen)
+}
+
 // TestSetBuilderMatchesAddMonomial feeds random sorted terms — repeated
 // keys, sums that cancel to exactly zero, ±1e16 sums that cancel in one
 // order only, empty polynomials, constant terms — to a SetBuilder and
 // checks the set against AddMonomial's merges of the same terms in the
-// same order, its seeded kernel against a fresh Compile of its maps, and
-// its VarCount against Granularity. In a quarter of the seeds one term is
-// made one Term must not take into the kernel (a zero or NaN coefficient,
-// or a key below the one before it): the maps must still match, and the
-// set must arrive without a kernel or memo.
+// same order, its kernel against the one Set.Add flattens those maps into,
+// and its VarCount against the maps' variables. In a quarter of the seeds
+// one term is a zero or NaN coefficient, or a key below the one before
+// it, which the builder must merge the same way.
 func TestSetBuilderMatchesAddMonomial(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -95,102 +105,51 @@ func TestSetBuilderMatchesAddMonomial(t *testing.T) {
 			slices.SortStableFunc(ts, func(a, b term) int { return strings.Compare(string(a.key), string(b.key)) })
 			polys = append(polys, ts)
 		}
-		ordered := true
 		if pi := len(polys) - 1; seed%4 == 3 && pi >= 0 && len(polys[pi]) > 0 {
 			ts := polys[pi]
 			i := rng.Intn(len(ts))
 			switch rng.Intn(3) {
 			case 0:
 				ts[i].coeff = 0
-				ordered = false
 			case 1:
 				ts[i].coeff = math.NaN()
-				ordered = false
 			default:
 				if j := slices.IndexFunc(ts, func(tm term) bool { return tm.key > ts[0].key }); j > 0 {
 					ts[0], ts[j] = ts[j], ts[0]
-					ordered = false
 				}
 			}
 		}
-		want := NewSet(vb)
+		want := make([]*Polynomial, len(polys))
+		flat := NewSet(vb)
 		b := NewSetBuilder(vb, len(polys), 0, 0) // too small: the arrays must grow
 		tags := make([]string, len(polys))
 		for pi, ts := range polys {
 			p := NewPolynomial()
-			b.Poly(len(ts))
+			b.Poly()
 			for _, tm := range ts {
 				p.AddMonomial(Monomial{Coeff: tm.coeff, vars: parseKey(tm.key)})
 				b.Term([]byte(tm.key), tm.coeff, parseKey(tm.key))
 			}
 			tags[pi] = fmt.Sprintf("P%d", pi)
-			want.Add(tags[pi], p)
+			want[pi] = p
+			flat.Add(tags[pi], p)
 		}
 		got := b.Set(tags)
-		if diff := setDiff(got, want); diff != "" {
+		if diff := polysDiff(got, want); diff != "" {
 			t.Fatalf("seed %d: builder vs AddMonomial: %s", seed, diff)
 		}
-		if !ordered {
-			if got.compiled != nil || got.varMarks != nil {
-				t.Fatalf("seed %d: a set with a term off the ordered path arrived with a kernel or memo", seed)
-			}
-			continue
+		if diff := kernelDiff(got.Compiled(), flat.Compiled()); diff != "" {
+			t.Fatalf("seed %d: built kernel vs the maps flattened: %s", seed, diff)
 		}
-		if got.compiled == nil {
-			t.Fatalf("seed %d: the built set arrived without a kernel", seed)
-		}
-		if diff := kernelDiff(got.compiled, got.Compile()); diff != "" {
-			t.Fatalf("seed %d: seeded kernel vs Compile: %s", seed, diff)
-		}
-		if g, w := got.VarCount(), want.Granularity(); g != w {
-			t.Fatalf("seed %d: VarCount %d, Granularity %d", seed, g, w)
+		if g, w := got.VarCount(), granularityOf(want); g != w {
+			t.Fatalf("seed %d: VarCount %d, the maps' variables %d", seed, g, w)
 		}
 	}
 }
 
-// canonicalInput reports whether every term of the encoded set takes
-// DecodeBytes's ascending path: strictly ascending pairs, a non-zero,
-// non-NaN coefficient, and a key not below the one before it in its
-// polynomial (an equal one merges into it). It checks nothing else; call
-// it on inputs that decode.
-func canonicalInput(data []byte) bool {
-	d := decoder{data: data, off: len(codecMagic) + 1}
-	nvars, _ := d.uvarint()
-	for i := uint64(0); i < nvars; i++ {
-		d.bytes()
-	}
-	npolys, _ := d.uvarint()
-	for i := uint64(0); i < npolys; i++ {
-		d.bytes()
-		nterms, _ := d.uvarint()
-		var prev []byte
-		for t := uint64(0); t < nterms; t++ {
-			coeff := math.Float64frombits(binary.LittleEndian.Uint64(data[d.off:]))
-			d.off += 8
-			nvp, _ := d.uvarint()
-			var key []byte
-			last := int64(0)
-			for j := uint64(0); j < nvp; j++ {
-				v, _ := d.varint()
-				pw, _ := d.uvarint()
-				if v <= last {
-					return false
-				}
-				last = v
-				key = AppendKey(key, []VarPow{{Var: Var(v), Pow: int32(pw)}})
-			}
-			if coeff == 0 || math.IsNaN(coeff) || (t > 0 && bytes.Compare(key, prev) < 0) {
-				return false
-			}
-			prev = key
-		}
-	}
-	return true
-}
-
-// TestDecodeSeedsKernel: a set Encode wrote decodes with its kernel and
-// VarCount memo in place, equal to a fresh compile of its maps; a set with
-// a term Encode never writes decodes without either, to build lazily.
+// TestDecodeSeedsKernel: a set Encode wrote decodes into the kernel it was
+// encoded from, and one with a term Encode never writes (descending pairs)
+// into the kernel its map form flattens into.
 func TestDecodeSeedsKernel(t *testing.T) {
 	s := randomSet(t, 7, 30, 20, true)
 	data := encodeSet(t, s)
@@ -198,14 +157,14 @@ func TestDecodeSeedsKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.compiled == nil || got.varMarks == nil || got.compiled.Vocab != got.Vocab {
-		t.Fatal("a set Encode wrote decoded without its kernel or memo, or with a kernel over another vocabulary")
+	if got.Compiled().Vocab != got.Vocab {
+		t.Fatal("a decoded set's kernel is over another vocabulary")
 	}
-	if diff := kernelDiff(got.compiled, got.Compile()); diff != "" {
-		t.Fatalf("seeded kernel vs Compile: %s", diff)
+	if diff := kernelDiff(got.Compiled(), s.Compiled()); diff != "" {
+		t.Fatalf("decoded kernel vs the source's: %s", diff)
 	}
-	if diff := kernelDiff(got.compiled, s.Compile()); diff != "" {
-		t.Fatalf("seeded kernel vs the source's: %s", diff)
+	if got.VarCount() != s.VarCount() {
+		t.Fatalf("VarCount %d, source's %d", got.VarCount(), s.VarCount())
 	}
 	slow := rawSet([]string{"a", "b"}, func(b []byte) []byte {
 		b = append(b, 1, 0, 2)
@@ -216,11 +175,14 @@ func TestDecodeSeedsKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.compiled != nil || got.varMarks != nil {
-		t.Fatal("a set with descending pairs decoded with a kernel or memo")
+	vb := NewVocab()
+	want := NewSet(vb)
+	want.Add("", MustParse(vb, "a + 2*a*b"))
+	if diff := kernelDiff(got.Compiled(), want.Compiled()); diff != "" {
+		t.Fatalf("descending pairs: %s", diff)
 	}
-	if got.VarCount() != 2 || got.Compiled().Size() != 2 {
-		t.Fatalf("lazy VarCount %d and kernel size %d, want 2 and 2", got.VarCount(), got.Compiled().Size())
+	if got.VarCount() != 2 {
+		t.Fatalf("VarCount %d, want 2", got.VarCount())
 	}
 }
 
@@ -249,7 +211,7 @@ func TestRestoreSetRejectsRepeatedVariable(t *testing.T) {
 			Tags:    []string{""},
 		}
 		if s, err := RestoreSet(vb, d); err == nil {
-			t.Errorf("%s: RestoreSet accepted the dump, rebuilding %s", tc.name, s.Polys[0].String(vb))
+			t.Errorf("%s: RestoreSet accepted the dump, restoring %s", tc.name, s.Poly(0).String(vb))
 		} else if !strings.Contains(err.Error(), "strictly ascending") {
 			t.Errorf("%s: error %q does not say why", tc.name, err)
 		}
@@ -282,7 +244,7 @@ func TestRestoreSetRejectsUnorderedTerms(t *testing.T) {
 			Tags:    []string{""},
 		}
 		if s, err := RestoreSet(vb, d); err == nil {
-			t.Errorf("%s: RestoreSet accepted the dump, rebuilding %s", tc.name, s.Polys[0].String(vb))
+			t.Errorf("%s: RestoreSet accepted the dump, restoring %s", tc.name, s.Poly(0).String(vb))
 		} else if !strings.Contains(err.Error(), "ascending key order") {
 			t.Errorf("%s: error %q does not say why", tc.name, err)
 		}

@@ -179,20 +179,46 @@ func evalLinearFloat(a *kernelArrays[float64], pi int, val []float64) float64 {
 	return sum
 }
 
-// evalGeneralFloat handles arbitrary positive exponents by repeated
-// multiplication (exponents are small in provenance polynomials: they count
-// self-joins).
+// evalGeneralFloat handles arbitrary positive exponents: by repeated
+// multiplication up to powLoopMax (exponents are small in provenance
+// polynomials: they count self-joins), by squaring above it.
 func evalGeneralFloat(a *kernelArrays[float64], pi int, val []float64) float64 {
 	sum := 0.0
 	for t := a.polyOff[pi]; t < a.polyOff[pi+1]; t++ {
 		x := a.coeffs[t]
 		for f := a.factOff[t]; f < a.factOff[t+1]; f++ {
 			v := val[a.vars[f]]
-			for p := a.pows[f]; p > 0; p-- {
+			p := a.pows[f]
+			if p > powLoopMax {
+				x *= powBySquaring[float64](Float{}, v, p)
+				continue
+			}
+			for ; p > 0; p-- {
 				x *= v
 			}
 		}
 		sum += x
 	}
 	return sum
+}
+
+// powLoopMax is the largest exponent the evaluators raise by repeated
+// multiplication, one multiply per unit of exponent; a larger one is
+// raised by squaring, in at most 62 multiplies, so an exponent as large as
+// 2^31−1 costs no more than a few factors. Squaring rounds differently
+// from the loop, so it is kept for exponents above every one whose answer
+// bits are pinned: the shipped workloads' (1) and the tests' (at most 10),
+// which the golden float digest covers.
+const powLoopMax = 64
+
+// powBySquaring returns v^p for p ≥ 1 in the carrier.
+func powBySquaring[T any, C Carrier[T]](cr C, v T, p int32) T {
+	r := cr.One()
+	for ; p > 0; p >>= 1 {
+		if p&1 != 0 {
+			r = cr.Mul(r, v)
+		}
+		v = cr.Mul(v, v)
+	}
+	return r
 }

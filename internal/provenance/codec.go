@@ -3,13 +3,11 @@ package provenance
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 )
 
 // Binary codec for provenance sets. The anticipated use case (§1, "Offline
@@ -42,24 +40,25 @@ func Encode(w io.Writer, s *Set) error {
 	for _, name := range s.Vocab.names {
 		writeString(bw, name)
 	}
-	writeUvarint(bw, uint64(len(s.Polys)))
-	for i, p := range s.Polys {
+	k := s.k
+	writeUvarint(bw, uint64(k.Len()))
+	for i := range k.Len() {
 		tag := ""
 		if i < len(s.Tags) {
 			tag = s.Tags[i]
 		}
 		writeString(bw, tag)
-		writeUvarint(bw, uint64(len(p.terms)))
-		for _, m := range p.Monomials() { // sorted for determinism
+		writeUvarint(bw, uint64(k.polyOff[i+1]-k.polyOff[i]))
+		for t := k.polyOff[i]; t < k.polyOff[i+1]; t++ { // the kernel's ascending key order
 			var fb [8]byte
-			binary.LittleEndian.PutUint64(fb[:], math.Float64bits(m.Coeff))
+			binary.LittleEndian.PutUint64(fb[:], math.Float64bits(k.coeffs[t]))
 			if _, err := bw.Write(fb[:]); err != nil {
 				return err
 			}
-			writeUvarint(bw, uint64(len(m.vars)))
-			for _, vp := range m.vars {
-				writeVarint(bw, int64(vp.Var))
-				writeUvarint(bw, uint64(vp.Pow))
+			writeUvarint(bw, uint64(k.factOff[t+1]-k.factOff[t]))
+			for f := k.factOff[t]; f < k.factOff[t+1]; f++ {
+				writeVarint(bw, int64(k.vars[f]))
+				writeUvarint(bw, uint64(k.pows[f]))
 			}
 		}
 	}
@@ -93,17 +92,12 @@ func Decode(r io.Reader) (*Set, error) {
 // that repeats a variable with exponents summing past 2^31−1, which an
 // exponent cannot hold.
 //
-// Every term goes through one SetBuilder as read; a first walk over the
-// terms sizes the kernel's arrays, so they never grow. A term whose
-// (Var, Pow) pairs are strictly ascending builds its canonical key in one
-// reused buffer and goes to SetBuilder.Term; any other is canonicalized by
-// NewMonomialPows and merged as AddMonomial merges, exactly as a
-// hand-built polynomial would be. So while every term is as Encode writes
-// it — ascending pairs, a non-zero coefficient, a key not below the one
-// before it in its polynomial — the set arrives with its compiled kernel
-// and its VarCount memo already built, the way RestoreSet's arrives with
-// an injected kernel; from the first term that is not, both are dropped,
-// to be built lazily.
+// Every term goes through one SetBuilder as read, so the set's kernel is
+// built in the pass that reads it; a first walk over the terms sizes the
+// kernel's arrays, so they never grow. A term whose (Var, Pow) pairs are
+// not strictly ascending is put in canonical form first — pairs sorted,
+// a repeated variable's exponents added — and terms merge as a
+// hand-built polynomial's would (see SetBuilder).
 func DecodeBytes(data []byte) (*Set, error) {
 	d := decoder{data: data}
 	if len(data) < len(codecMagic) {
@@ -159,7 +153,7 @@ func DecodeBytes(data []byte) (*Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Poly(d.capped(nterms, termMinBytes))
+		b.Poly()
 		for t := uint64(0); t < nterms; t++ {
 			if len(data)-d.off < 8 {
 				return nil, d.short()
@@ -194,15 +188,14 @@ func DecodeBytes(data []byte) (*Set, error) {
 				key = binary.AppendVarint(key, v)
 				key = binary.AppendUvarint(key, pw)
 			}
-			if ascending {
-				b.Term(key, coeff, pairs)
-				continue
+			if !ascending {
+				var over int64
+				if pairs, over = canonicalPairs(pairs); over != 0 {
+					return nil, fmt.Errorf("provenance: exponent %d out of range", over)
+				}
+				key = AppendKey(key[:0], pairs)
 			}
-			if pw := mergedPowOverflow(pairs); pw != 0 {
-				return nil, fmt.Errorf("provenance: exponent %d out of range", pw)
-			}
-			m := NewMonomialPows(coeff, pairs...)
-			b.unordered(m.Key(), m.Coeff)
+			b.Term(key, coeff, pairs)
 		}
 		tags = append(tags, string(tag))
 	}
@@ -252,29 +245,6 @@ func (d decoder) count(npolys uint64) (terms, pairs int) {
 	}
 	return
 }
-
-// mergedPowOverflow sorts pairs by variable and returns the first sum of
-// one variable's exponents that an int32 Pow cannot hold, or 0 when all
-// fit: NewMonomialPows adds a repeated variable's exponents in int32.
-func mergedPowOverflow(pairs []VarPow) int64 {
-	slices.SortFunc(pairs, func(a, b VarPow) int { return cmp.Compare(a.Var, b.Var) })
-	var sum int64
-	for i, vp := range pairs {
-		if i > 0 && pairs[i-1].Var == vp.Var {
-			sum += int64(vp.Pow)
-		} else {
-			sum = int64(vp.Pow)
-		}
-		if sum > math.MaxInt32 {
-			return sum
-		}
-	}
-	return 0
-}
-
-// termMinBytes is the smallest encoded term: an 8-byte coefficient and a
-// one-byte pair count.
-const termMinBytes = 9
 
 // decoder walks an encoded set held in memory. Its errors match those of
 // the binary and io readers the format was first read with: io.EOF when

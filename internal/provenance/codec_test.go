@@ -343,18 +343,10 @@ func FuzzDecode(f *testing.F) {
 		if g, w := encodeSet(t, got), encodeSet(t, want); !bytes.Equal(g, w) {
 			t.Fatalf("decoded set re-encodes differently from the oracle's")
 		}
-		// A set whose every term took the ascending path arrives with its
-		// kernel, equal to a fresh compile of its maps; any other compiles
-		// lazily.
-		switch seeded, canonical := got.compiled != nil, canonicalInput(data); {
-		case seeded && !canonical:
-			t.Fatalf("a kernel was seeded for a set with a term off the ascending path")
-		case !seeded && canonical:
-			t.Fatalf("no kernel was seeded for a set whose every term took the ascending path")
-		case seeded:
-			if diff := kernelDiff(got.compiled, got.Compile()); diff != "" {
-				t.Fatalf("seeded kernel vs a fresh Compile: %s", diff)
-			}
+		// The decoded kernel is the one the oracle's maps flatten into,
+		// whatever order the terms arrived in.
+		if diff := kernelDiff(got.Compiled(), want.Compiled()); diff != "" {
+			t.Fatalf("decoded kernel vs the oracle's maps flattened: %s", diff)
 		}
 		if got.VarCount() != want.Granularity() {
 			t.Fatalf("VarCount %d, oracle Granularity %d", got.VarCount(), want.Granularity())

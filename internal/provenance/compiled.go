@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"encoding/binary"
 	"slices"
 	"sync"
 )
@@ -17,13 +18,14 @@ import (
 // code path. The CSR inverted index, the cached identity baseline and the
 // delta scratch epochs are carrier-agnostic.
 //
-// A Kernel is a snapshot that grows only at the end: mutating the source
-// Set or its polynomials in place after compiling does not change the
-// compiled form, but Append extends it with additional polynomials without
-// recompiling what is already there (the incremental path behind Set.Add).
-// Compile once, evaluate many times — the intended workload is the paper's
-// interactive many-scenario setting (Figure 10), where the same provenance
-// answers a stream of hypothetical scenarios.
+// The float kernel is also how a Set stores its terms (Set.Compiled
+// returns it), and a kernel grows only at the end: Append extends it with
+// additional polynomials without touching what is already there (the path
+// behind Set.Add), so a session compiles once and evaluates many times —
+// the paper's interactive many-scenario setting (Figure 10), where the
+// same provenance answers a stream of hypothetical scenarios. A kernel
+// from Compile or CompileSet is a copy that later Adds to the set do not
+// reach.
 //
 // Append mutates the receiver; it must not run concurrently with
 // evaluation. The session Engine serializes the two behind its lock.
@@ -67,9 +69,9 @@ type Kernel[T any, C Carrier[T]] struct {
 // numeric semiring, and the carrier every pre-generic call site uses.
 type Compiled = Kernel[float64, Float]
 
-// Compile flattens the set into its compiled float64 form. The Vocab and
-// Tags are shared with the source set; the term data is copied. For other
-// carriers use CompileSet.
+// Compile returns a copy of the set's kernel: a frozen snapshot that
+// later Adds to the set do not change. The Vocab and Tags are shared with
+// the set; the term data is copied. For other carriers use CompileSet.
 func (s *Set) Compile() *Compiled {
 	c, _ := CompileSet[float64, Float](Float{}, s) // Float.FromCoeff never fails
 	return c
@@ -82,18 +84,26 @@ func (p *Polynomial) Compile() *Compiled {
 	return c
 }
 
-// CompileSet flattens the set into a kernel over the given carrier. The
+// CompileSet copies the set's kernel into one over the given carrier. The
 // Vocab and Tags are shared with the source set; the term data is copied,
 // with every coefficient converted through the carrier's FromCoeff (which
 // is where non-natural multiplicities are rejected for the discrete
 // carriers).
 func CompileSet[T any, C Carrier[T]](cr C, s *Set) (*Kernel[T, C], error) {
-	c, err := CompilePolys[T, C](cr, s.Polys)
-	if err != nil {
-		return nil, err
+	src := s.k
+	c := newKernel[T](cr)
+	c.Vocab, c.Tags = s.Vocab, slices.Clip(s.Tags)
+	c.coeffs = make([]T, len(src.coeffs))
+	for t, x := range src.coeffs {
+		ct, err := cr.FromCoeff(x)
+		if err != nil {
+			return nil, err
+		}
+		c.coeffs[t] = ct
 	}
-	c.Vocab = s.Vocab
-	c.Tags = s.Tags
+	c.polyOff, c.factOff = slices.Clone(src.polyOff), slices.Clone(src.factOff)
+	c.vars, c.pows = slices.Clone(src.vars), slices.Clone(src.pows)
+	c.allPow1, c.maxVar = src.allPow1, src.maxVar
 	return c, nil
 }
 
@@ -101,11 +111,10 @@ func CompileSet[T any, C Carrier[T]](cr C, s *Set) (*Kernel[T, C], error) {
 // (no Vocab, no tags).
 func CompilePolys[T any, C Carrier[T]](cr C, polys []*Polynomial) (*Kernel[T, C], error) {
 	c := newKernel[T](cr)
-	maxVar, err := c.appendTerms(cr, polys)
-	if err != nil {
+	if err := c.appendTerms(cr, polys); err != nil {
 		return nil, err
 	}
-	c.maxVar = maxVar
+	c.noteFactors(0)
 	return c, nil
 }
 
@@ -127,11 +136,10 @@ func newKernel[T any, C Carrier[T]](cr C) *Kernel[T, C] {
 // appendTerms flattens polys onto the arrays, each polynomial's terms in
 // ascending key order (the order Monomials returns), decoding every key
 // straight into vars and pows. Each array grows at most once, presized
-// from the key bytes, so compiling allocates nothing per term. It returns
-// the largest Var it appended. When the carrier rejects a coefficient it
-// returns the error with the arrays part-extended; the caller discards or
-// truncates them.
-func (a *kernelArrays[T]) appendTerms(cr Carrier[T], polys []*Polynomial) (Var, error) {
+// from the key bytes, so compiling allocates nothing per term. When the
+// carrier rejects a coefficient it returns the error with the arrays
+// part-extended; the caller discards or truncates them.
+func (a *kernelArrays[T]) appendTerms(cr Carrier[T], polys []*Polynomial) error {
 	nTerms, nFactors, maxTerms := 0, 0, 0
 	for _, p := range polys {
 		for k := range p.terms {
@@ -147,7 +155,6 @@ func (a *kernelArrays[T]) appendTerms(cr Carrier[T], polys []*Polynomial) (Var, 
 	a.factOff = slices.Grow(a.factOff, nTerms)
 	a.vars = slices.Grow(a.vars, nFactors)
 	a.pows = slices.Grow(a.pows, nFactors)
-	var maxVar Var
 	keys := make([]MonomialKey, 0, maxTerms)
 	for _, p := range polys {
 		keys = keys[:0]
@@ -158,64 +165,60 @@ func (a *kernelArrays[T]) appendTerms(cr Carrier[T], polys []*Polynomial) (Var, 
 		for _, k := range keys {
 			ct, err := cr.FromCoeff(p.terms[k])
 			if err != nil {
-				return 0, err
+				return err
 			}
 			a.coeffs = append(a.coeffs, ct)
 			for i := 0; i < len(k); {
 				v, n := k.uvarint(i)
 				pw, m := k.uvarint(n)
 				i = m
-				x := Var(int64(v>>1) ^ -int64(v&1))
-				a.vars = append(a.vars, x)
+				a.vars = append(a.vars, Var(int64(v>>1)^-int64(v&1)))
 				a.pows = append(a.pows, int32(pw))
-				if int32(pw) != 1 {
-					a.allPow1 = false
-				}
-				maxVar = max(maxVar, x)
 			}
 			a.factOff = append(a.factOff, int32(len(a.vars)))
 		}
 		a.polyOff = append(a.polyOff, int32(len(a.coeffs)))
 	}
-	return maxVar, nil
+	return nil
+}
+
+// noteFactors folds the factors from f on into maxVar and allPow1.
+func (c *Kernel[T, C]) noteFactors(f int) {
+	for ; f < len(c.vars); f++ {
+		c.maxVar = max(c.maxVar, c.vars[f])
+		if c.pows[f] != 1 {
+			c.allPow1 = false
+		}
+	}
 }
 
 // Append extends the compiled form with additional polynomials in place —
-// the incremental-compile path behind Set.Add. Only the new polynomials'
-// terms are flattened; when the inverted index and the baseline answer
-// vector have already been built they are patched (per-variable id lists
-// merged, identity answers of the new polynomials appended) instead of
-// discarded, so an Add-heavy session keeps one compilation alive for its
-// whole lifetime. Evaluation of the pre-existing polynomials is
-// bit-identical to a fresh compile: their term data is untouched.
+// the path behind Set.Add. Only the new polynomials' terms are flattened;
+// when the inverted index and the baseline answer vector have already
+// been built they are patched (per-variable id lists merged and, for
+// variables past the indexed ones, started; identity answers of the new
+// polynomials appended) instead of discarded, so an Add-heavy session
+// keeps one compilation alive for its whole lifetime. Evaluation of the
+// pre-existing polynomials is bit-identical to a fresh compile: their
+// term data is untouched.
 //
-// Append reports false — leaving the receiver unchanged — when the new
-// polynomials introduce variables beyond the capacity the inverted index
-// was sized for (the compiled vocabulary at index-build time), or when a
-// coefficient does not convert into the carrier; the caller falls back to
-// a full rebuild, which surfaces any conversion error. tags extends Tags
-// in step with the polynomials and may be nil for untagged sets.
+// Append reports false — leaving the receiver unchanged — when a
+// coefficient does not convert into the carrier (never for the float
+// carrier); the caller then compiles afresh, which surfaces the
+// conversion error. tags extends Tags in step with the polynomials and
+// may be nil for untagged sets.
 //
 // Append mutates the receiver and must not run concurrently with
 // evaluation; callers (like the session Engine) serialize the two.
 func (c *Kernel[T, C]) Append(polys []*Polynomial, tags []string) bool {
-	before, firstPoly := c.kernelArrays, c.Len()
-	newMax, err := c.appendTerms(c.carrier, polys)
-	if err != nil || (c.varTermOff != nil && newMax > c.maxVar) {
-		// A rejected coefficient, or variables past the index sized to the
-		// old vocabulary: drop what was appended and let the caller rebuild.
-		c.kernelArrays = kernelArrays[T]{
-			polyOff: c.polyOff[:len(before.polyOff)],
-			coeffs:  c.coeffs[:len(before.coeffs)],
-			factOff: c.factOff[:len(before.factOff)],
-			vars:    c.vars[:len(before.vars)],
-			pows:    c.pows[:len(before.pows)],
-			allPow1: before.allPow1,
-		}
+	firstPoly, firstTerm, firstFactor := c.Len(), len(c.coeffs), len(c.vars)
+	if err := c.appendTerms(c.carrier, polys); err != nil {
+		// A rejected coefficient: drop what was appended.
+		c.polyOff, c.coeffs, c.factOff = c.polyOff[:firstPoly+1], c.coeffs[:firstTerm], c.factOff[:firstTerm+1]
+		c.vars, c.pows = c.vars[:firstFactor], c.pows[:firstFactor]
 		return false
 	}
-	firstTerm := len(before.coeffs)
-	c.maxVar = max(c.maxVar, newMax)
+	c.noteFactors(firstFactor)
 	c.Tags = append(c.Tags, tags...)
 	if c.varTermOff != nil {
 		c.patchIndex(firstPoly, firstTerm)
@@ -252,6 +255,16 @@ func (c *Kernel[T, C]) TermArrays() TermArrays[T] {
 		Vars:    slices.Clip(c.vars),
 		Pows:    slices.Clip(c.pows),
 	}
+}
+
+// appendKey appends term t's canonical key, AppendKey of its pairs, to
+// dst.
+func (a *kernelArrays[T]) appendKey(dst []byte, t int) []byte {
+	for f := a.factOff[t]; f < a.factOff[t+1]; f++ {
+		dst = binary.AppendVarint(dst, int64(a.vars[f]))
+		dst = binary.AppendUvarint(dst, uint64(a.pows[f]))
+	}
+	return dst
 }
 
 // Carrier returns the carrier the kernel evaluates in.
@@ -334,7 +347,12 @@ func (c *Kernel[T, C]) evalGeneric(pi int, val []T) T {
 		x := c.coeffs[t]
 		for f := c.factOff[t]; f < c.factOff[t+1]; f++ {
 			v := val[c.vars[f]]
-			for p := c.pows[f]; p > 0; p-- {
+			p := c.pows[f]
+			if p > powLoopMax {
+				x = cr.Mul(x, powBySquaring(cr, v, p))
+				continue
+			}
+			for ; p > 0; p-- {
 				x = cr.Mul(x, v)
 			}
 		}

@@ -59,7 +59,7 @@ func TestCompiledMatchesMapEval(t *testing.T) {
 					val[v] = float64(rng.Intn(16)) / 8
 				}
 			}
-			want := s.Eval(val)
+			want := evalOracle(s, val)
 			got := c.Eval(c.Valuation(val), nil)
 			if len(got) != len(want) {
 				t.Fatalf("lengths %d vs %d", len(got), len(want))
@@ -87,8 +87,8 @@ func TestCompiledMatchesMapEval(t *testing.T) {
 	}
 }
 
-// TestCompiledSnapshot: mutating the source set after compiling must not
-// change the compiled form.
+// TestCompiledSnapshot: Compile's copy does not change when the set
+// grows, and the set does not change when a polynomial it was given does.
 func TestCompiledSnapshot(t *testing.T) {
 	vb := NewVocab()
 	s := NewSet(vb)
@@ -97,12 +97,13 @@ func TestCompiledSnapshot(t *testing.T) {
 	c := s.Compile()
 	before := c.Eval(c.NewValuation(), nil)[0]
 	p.AddTerm(100, vb.Var("a"))
-	after := c.Eval(c.NewValuation(), nil)[0]
-	if before != after {
-		t.Errorf("compiled changed after source mutation: %v -> %v", before, after)
+	s.Add("h", MustParse(vb, "7·a"))
+	if after := c.Eval(c.NewValuation(), nil); len(after) != 1 || after[0] != before {
+		t.Errorf("compiled copy changed after the set grew: %v -> %v", before, after)
 	}
-	if s.Eval(map[Var]float64{})[0] == before {
-		t.Error("source set should have changed")
+	k := s.Compiled()
+	if got := k.Eval(k.NewValuation(), nil); len(got) != 2 || got[0] != before {
+		t.Errorf("set answers %v after a polynomial it was given changed, want [%v 7]", got, before)
 	}
 }
 

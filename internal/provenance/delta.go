@@ -31,122 +31,100 @@ func (c *Kernel[T, C]) ensureIndex() {
 }
 
 // buildDeltaIndex constructs the CSR inverted index over the flattened
-// term data. Term ids are filled in term order, so every per-variable id
-// list is ascending; the polynomial index is derived from the (transient)
-// term index by collapsing runs of terms belonging to the same polynomial.
-// Only the per-variable term counts survive as varTermOff — routing needs
-// the polynomial lists, not the term lists.
+// term data: patchIndex from an empty index, every polynomial new. Ids
+// are filled in polynomial order, so every per-variable id list is
+// ascending. Only the per-variable term counts are kept (varTermOff) —
+// routing needs the polynomial lists, not the term lists.
 func (c *Kernel[T, C]) buildDeltaIndex() {
-	nVars := 0
-	if len(c.vars) > 0 {
-		nVars = int(c.maxVar) + 1
-	}
-	termOff := make([]int32, nVars+1)
-	for _, v := range c.vars {
-		termOff[v+1]++
-	}
-	for v := 1; v <= nVars; v++ {
-		termOff[v] += termOff[v-1]
-	}
-	termIDs := make([]int32, len(c.vars))
-	next := append([]int32(nil), termOff[:nVars]...)
-	for t := range c.coeffs {
-		for f := c.factOff[t]; f < c.factOff[t+1]; f++ {
-			v := c.vars[f]
-			termIDs[next[v]] = int32(t)
-			next[v]++
-		}
-	}
-	c.varTermOff = termOff
-
-	termPoly := make([]int32, len(c.coeffs))
-	for pi := 0; pi < c.Len(); pi++ {
-		for t := c.polyOff[pi]; t < c.polyOff[pi+1]; t++ {
-			termPoly[t] = int32(pi)
-		}
-	}
-	polyOff := make([]int32, nVars+1)
-	polyIDs := make([]int32, 0, len(termIDs)/2)
-	polyTerms := make([]int32, nVars)
-	for v := 0; v < nVars; v++ {
-		polyOff[v] = int32(len(polyIDs))
-		last := int32(-1)
-		for _, t := range termIDs[termOff[v]:termOff[v+1]] {
-			if pi := termPoly[t]; pi != last {
-				polyIDs = append(polyIDs, pi)
-				polyTerms[v] += c.polyOff[pi+1] - c.polyOff[pi]
-				last = pi
-			}
-		}
-	}
-	polyOff[nVars] = int32(len(polyIDs))
-	c.varPolyOff, c.varPolyIDs, c.varPolyTerms = polyOff, polyIDs, polyTerms
+	c.varTermOff, c.varPolyOff, c.varPolyIDs, c.varPolyTerms = []int32{0}, []int32{0}, nil, []int32{}
+	c.patchIndex(0, 0)
 }
 
 // patchIndex extends an already-built inverted index to cover polynomials
-// appended after the build (Append): per-variable term counts are
-// re-accumulated, and each new polynomial's id is appended to the id list
-// of every variable it contains — new ids are all larger than the existing
-// ones, so every per-variable list stays ascending with a single merge-copy
-// pass. Cost is O(existing ids + new terms + |vocab|), a memmove-dominated
-// fraction of a full recompile. Append guarantees the new polynomials stay
-// within the indexed vocabulary.
+// appended after the build (Append), in place: per-variable term counts
+// are re-accumulated, and each new polynomial's id is appended to the id
+// list of every variable it contains — new ids are all larger than the
+// existing ones, so every per-variable list stays ascending after one
+// right-to-left shift of the lists that the new ids push along. Variables
+// past the indexed ones (the vocabulary grew) get rows of their own,
+// exactly as a fresh build would give them. Cost is O(existing ids + new
+// terms + |vocab|), a memmove-dominated fraction of a full recompile, and
+// the arrays grow with slack, so a run of Adds allocates only the small
+// per-call counts.
 func (c *Kernel[T, C]) patchIndex(firstPoly, firstTerm int) {
-	nVars := len(c.varTermOff) - 1
-
-	newTermCount := make([]int32, nVars)
-	for f := c.factOff[firstTerm]; f < int32(len(c.vars)); f++ {
-		newTermCount[c.vars[f]]++
+	indexed := len(c.varTermOff) - 1
+	nVars := indexed
+	if len(c.vars) > 0 {
+		nVars = max(indexed, int(c.maxVar)+1)
 	}
-	termOff := make([]int32, nVars+1)
-	for v := 0; v < nVars; v++ {
-		termOff[v+1] = termOff[v] + (c.varTermOff[v+1] - c.varTermOff[v]) + newTermCount[v]
+	c.varTermOff = slices.Grow(c.varTermOff, nVars-indexed)
+	c.varPolyOff = slices.Grow(c.varPolyOff, nVars-indexed)
+	for range nVars - indexed { // new rows start empty, at the end
+		c.varTermOff = append(c.varTermOff, c.varTermOff[indexed])
+		c.varPolyOff = append(c.varPolyOff, c.varPolyOff[indexed])
 	}
+	c.varPolyTerms = append(c.varPolyTerms, make([]int32, nVars-indexed)...)
 
-	// Count the distinct (variable, new polynomial) pairs so the merged id
-	// arrays can be sized exactly; mark deduplicates within one polynomial.
-	mark := make([]int32, nVars)
+	// Per variable, the terms it gains and the new polynomials holding it
+	// (mark deduplicates within one polynomial, by id).
+	scratch := make([]int32, 3*nVars)
+	terms, polys, mark := scratch[:nVars], scratch[nVars:2*nVars], scratch[2*nVars:]
 	for v := range mark {
 		mark[v] = -1
 	}
-	newPolyCount := make([]int32, nVars)
+	for f := c.factOff[firstTerm]; f < int32(len(c.vars)); f++ {
+		terms[c.vars[f]]++
+	}
+	added := 0
 	for pi := firstPoly; pi < c.Len(); pi++ {
-		for t := c.polyOff[pi]; t < c.polyOff[pi+1]; t++ {
-			for f := c.factOff[t]; f < c.factOff[t+1]; f++ {
-				if v := c.vars[f]; mark[v] != int32(pi) {
-					mark[v] = int32(pi)
-					newPolyCount[v]++
-				}
+		for f := c.factOff[c.polyOff[pi]]; f < c.factOff[c.polyOff[pi+1]]; f++ {
+			if v := c.vars[f]; mark[v] != int32(pi) {
+				mark[v] = int32(pi)
+				polys[v]++
+				added++
 			}
 		}
+	}
+	var sum int32
+	for v := range nVars {
+		sum += terms[v]
+		c.varTermOff[v+1] += sum
 	}
 
-	oldOff, oldIDs := c.varPolyOff, c.varPolyIDs
-	mergedOff := make([]int32, nVars+1)
-	for v := 0; v < nVars; v++ {
-		mergedOff[v+1] = mergedOff[v] + (oldOff[v+1] - oldOff[v]) + newPolyCount[v]
-	}
-	mergedIDs := make([]int32, mergedOff[nVars])
-	next := make([]int32, nVars)
-	for v := 0; v < nVars; v++ {
-		n := copy(mergedIDs[mergedOff[v]:], oldIDs[oldOff[v]:oldOff[v+1]])
-		next[v] = mergedOff[v] + int32(n)
-		mark[v] = -1
+	// Shift each id list right by the new ids of the lists before it,
+	// last list first, then turn polys[v] into where v's new ids go.
+	ids := slices.Grow(c.varPolyIDs, added)[:len(c.varPolyIDs)+added]
+	shift := int32(added)
+	for v := nVars - 1; v >= 0; v-- {
+		lo, hi := c.varPolyOff[v], c.varPolyOff[v+1]
+		shift -= polys[v]
+		copy(ids[lo+shift:], ids[lo:hi])
+		c.varPolyOff[v+1] = hi + shift + polys[v]
+		polys[v] = hi + shift
 	}
 	for pi := firstPoly; pi < c.Len(); pi++ {
-		terms := c.polyOff[pi+1] - c.polyOff[pi]
-		for t := c.polyOff[pi]; t < c.polyOff[pi+1]; t++ {
-			for f := c.factOff[t]; f < c.factOff[t+1]; f++ {
-				if v := c.vars[f]; mark[v] != int32(pi) {
-					mark[v] = int32(pi)
-					mergedIDs[next[v]] = int32(pi)
-					next[v]++
-					c.varPolyTerms[v] += terms
-				}
+		n := c.polyOff[pi+1] - c.polyOff[pi]
+		for f := c.factOff[c.polyOff[pi]]; f < c.factOff[c.polyOff[pi+1]]; f++ {
+			if v := c.vars[f]; mark[v] != -2-int32(pi) {
+				mark[v] = -2 - int32(pi)
+				ids[polys[v]] = int32(pi)
+				polys[v]++
+				c.varPolyTerms[v] += n
 			}
 		}
 	}
-	c.varTermOff, c.varPolyOff, c.varPolyIDs = termOff, mergedOff, mergedIDs
+	c.varPolyIDs = ids
+}
+
+// DropIndex discards the inverted index and the identity baseline, to be
+// built afresh by the next evaluation that needs them; until then Append
+// patches neither. A session drops them from a set it no longer
+// evaluates (its source after Compress). DropIndex must not run
+// concurrently with evaluation.
+func (c *Kernel[T, C]) DropIndex() {
+	c.indexOnce, c.baselineOnce = sync.Once{}, sync.Once{}
+	c.varTermOff, c.varPolyOff, c.varPolyIDs, c.varPolyTerms = nil, nil, nil, nil
+	c.baseline, c.baselineDone = nil, false
 }
 
 // Baseline returns the answer vector under the identity valuation (every

@@ -108,7 +108,7 @@ func TestEvalDeltaEquivalence(t *testing.T) {
 			for v, x := range val {
 				mval[Var(v)] = x
 			}
-			ref := s.Eval(mval)
+			ref := evalOracle(s, mval)
 			for i := range full {
 				diff := math.Abs(full[i] - ref[i])
 				scale := math.Max(math.Abs(ref[i]), 1)
@@ -149,8 +149,8 @@ func TestAffectedIndex(t *testing.T) {
 			ids, terms := d.Affected([]Var{v})
 			var wantIDs []int32
 			wantTerms := 0
-			for pi, p := range s.Polys {
-				if p.VarSet()[v] {
+			for pi := range s.Len() {
+				if p := s.Poly(pi); p.VarSet()[v] {
 					wantIDs = append(wantIDs, int32(pi))
 					wantTerms += p.Size()
 				}
@@ -169,8 +169,8 @@ func TestAffectedIndex(t *testing.T) {
 			// TermsTouching counts the terms containing v (not the terms of
 			// the affected polynomials); Residues enumerates exactly those.
 			wantTouch := 0
-			for _, p := range s.Polys {
-				wantTouch += len(p.Residues(v))
+			for pi := range s.Len() {
+				wantTouch += len(s.Poly(pi).Residues(v))
 			}
 			if upper := c.TermsTouching([]Var{v}); upper != wantTouch {
 				t.Fatalf("seed %d var %d: TermsTouching %d, want %d for a single variable", seed, v, upper, wantTouch)

@@ -2,12 +2,11 @@ package provenance
 
 // Persistence support for the compiled kernel: Dump flattens a Compiled
 // into plain exported arrays (the snapshot image the durable layer writes
-// to disk), and RestoreSet rebuilds a Set *with its compiled cache already
-// injected* from such an image — the recovery path that never recompiles.
-// A restored session therefore starts in the same steady state a live one
-// reaches after its first evaluation: flat arrays, CSR inverted index and
-// identity baseline all warm, Stats().Compiles still counting a single
-// compilation.
+// to disk), and RestoreSet makes a Set of such an image — the recovery
+// path that never recompiles. A restored session therefore starts in the
+// same steady state a live one reaches after its first evaluation: flat
+// arrays, CSR inverted index and identity baseline all warm,
+// Stats().Compiles still counting a single compilation.
 //
 // RestoreSet trusts nothing: every structural invariant of the arrays is
 // re-validated, the baseline is recomputed and compared bit-exactly, and
@@ -21,6 +20,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // CompiledDump is the flat, exported image of a Compiled kernel. All
@@ -74,12 +74,13 @@ func DumpCompiled(c *Compiled) *CompiledDump {
 	}
 }
 
-// RestoreSet rebuilds a Set over vb from a dump, with the compiled cache
-// injected so the first evaluation finds it warm instead of recompiling.
-// The dump is fully validated against vb before anything is constructed;
-// a dump that is structurally broken, references variables outside the
-// vocabulary, or whose baseline/index sections disagree with the term data
-// is rejected.
+// RestoreSet makes a Set over vb of a dump: the dump's term arrays and
+// tags become the set's kernel, which the caller must not change
+// afterwards, so the first evaluation finds it warm instead of
+// recompiling. The dump is fully validated against vb before anything is
+// constructed; a dump that is structurally broken, references variables
+// outside the vocabulary, or whose baseline/index sections disagree with
+// the term data is rejected.
 func RestoreSet(vb *Vocab, d *CompiledDump) (*Set, error) {
 	if vb == nil || d == nil {
 		return nil, fmt.Errorf("provenance: RestoreSet needs a vocabulary and a dump")
@@ -90,51 +91,17 @@ func RestoreSet(vb *Vocab, d *CompiledDump) (*Set, error) {
 
 	nPolys := d.NPolys()
 	c := newKernel[float64](Float{})
-	c.Vocab = vb
-	c.Tags = append([]string(nil), d.Tags...)
-	c.polyOff = append([]int32(nil), d.PolyOff...)
-	c.coeffs = append([]float64(nil), d.Coeffs...)
-	c.factOff = append([]int32(nil), d.FactOff...)
-	c.vars = append([]Var(nil), d.Vars...)
-	c.pows = append([]int32(nil), d.Pows...)
-	for _, p := range c.pows {
-		if p != 1 {
-			c.allPow1 = false
-			break
-		}
-	}
-	for _, v := range c.vars {
-		if v > c.maxVar {
-			c.maxVar = v
-		}
-	}
-
-	// Rebuild the source polynomials from the term data. validateArrays
-	// has made every key distinct, so a canonical dump loses no term here;
-	// a zero coefficient means the dump was never produced by Dump.
-	polys := make([]*Polynomial, nPolys)
-	for pi := 0; pi < nPolys; pi++ {
-		p := NewPolynomial()
-		for t := d.PolyOff[pi]; t < d.PolyOff[pi+1]; t++ {
-			if d.Coeffs[t] == 0 {
-				return nil, fmt.Errorf("provenance: dump polynomial %d has a zero-coefficient term (non-canonical)", pi)
-			}
-			vp := make([]VarPow, 0, d.FactOff[t+1]-d.FactOff[t])
-			for f := d.FactOff[t]; f < d.FactOff[t+1]; f++ {
-				vp = append(vp, VarPow{Var: d.Vars[f], Pow: d.Pows[f]})
-			}
-			p.AddMonomial(NewMonomialPows(d.Coeffs[t], vp...))
-		}
-		polys[pi] = p
-	}
+	c.Vocab, c.Tags = vb, d.Tags
+	c.polyOff, c.coeffs, c.factOff, c.vars, c.pows = d.PolyOff, d.Coeffs, d.FactOff, d.Vars, d.Pows
+	c.noteFactors(0)
 
 	// Rebuild the inverted index through the usual once-guarded builder and
 	// compare it to the stored arrays — disagreement means the dump's term
 	// data and index describe different kernels.
 	if d.VarTermOff != nil || d.VarPolyOff != nil || d.VarPolyIDs != nil || d.VarPolyTerms != nil {
 		c.ensureIndex()
-		if !equalI32(c.varTermOff, d.VarTermOff) || !equalI32(c.varPolyOff, d.VarPolyOff) ||
-			!equalI32(c.varPolyIDs, d.VarPolyIDs) || !equalI32(c.varPolyTerms, d.VarPolyTerms) {
+		if !slices.Equal(c.varTermOff, d.VarTermOff) || !slices.Equal(c.varPolyOff, d.VarPolyOff) ||
+			!slices.Equal(c.varPolyIDs, d.VarPolyIDs) || !slices.Equal(c.varPolyTerms, d.VarPolyTerms) {
 			return nil, fmt.Errorf("provenance: dump inverted index disagrees with its term data")
 		}
 	}
@@ -154,7 +121,8 @@ func RestoreSet(vb *Vocab, d *CompiledDump) (*Set, error) {
 		}
 	}
 
-	s := &Set{Vocab: vb, Polys: polys, Tags: c.Tags, compiled: c}
+	s := &Set{Vocab: vb, Tags: c.Tags, k: c, marks: make([]bool, vb.Len()+1)}
+	s.mark(c.vars)
 	return s, nil
 }
 
@@ -202,24 +170,25 @@ func (d *CompiledDump) validateArrays(vb *Vocab) error {
 		}
 	}
 	// A kernel's term lists each variable once, in ascending order, and a
-	// polynomial's terms are in strictly ascending key order, as Compile
-	// lays them out. A repeated variable would rebuild, through
-	// NewMonomialPows, into a polynomial whose exponent sum an int32 may
-	// wrap, while the kernel keeps both factors: the two forms of one set
-	// would disagree. The compatibility check and compression read terms
-	// in key order, and a repeated key is a duplicate term.
-	var pairs []VarPow
+	// polynomial's terms are in strictly ascending key order with non-zero
+	// coefficients, as a SetBuilder lays them out. A repeated variable
+	// would read as a different monomial than its sum of exponents, the
+	// compatibility check and compression read terms in key order, a
+	// repeated key is a duplicate term, and a zero coefficient a term
+	// canonical form drops.
+	terms := kernelArrays[float64]{factOff: d.FactOff, vars: d.Vars, pows: d.Pows}
 	var key, prev []byte
 	for pi := 0; pi < nPolys; pi++ {
 		for t := d.PolyOff[pi]; t < d.PolyOff[pi+1]; t++ {
-			pairs = pairs[:0]
-			for f := d.FactOff[t]; f < d.FactOff[t+1]; f++ {
-				if n := len(pairs); n > 0 && d.Vars[f] <= pairs[n-1].Var {
-					return fmt.Errorf("provenance: dump term %d lists variable %d after %d; a term's variables must be strictly ascending", t, d.Vars[f], pairs[n-1].Var)
-				}
-				pairs = append(pairs, VarPow{Var: d.Vars[f], Pow: d.Pows[f]})
+			if d.Coeffs[t] == 0 {
+				return fmt.Errorf("provenance: dump polynomial %d has a zero-coefficient term (non-canonical)", pi)
 			}
-			key = AppendKey(key[:0], pairs)
+			for f := d.FactOff[t] + 1; f < d.FactOff[t+1]; f++ {
+				if d.Vars[f] <= d.Vars[f-1] {
+					return fmt.Errorf("provenance: dump term %d lists variable %d after %d; a term's variables must be strictly ascending", t, d.Vars[f], d.Vars[f-1])
+				}
+			}
+			key = terms.appendKey(key[:0], int(t))
 			if t > d.PolyOff[pi] && bytes.Compare(key, prev) <= 0 {
 				return fmt.Errorf("provenance: dump polynomial %d lists term %d out of key order; a polynomial's terms must be in strictly ascending key order", pi, t)
 			}
@@ -227,16 +196,4 @@ func (d *CompiledDump) validateArrays(vb *Vocab) error {
 		}
 	}
 	return nil
-}
-
-func equalI32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -51,9 +51,9 @@ func TestSetCloneIsDeep(t *testing.T) {
 	s := NewSet(vb)
 	s.Add("x", MustParse(vb, "2·a"))
 	c := s.Clone()
-	c.Polys[0].AddTerm(1, vb.Var("b"))
-	if s.Size() != 1 {
-		t.Errorf("Set clone is shallow: size %d", s.Size())
+	c.Add("y", MustParse(vb, "b"))
+	if s.Size() != 1 || s.Len() != 1 || c.Len() != 2 {
+		t.Errorf("Set clone is shallow: size %d, %d and %d polynomials", s.Size(), s.Len(), c.Len())
 	}
 }
 

@@ -1,8 +1,10 @@
 package provenance
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -42,23 +44,44 @@ func NewMonomial(coeff float64, vars ...Var) Monomial {
 }
 
 // NewMonomialPows builds a canonical monomial from explicit (Var, Pow) pairs.
-// Pairs with non-positive exponents are rejected by panic: they indicate a
-// programming error, not bad data. The input slice is not retained.
+// Pairs with non-positive exponents, and repeated variables whose exponents
+// sum past 2^31−1, are rejected by panic: they indicate a programming
+// error, not bad data (Parse and the decoders refuse such input). The
+// input slice is not retained.
 func NewMonomialPows(coeff float64, pows ...VarPow) Monomial {
-	vp := append([]VarPow(nil), pows...)
-	sort.Slice(vp, func(i, j int) bool { return vp[i].Var < vp[j].Var })
-	out := vp[:0]
-	for _, p := range vp {
+	for _, p := range pows {
 		if p.Pow <= 0 {
 			panic("provenance: monomial exponent must be positive")
 		}
+	}
+	vp, over := canonicalPairs(append([]VarPow(nil), pows...))
+	if over != 0 {
+		panic("provenance: monomial exponent sum overflows int32")
+	}
+	return Monomial{Coeff: coeff, vars: vp}
+}
+
+// canonicalPairs sorts pairs by Var and merges each repeated variable into
+// one pair, in place, adding its exponents. It returns the merged pairs
+// and the first exponent sum past 2^31−1, or 0 when every sum fits; a sum
+// that does not fit is kept wrapped, as int32 addition wraps it.
+func canonicalPairs(ps []VarPow) ([]VarPow, int64) {
+	slices.SortFunc(ps, func(a, b VarPow) int { return cmp.Compare(a.Var, b.Var) })
+	out := ps[:0]
+	var sum, over int64
+	for _, p := range ps {
 		if n := len(out); n > 0 && out[n-1].Var == p.Var {
 			out[n-1].Pow += p.Pow
+			sum += int64(p.Pow)
 		} else {
 			out = append(out, p)
+			sum = int64(p.Pow)
+		}
+		if sum > math.MaxInt32 && over == 0 {
+			over = sum
 		}
 	}
-	return Monomial{Coeff: coeff, vars: out}
+	return out, over
 }
 
 // Vars returns the (Var, exponent) pairs in ascending Var order. The returned
@@ -174,15 +197,7 @@ func substKey(k MonomialKey, subst map[Var]Var) MonomialKey {
 	if !changed {
 		return k
 	}
-	sort.Slice(vp, func(i, j int) bool { return vp[i].Var < vp[j].Var })
-	out := vp[:0]
-	for _, p := range vp {
-		if n := len(out); n > 0 && out[n-1].Var == p.Var {
-			out[n-1].Pow += p.Pow
-		} else {
-			out = append(out, p)
-		}
-	}
+	out, _ := canonicalPairs(vp)
 	return makeKey(out)
 }
 

@@ -124,7 +124,11 @@ func parseMonomial(vb *Vocab, lex *lexer) (Monomial, error) {
 	if len(pows) == 0 && !sawCoeff {
 		return Monomial{}, fmt.Errorf("provenance: empty monomial at offset %d", lex.pos)
 	}
-	return NewMonomialPows(coeff, pows...), nil
+	pows, over := canonicalPairs(pows)
+	if over != 0 {
+		return Monomial{}, fmt.Errorf("provenance: exponent %d out of range at offset %d: an exponent is at most 2^31−1", over, lex.pos)
+	}
+	return Monomial{Coeff: coeff, vars: pows}, nil
 }
 
 type lexer struct {
@@ -200,7 +204,7 @@ func isIdentStart(r rune) bool {
 // FormatSet renders a whole set, one "tag: polynomial" line per member.
 func FormatSet(s *Set) string {
 	var sb strings.Builder
-	for i, p := range s.Polys {
+	for i := range s.Len() {
 		tag := ""
 		if i < len(s.Tags) {
 			tag = s.Tags[i]
@@ -209,7 +213,7 @@ func FormatSet(s *Set) string {
 			sb.WriteString(tag)
 			sb.WriteString(": ")
 		}
-		sb.WriteString(p.String(s.Vocab))
+		sb.WriteString(s.Poly(i).String(s.Vocab))
 		sb.WriteString("\n")
 	}
 	return sb.String()

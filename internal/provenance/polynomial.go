@@ -65,42 +65,28 @@ func (p *Polynomial) Size() int {
 }
 
 // Vars returns V(P), the set of distinct variables, as a sorted slice.
-func (p *Polynomial) Vars() []Var {
-	seen, _, _ := p.markVars(nil, nil)
-	return varsOf(seen)
-}
+func (p *Polynomial) Vars() []Var { return varsOf(p.marks()) }
 
 // Granularity returns |P|_V, the number of distinct variables.
-func (p *Polynomial) Granularity() int {
-	seen, _, _ := p.markVars(nil, nil)
-	return countVars(seen)
-}
+func (p *Polynomial) Granularity() int { return countVars(p.marks()) }
 
 // VarSet returns the set of distinct variables as a map.
-func (p *Polynomial) VarSet() map[Var]bool {
-	seen, _, _ := p.markVars(nil, nil)
-	return varSetOf(seen)
-}
+func (p *Polynomial) VarSet() map[Var]bool { return varSetOf(p.marks()) }
 
-// markVars sets seen[v] for every variable v of p, growing seen as needed,
-// and counts the marks it newly set. Keys are decoded into buf, which it
-// returns for reuse, so a walk over any number of terms allocates only when
-// seen or buf grows.
-func (p *Polynomial) markVars(seen []bool, buf []VarPow) ([]bool, []VarPow, int) {
-	added := 0
+// marks returns seen, with seen[v] set for every variable v of p.
+func (p *Polynomial) marks() []bool {
+	var seen []bool
+	var buf []VarPow
 	for k := range p.terms {
 		buf = k.AppendVars(buf[:0])
 		for _, vp := range buf {
 			if int(vp.Var) >= len(seen) {
 				seen = append(seen, make([]bool, int(vp.Var)+1-len(seen))...)
 			}
-			if !seen[vp.Var] {
-				seen[vp.Var] = true
-				added++
-			}
+			seen[vp.Var] = true
 		}
 	}
-	return seen, buf, added
+	return seen
 }
 
 // varsOf lists the marked variables in ascending order.

@@ -3,6 +3,7 @@ package provenance
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -257,6 +258,31 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRefusesExponentOverflow: a repeated variable whose exponents
+// sum past 2^31−1 is refused. Parse used to hand it to NewMonomialPows,
+// whose int32 sum wrapped 2·p1^(2^31−1)·p1^(2^31−1) to 2·p1^−2, printed as
+// 2·p1; NewMonomialPows now refuses the wrap too.
+func TestParseRefusesExponentOverflow(t *testing.T) {
+	vb := NewVocab()
+	for _, bad := range []string{"2*p1^2147483647*p1^2147483647", "p1^2147483647·p1", "x + y^2000000000·y^200000000"} {
+		if p, err := Parse(vb, bad); err == nil {
+			t.Errorf("Parse(%q) = %s, want an error", bad, p.String(vb))
+		} else if !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("Parse(%q): error %q does not say why", bad, err)
+		}
+	}
+	if p, err := Parse(vb, "p1^2147483646·p1"); err != nil || p.Size() != 1 || p.Monomials()[0].Pow(vb.Var("p1")) != math.MaxInt32 {
+		t.Errorf("p1^2147483646·p1 = %v, %v; want p1^2147483647", p, err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewMonomialPows wrapped an exponent sum past 2^31−1 instead of panicking")
+		}
+	}()
+	x := vb.Var("x")
+	NewMonomialPows(1, VarPow{x, math.MaxInt32}, VarPow{x, 1})
+}
+
 func TestParsePrintRoundTrip(t *testing.T) {
 	vb := NewVocab()
 	p := MustParse(vb, "2·a·b + 3·c^2 - 0.5·a + 7")
@@ -282,10 +308,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got.Len() != s.Len() {
 		t.Fatalf("decoded %d polys, want %d", got.Len(), s.Len())
 	}
-	for i := range s.Polys {
+	for i := range s.Len() {
 		// Vocab ids are preserved because names are written in intern order.
-		if !got.Polys[i].Equal(s.Polys[i]) {
-			t.Errorf("poly %d: %s != %s", i, got.Polys[i].String(got.Vocab), s.Polys[i].String(vb))
+		if !got.Poly(i).Equal(s.Poly(i)) {
+			t.Errorf("poly %d: %s != %s", i, got.Poly(i).String(got.Vocab), s.Poly(i).String(vb))
 		}
 		if got.Tags[i] != s.Tags[i] {
 			t.Errorf("tag %d: %q != %q", i, got.Tags[i], s.Tags[i])
@@ -423,8 +449,8 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 		if err != nil || got.Len() != s.Len() {
 			return false
 		}
-		for i := range s.Polys {
-			if !got.Polys[i].Equal(s.Polys[i]) {
+		for i := range s.Len() {
+			if !got.Poly(i).Equal(s.Poly(i)) {
 				return false
 			}
 		}

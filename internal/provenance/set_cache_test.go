@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestCompiledCache pins the Set-level compiled cache: Compiled returns the
-// same snapshot until a mutation, Add extends that snapshot in place (the
-// incremental-compile path — the pointer survives), and explicit
-// invalidation still forces a rebuild.
+// TestCompiledCache pins the set's kernel: Compiled returns the same
+// kernel however often it is asked, and Add extends that kernel in place —
+// the pointer survives — also when the new polynomial brings a variable
+// past the built inverted index, which Append patches.
 func TestCompiledCache(t *testing.T) {
 	vb := NewVocab()
 	s := NewSet(vb)
@@ -16,7 +16,7 @@ func TestCompiledCache(t *testing.T) {
 
 	c1 := s.Compiled()
 	if c2 := s.Compiled(); c2 != c1 {
-		t.Fatal("Compiled rebuilt without a mutation")
+		t.Fatal("Compiled returned another kernel without a mutation")
 	}
 	if got := c1.Size(); got != 2 {
 		t.Fatalf("compiled size = %d, want 2", got)
@@ -25,7 +25,7 @@ func TestCompiledCache(t *testing.T) {
 	s.Add("b", MustParse(vb, "5·x"))
 	c3 := s.Compiled()
 	if c3 != c1 {
-		t.Fatal("Add rebuilt the compiled form instead of appending in place")
+		t.Fatal("Add replaced the kernel instead of appending in place")
 	}
 	if got := c3.Size(); got != 3 {
 		t.Fatalf("compiled size after Add = %d, want 3", got)
@@ -37,22 +37,16 @@ func TestCompiledCache(t *testing.T) {
 		t.Fatalf("appended polynomial evaluates to %v, want [.., 5]", got)
 	}
 
-	// A polynomial outside the built index's vocabulary falls back to the
-	// full rebuild: build the index first, then add a fresh variable.
+	// A polynomial outside the built index's vocabulary is appended too.
 	c3.NewDeltaEval()
 	s.Add("c", MustParse(vb, "7·zz"))
-	c4 := s.Compiled()
-	if c4 == c3 {
-		t.Fatal("Add past the index vocabulary did not fall back to a rebuild")
+	if c4 := s.Compiled(); c4 != c3 || c4.Len() != 3 {
+		t.Fatalf("Add past the index vocabulary: same kernel %v, %d polynomials", c4 == c3, c4.Len())
 	}
-	if got := c4.Len(); got != 3 {
-		t.Fatalf("compiled polynomials after fallback = %d, want 3", got)
-	}
-
-	// Explicit invalidation, for in-place mutations Add cannot see.
-	s.InvalidateCompiled()
-	if c5 := s.Compiled(); c5 == c4 {
-		t.Fatal("Compiled not invalidated by InvalidateCompiled")
+	val := c3.NewValuation()
+	val[vb.Var("zz")] = 2
+	if got := c3.EvalDelta([]Var{vb.Var("zz")}, val, nil); got[2] != 14 {
+		t.Fatalf("delta answer of the appended polynomial = %v, want 14", got[2])
 	}
 }
 
@@ -99,8 +93,8 @@ func TestCompiledConcurrent(t *testing.T) {
 	}
 }
 
-// TestVarCountMemo pins the variable-count memo beside the compiled cache:
-// built on first use, extended by Add, dropped by InvalidateCompiled.
+// TestVarCountMemo pins the variable marks beside the kernel: counted as
+// the set is built, extended by Add, copied by Clone.
 func TestVarCountMemo(t *testing.T) {
 	vb := NewVocab()
 	s := NewSet(vb)
@@ -116,11 +110,8 @@ func TestVarCountMemo(t *testing.T) {
 	if got := s.VarCount(); got != 3 {
 		t.Fatalf("VarCount after an Add of known variables = %d, want 3", got)
 	}
-	// An in-place mutation is invisible until InvalidateCompiled.
-	s.Polys[0].AddTerm(1, vb.Var("w"))
-	s.InvalidateCompiled()
-	if got := s.VarCount(); got != 4 {
-		t.Fatalf("VarCount after InvalidateCompiled = %d, want 4", got)
+	if got := s.Clone().VarCount(); got != 3 {
+		t.Fatalf("VarCount of a clone = %d, want 3", got)
 	}
 	if got := NewSet(nil).VarCount(); got != 0 {
 		t.Fatalf("VarCount of an empty set = %d, want 0", got)

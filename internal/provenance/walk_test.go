@@ -34,8 +34,8 @@ func walkSet(n int) *Set {
 func TestKeyWalk(t *testing.T) {
 	s := walkSet(3000)
 	want := map[Var]bool{}
-	for _, p := range s.Polys {
-		for _, m := range p.Monomials() {
+	for i := range s.Len() {
+		for _, m := range s.Poly(i).Monomials() {
 			got := m.Key().AppendVars(nil)
 			if !slices.Equal(got, m.Vars()) {
 				t.Fatalf("AppendVars(%x) = %v, want %v", m.Key(), got, m.Vars())
@@ -59,27 +59,12 @@ func TestKeyWalk(t *testing.T) {
 	}
 
 	n := 0
-	for range s.Polys[0].Terms() {
+	for range s.Poly(0).Terms() {
 		if n++; n == 5 {
 			break
 		}
 	}
 	if n != 5 {
 		t.Errorf("Terms stopped after %d terms", n)
-	}
-}
-
-// BenchmarkVarWalk measures Set.Granularity, the walk over all keys that
-// the VarCount memo spares /v1/stats and the compress reply: allocations
-// stay flat as the set grows.
-func BenchmarkVarWalk(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		s := walkSet(n)
-		b.Run(fmt.Sprintf("monomials=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.Granularity()
-			}
-		})
 	}
 }

@@ -136,6 +136,58 @@ func TestUncleanRestartReplaysWAL(t *testing.T) {
 	}
 }
 
+// TestOverflowingAddRecovers: an add whose repeated variable's exponents
+// sum past 2^31−1 is refused, and the session it was sent to recovers
+// after an unclean and after a clean restart. Parse used to ack
+// 2·p1^(2^31−1)·p1^(2^31−1) as 2·p1^−2, which WAL replay then refused
+// ("exponent 18446744073709551614 out of range"), and so did the next
+// snapshot's restore ("non-positive exponent -2"): neither restart
+// recovered the session.
+func TestOverflowingAddRecovers(t *testing.T) {
+	root := t.TempDir()
+	reg := durableReg(t, root)
+	a, err := reg.Create("s", testSet("pa"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddText("ok", "2·p1 + 1·f1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddText("wrap", "2*p1^2147483647*p1^2147483647"); err == nil {
+		t.Fatal("an add whose exponent sum wraps an int32 was acked")
+	}
+	want := answers(t, a)
+	same := func(when string, s *Session) {
+		t.Helper()
+		got := answers(t, s)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d answers, want %d", when, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: answer %d = %v, want %v", when, i, got[i], want[i])
+			}
+		}
+	}
+
+	// No Shutdown: the WAL replays.
+	reg2 := durableReg(t, root)
+	s, err := reg2.Get("s")
+	if err != nil {
+		t.Fatalf("unclean restart: %v", err)
+	}
+	same("unclean restart", s)
+	// Shutdown rotates the WAL into a snapshot, which the next start reads.
+	if err := reg2.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = durableReg(t, root).Get("s")
+	if err != nil {
+		t.Fatalf("clean restart: %v", err)
+	}
+	same("clean restart", s)
+}
+
 func TestCloseDropsDurableState(t *testing.T) {
 	root := t.TempDir()
 	reg := durableReg(t, root)

@@ -33,7 +33,7 @@ func SamplePolys(s *provenance.Set, fraction float64, seed int64) (*provenance.S
 	if fraction <= 0 || fraction > 1 {
 		return nil, fmt.Errorf("sampling: fraction %v out of (0,1]", fraction)
 	}
-	n := len(s.Polys)
+	n := s.Len()
 	k := int(float64(n)*fraction + 0.999999)
 	if k < 1 {
 		k = 1
@@ -49,7 +49,7 @@ func SamplePolys(s *provenance.Set, fraction float64, seed int64) (*provenance.S
 		if i < len(s.Tags) {
 			tag = s.Tags[i]
 		}
-		out.Add(tag, s.Polys[i])
+		out.Add(tag, s.Poly(i))
 	}
 	return out, nil
 }

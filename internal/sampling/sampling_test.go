@@ -96,9 +96,10 @@ func TestOnlineCompressAchievesBound(t *testing.T) {
 		t.Errorf("compiled len/size = %d/%d, abstracted %d/%d",
 			res.Compiled.Len(), res.Compiled.Size(), res.Abstracted.Len(), res.Abstracted.Size())
 	}
-	want := res.Abstracted.Eval(map[provenance.Var]float64{})
 	got := res.Compiled.Eval(res.Compiled.NewValuation(), nil)
+	want := make([]float64, res.Abstracted.Len())
 	for i := range want {
+		want[i] = res.Abstracted.Poly(i).Eval(nil)
 		if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
 			t.Errorf("compiled identity eval poly %d = %v, want %v", i, got[i], want[i])
 		}

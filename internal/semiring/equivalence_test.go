@@ -78,9 +78,9 @@ func checkKernelEquivalence[T any, C provenance.Carrier[T]](t *testing.T, name s
 			val[v] = sample(rng)
 		}
 		naive := func() []T {
-			want := make([]T, len(set.Polys))
-			for i, p := range set.Polys {
-				w, err := naiveEval(cr, p, val)
+			want := make([]T, set.Len())
+			for i := range want {
+				w, err := naiveEval(cr, set.Poly(i), val)
 				if err != nil {
 					t.Fatalf("%s seed %d: naive: %v", name, seed, err)
 				}
@@ -146,8 +146,12 @@ func checkKernelEquivalence[T any, C provenance.Carrier[T]](t *testing.T, name s
 
 		// Append: extend the compiled kernel in place and re-check Eval.
 		extra := randomSet(rng, vb, 2)
-		if k.Append(extra.Polys, extra.Tags) {
-			for _, p := range extra.Polys {
+		polys := make([]*provenance.Polynomial, extra.Len())
+		for i := range polys {
+			polys[i] = extra.Poly(i)
+		}
+		if k.Append(polys, extra.Tags) {
+			for _, p := range polys {
 				set.Add("", p)
 			}
 			val = map[provenance.Var]T{}

@@ -743,7 +743,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request, sess *re
 		"variable_loss": comp.VL,
 		"adequate":      comp.Adequate,
 		"monomials":     comp.Abstracted.Size(),
-		"variables":     comp.Abstracted.VarCount(), // built once: Stats reads the same memo
+		"variables":     comp.Abstracted.VarCount(), // counted as the set was built; Stats reads the same marks
 		"elapsed_ms":    comp.Elapsed.Milliseconds(),
 	}
 	if comp.VVS != nil {

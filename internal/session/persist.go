@@ -1,7 +1,7 @@
 // Persistence support: a stable, lock-consistent view of everything a
 // session needs to survive a restart (SnapshotState / WithState), and the
 // inverse operation (Restore) that reopens an Engine from such a view
-// without recompiling anything — the compiled cache arrives pre-injected
+// without recompiling anything — the active set's kernel arrives warm
 // through provenance.RestoreSet, so Stats().Compiles still counts exactly
 // one compilation across the restart.
 //
@@ -65,8 +65,8 @@ func (e *Engine) WithState(f func(*SnapshotState) error) error {
 }
 
 // Restore reopens an Engine from a snapshot state. Unlike Open it accepts
-// an already-compressed session: the active set (with its injected
-// compiled cache) keeps answering scenarios, and the reconstructed
+// an already-compressed session: the active set (with its warm kernel)
+// keeps answering scenarios, and the reconstructed
 // substitution keeps Add abstracting new polynomials exactly as the live
 // session did. No selection or compilation is re-run.
 func Restore(st *SnapshotState, opts ...Option) (*Engine, error) {
@@ -92,13 +92,6 @@ func Restore(st *SnapshotState, opts ...Option) (*Engine, error) {
 		}
 		if err := f.CompatibleWith(st.Source); err != nil {
 			return nil, fmt.Errorf("session: snapshot forest: %w", err)
-		}
-		if st.Compressed && st.Source != st.Active {
-			// The check read the source's kernel (a decoded snapshot
-			// brings it; a state built in code compiled it here), which a
-			// compressed session never evaluates: keep one kernel, the
-			// active set's.
-			st.Source.InvalidateCompiled()
 		}
 		forest = f
 	}

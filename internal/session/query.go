@@ -355,7 +355,7 @@ func (e *Engine) describeKernel(p *scenql.Plan) (kernelDesc, error) {
 		desc = rt.describe()
 	}
 	if p.Order != nil {
-		desc.keyTerms = e.active.Polys[p.Order.Index].Size()
+		desc.keyTerms = e.active.PolySize(p.Order.Index)
 	}
 	return desc, nil
 }

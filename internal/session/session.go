@@ -1,10 +1,10 @@
 // Package session implements the library's session-oriented Engine: one
 // long-lived object owning a provenance set, an abstraction forest, the
-// chosen compression, and a lazily built, mutation-invalidated compiled
-// form. The paper's workload is exactly this shape — compress once, then
-// answer a stream of hypothetical scenarios — and the Engine makes the
-// compile-once/evaluate-many lifecycle a property of the API instead of a
-// discipline every caller re-implements.
+// chosen compression, and the compiled kernel scenarios evaluate (the
+// active set's own storage). The paper's workload is exactly this shape —
+// compress once, then answer a stream of hypothetical scenarios — and the
+// Engine makes the compile-once/evaluate-many lifecycle a property of the
+// API instead of a discipline every caller re-implements.
 //
 // Lifecycle:
 //
@@ -70,8 +70,7 @@ type Engine struct {
 // evaluation-only session (Compress then errors). A non-nil forest is
 // validated against the set up front, so scenario streams never trip over
 // an incompatible abstraction mid-session. The check reads the set's
-// compiled cache: a decoded set brings its own, and a set built in code
-// compiles here once, for Compress and the first evaluation to reuse.
+// kernel, the set's own storage.
 func Open(set *provenance.Set, forest *abstree.Forest, opts ...Option) (*Engine, error) {
 	if set == nil {
 		return nil, fmt.Errorf("session: Open needs a provenance set")
@@ -90,11 +89,10 @@ func Open(set *provenance.Set, forest *abstree.Forest, opts ...Option) (*Engine,
 
 // Compress selects an abstraction for bound B with the configured strategy
 // (StrategyAuto by default: optimal for a single tree, greedy for a forest)
-// and switches the session's evaluation target to the abstracted set.
-// Optimal and greedy hand over the abstracted set already compiled, so the
-// next evaluation finds its kernel built; the other strategies' sets
-// compile on that evaluation, once. The source set's compiled cache is
-// dropped: the session never evaluates the source again.
+// and switches the session's evaluation target to the abstracted set,
+// whose kernel the next evaluation reads. The source set's inverted index
+// and baseline, if an evaluation built them, are dropped: the session
+// never evaluates the source again, and its Adds patch nothing there.
 func (e *Engine) Compress(B int, opts ...CompressOption) (*core.Compression, error) {
 	cfg := defaultCompressConfig()
 	for _, o := range opts {
@@ -115,28 +113,22 @@ func (e *Engine) Compress(B int, opts ...CompressOption) (*core.Compression, err
 	}
 	e.comp = comp
 	e.active = comp.Abstracted
-	e.set.InvalidateCompiled() // only the active set is evaluated from here on
-	e.floatBase.p.Store(nil)   // the old kernel's baseline dies with it
-	e.dropRuntimesLocked()     // semiring kernels compiled the old active set
+	e.set.Compiled().DropIndex() // only the active set is evaluated from here on
+	e.floatBase.p.Store(nil)     // the old kernel's baseline dies with it
+	e.dropRuntimesLocked()       // semiring kernels compiled the old active set
 	return comp, nil
 }
 
 // Add appends a polynomial to the session's provenance. When a compression
 // is active the polynomial is abstracted under the selected substitution
 // and appended to the abstracted set too, so evaluation stays consistent
-// with selection without re-running it. The active set's compiled form is
+// with selection without re-running it. The active set's kernel is
 // extended in place (Compiled.Append patches the flat arrays, the inverted
 // index and the baseline), so an Add-heavy session never recompiles —
 // Stats().Compiles stays constant across Add+WhatIf loops.
 func (e *Engine) Add(tag string, p *provenance.Polynomial) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.comp != nil {
-		// After Compress the source compilation is never evaluated again
-		// (e.active is the abstracted set): drop it rather than paying an
-		// index patch per Add for a dead cache.
-		e.set.InvalidateCompiled()
-	}
 	e.set.Add(tag, p)
 	active := p
 	if e.comp != nil {
@@ -151,8 +143,8 @@ func (e *Engine) Add(tag string, p *provenance.Polynomial) {
 	e.added.Add(1)
 }
 
-// compiledLocked returns the active set's cached compiled form, counting
-// (re)compilations for Stats. Callers hold e.mu (read or write).
+// compiledLocked returns the active set's kernel, counting the kernels
+// the session has evaluated for Stats. Callers hold e.mu (read or write).
 func (e *Engine) compiledLocked() *provenance.Compiled {
 	c := e.active.Compiled()
 	if e.lastCompiled.Swap(c) != c {

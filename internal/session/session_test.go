@@ -258,8 +258,8 @@ func TestWhatIfBatchTags(t *testing.T) {
 		t.Fatalf("WhatIfBatch = %d rows, %v; want %d", len(rows), err, len(scs))
 	}
 	for i, row := range rows {
-		if len(row) != len(set.Polys) {
-			t.Fatalf("WhatIfBatch row %d has %d answers, want %d", i, len(row), len(set.Polys))
+		if len(row) != set.Len() {
+			t.Fatalf("WhatIfBatch row %d has %d answers, want %d", i, len(row), set.Len())
 		}
 		for j, a := range row {
 			check("WhatIfBatch", i, j, a.Tag, a.Value, floats[i][j])
@@ -278,8 +278,8 @@ func TestWhatIfBatchTags(t *testing.T) {
 			t.Fatalf("%s = %d rows, %v; want %d", path, len(rows), err, len(scs))
 		}
 		for i, row := range rows {
-			if len(row) != len(set.Polys) {
-				t.Fatalf("%s row %d has %d answers, want %d", path, i, len(row), len(set.Polys))
+			if len(row) != set.Len() {
+				t.Fatalf("%s row %d has %d answers, want %d", path, i, len(row), set.Len())
 			}
 			for j, a := range row {
 				check(path, i, j, a.Tag, a.Value, tc.want(i, j))
@@ -323,6 +323,43 @@ func TestWhatIfBatchReusesCompiled(t *testing.T) {
 	}
 	if st.Scenarios != 30 {
 		t.Errorf("Scenarios = %d, want 30", st.Scenarios)
+	}
+}
+
+// TestLargeExponentWhatIf: a set holding x^(2^31−1) answers its first
+// what-if within 50 ms, in the float semiring (the fused loop) and in the
+// counting one (the generic loop). Both evaluators used to multiply once
+// per unit of exponent: about 2^31 multiplies, seconds per evaluation.
+func TestLargeExponentWhatIf(t *testing.T) {
+	const bound = 50 * time.Millisecond
+	vb := provenance.NewVocab()
+	set := provenance.NewSet(vb)
+	set.Add("big", provenance.MustParse(vb, "3·x^2147483647 + 2·y"))
+	e, err := Open(set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	ans, err := e.WhatIf(hypo.NewScenario().Set("x", 1-1e-9))
+	if took := time.Since(start); took > bound {
+		t.Errorf("the first float what-if took %v, bound %v", took, bound)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 3*math.Pow(1-1e-9, math.MaxInt32) + 2; math.Abs(ans[0].Value-want) > 1e-6*want {
+		t.Errorf("3·x^(2^31−1) + 2 at x = 1−1e-9 is %v, want %v", ans[0].Value, want)
+	}
+	start = time.Now()
+	counted, err := e.WhatIfIn(semiring.KindCount, hypo.NewScenario().Set("y", 0))
+	if took := time.Since(start); took > bound {
+		t.Errorf("the first counting what-if took %v, bound %v", took, bound)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counted[0].Value; got != int64(3) {
+		t.Errorf("counting answer %v, want 3", got)
 	}
 }
 
@@ -875,9 +912,9 @@ func TestStreamInChainsAcrossMicroBatches(t *testing.T) {
 	}
 }
 
-// TestStatsVariablesConcurrent races Stats on a fresh session, whose
-// variable count is built lazily under the set's lock (run it with -race
-// -count=10), and checks the count follows an Add that brings a new
+// TestStatsVariablesConcurrent races Stats on a fresh session, which
+// reads the variable marks the set keeps beside its kernel (run it with
+// -race -count=10), and checks the count follows an Add that brings a new
 // variable and a Compress that replaces the active set.
 func TestStatsVariablesConcurrent(t *testing.T) {
 	set, forest := fixture(t)

@@ -93,10 +93,14 @@ func Summarize(s *provenance.Set, forest *abstree.Forest, B int, opts Options) (
 		// set intersection. The per-round cost stays quadratic in the
 		// number of groups — the competitor's defining expense — without
 		// re-scanning the polynomials per pair.
+		polys := make([]*provenance.Polynomial, cur.Len())
+		for pi := range polys {
+			polys[pi] = cur.Poly(pi)
+		}
 		residues := make(map[provenance.Var]map[residueID]struct{}, len(groups))
 		for _, g := range groups {
 			set := make(map[residueID]struct{})
-			for pi, p := range cur.Polys {
+			for pi, p := range polys {
 				for _, k := range p.Residues(g.rep) {
 					set[residueID{int32(pi), k}] = struct{}{}
 				}

@@ -68,8 +68,8 @@ func TestProvenanceShape(t *testing.T) {
 		t.Errorf("polynomials = %d, want <= 10 (one per occupied zip)", set.Len())
 	}
 	// Every monomial is coeff · plan-var · month-var.
-	for _, p := range set.Polys {
-		for _, m := range p.Monomials() {
+	for i := range set.Len() {
+		for _, m := range set.Poly(i).Monomials() {
 			if m.NumVars() != 2 {
 				t.Fatalf("monomial %s has %d vars, want 2", m.String(set.Vocab), m.NumVars())
 			}
@@ -121,12 +121,12 @@ func TestSyntheticMatchesEngine(t *testing.T) {
 	if fromEngine.Len() != synthetic.Len() {
 		t.Fatalf("polynomial counts differ: engine %d, synthetic %d", fromEngine.Len(), synthetic.Len())
 	}
-	for i := range fromEngine.Polys {
+	for i := range fromEngine.Len() {
 		if fromEngine.Tags[i] != synthetic.Tags[i] {
 			t.Fatalf("tag %d: engine %q, synthetic %q", i, fromEngine.Tags[i], synthetic.Tags[i])
 		}
-		ec := coeffByNames(fromEngine.Vocab, fromEngine.Polys[i])
-		sc := coeffByNames(synthetic.Vocab, synthetic.Polys[i])
+		ec := coeffByNames(fromEngine.Vocab, fromEngine.Poly(i))
+		sc := coeffByNames(synthetic.Vocab, synthetic.Poly(i))
 		if len(ec) != len(sc) {
 			t.Fatalf("zip %s: monomial counts differ: %d vs %d", fromEngine.Tags[i], len(ec), len(sc))
 		}
@@ -236,8 +236,8 @@ func TestCompressionBitDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var bits []uint64
-		for _, p := range comp.Abstracted.Polys {
-			for _, m := range p.Monomials() {
+		for i := range comp.Abstracted.Len() {
+			for _, m := range comp.Abstracted.Poly(i).Monomials() {
 				bits = append(bits, math.Float64bits(m.Coeff))
 			}
 		}

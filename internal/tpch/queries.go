@@ -101,11 +101,11 @@ func (d *Dataset) Provenance(q QueryID) (*provenance.Set, error) {
 			return nil, err
 		}
 		out := provenance.NewSet(d.Catalog.Vocab)
-		for i := range disc.Polys {
-			out.Add(disc.Tags[i]+"|disc_price", disc.Polys[i])
+		for i := range disc.Len() {
+			out.Add(disc.Tags[i]+"|disc_price", disc.Poly(i))
 		}
-		for i := range charge.Polys {
-			out.Add(charge.Tags[i]+"|charge", charge.Polys[i])
+		for i := range charge.Len() {
+			out.Add(charge.Tags[i]+"|charge", charge.Poly(i))
 		}
 		return out, nil
 	default:

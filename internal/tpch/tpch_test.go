@@ -78,9 +78,9 @@ func TestQ1Shape(t *testing.T) {
 	if set.Len() != 8 {
 		t.Fatalf("Q1 polynomials = %d, want 8", set.Len())
 	}
-	for i, p := range set.Polys {
+	for i := range set.Len() {
 		hasConst := false
-		for _, m := range p.Monomials() {
+		for _, m := range set.Poly(i).Monomials() {
 			switch m.NumVars() {
 			case 0:
 				hasConst = true

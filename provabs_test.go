@@ -267,7 +267,7 @@ func ExampleStrategyOptimal() {
 	eng, _ := provabs.Open(set, forest)
 	res, _ := eng.Compress(1, provabs.WithStrategy(provabs.StrategyOptimal))
 	compressed := res.VVS.Apply(set)
-	fmt.Println(compressed.Polys[0].String(vb))
+	fmt.Println(compressed.Poly(0).String(vb))
 	answers, _ := provabs.NewScenario().Set("q1", 0.8).Eval(compressed)
 	fmt.Printf("%.2f\n", answers[0])
 	// Output:
