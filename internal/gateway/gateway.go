@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -163,6 +165,7 @@ type backend struct {
 	inflight    chan struct{} // bounded proxy slots
 	breaker     *breaker      // request-path circuit breaker
 	retryBudget *tokenBucket  // caps retry amplification per backend
+	pool        *connPool     // connections of the idempotent buffered calls
 }
 
 func (b *backend) isHealthy() bool {
@@ -217,6 +220,7 @@ type Gateway struct {
 	proxied          atomic.Int64
 	migrations       atomic.Int64
 	retries          atomic.Int64 // idempotent round trips retried
+	staleRedials     atomic.Int64 // pooled connections found closed and redialled
 	parkedWrites     atomic.Int64 // one-shot writes that waited out a quiesce
 	journaledLines   atomic.Int64 // add lines buffered during migrations
 	replayedLines    atomic.Int64 // journaled lines replayed onto a new holder
@@ -293,6 +297,7 @@ func (g *Gateway) addBackendLocked(addr string) error {
 		inflight:    make(chan struct{}, g.opts.MaxInflight),
 		breaker:     newBreaker(g.opts.BreakerThreshold, g.opts.BreakerCooldown, g.opts.BreakerCooldownMax),
 		retryBudget: newTokenBucket(g.opts.Retry.RetryBudgetPerSec, g.opts.Retry.RetryBudgetBurst, time.Now()),
+		pool:        &connPool{addr: addr},
 	}
 	g.backends[addr] = b
 	g.ring.Add(addr)
@@ -310,10 +315,16 @@ func (g *Gateway) Start() {
 	go g.probeLoop()
 }
 
-// Stop ends background work, waits for it, and closes the state journal.
+// Stop ends background work, waits for it, closes the backends' pooled
+// connections and closes the state journal.
 func (g *Gateway) Stop() {
 	g.stopOnce.Do(func() { close(g.stopCh) })
 	g.wg.Wait()
+	g.mu.RLock()
+	for _, b := range g.backends {
+		b.pool.close()
+	}
+	g.mu.RUnlock()
 	g.state.close()
 }
 
@@ -717,7 +728,8 @@ func (g *Gateway) removeWriter(name string) {
 }
 
 // handleList fans GET /v1/sessions out to every healthy backend and merges
-// the name-sorted union.
+// the name-sorted union. A backend that fails its round trip is skipped
+// and logged.
 func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	type listResp struct {
 		Sessions []json.RawMessage `json:"sessions"`
@@ -728,14 +740,8 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 		names    []string
 	)
 	g.eachHealthy(func(b *backend) {
-		resp, err := g.client.Get(b.base + "/v1/sessions")
-		if err != nil {
-			g.opts.Logger.Printf("gateway: list %s: %v", b.addr, err)
-			return
-		}
-		defer resp.Body.Close()
 		var lr listResp
-		if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
+		if err := g.getJSON(r.Context(), b, "/v1/sessions", &lr); err != nil {
 			g.opts.Logger.Printf("gateway: list %s: %v", b.addr, err)
 			return
 		}
@@ -754,6 +760,20 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	g.writeJSON(w, http.StatusOK, map[string]any{"sessions": sessions})
 }
 
+// getJSON GETs uri from b through the retrying round trip and decodes a
+// 200 answer into v.
+func (g *Gateway) getJSON(ctx context.Context, b *backend, uri string, v any) error {
+	br, err := g.roundTrip(ctx, b, http.MethodGet, uri, nil, nil, true)
+	if err != nil {
+		return err
+	}
+	defer br.release()
+	if br.status != http.StatusOK {
+		return fmt.Errorf("status %d: %s", br.status, bytes.TrimSpace(br.body))
+	}
+	return json.Unmarshal(br.body, v)
+}
+
 type rawByName struct {
 	names []string
 	raws  []json.RawMessage
@@ -769,7 +789,8 @@ func (s *rawByName) Swap(i, j int) {
 // handleStats fans GET /v1/stats out to every healthy backend and answers
 // the pool-wide merge (registry.AggregateStats.Merge — counters summed
 // once per session, per-backend gauges kept per backend) plus each
-// backend's own payload.
+// backend's own payload. A backend that fails its round trip is reported
+// under "unreachable".
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	var (
 		mu       sync.Mutex
@@ -778,16 +799,8 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		failures = map[string]string{}
 	)
 	g.eachHealthy(func(b *backend) {
-		resp, err := g.client.Get(b.base + "/v1/stats")
-		if err != nil {
-			mu.Lock()
-			failures[b.addr] = err.Error()
-			mu.Unlock()
-			return
-		}
-		defer resp.Body.Close()
 		var st registry.AggregateStats
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		if err := g.getJSON(r.Context(), b, "/v1/stats", &st); err != nil {
 			mu.Lock()
 			failures[b.addr] = err.Error()
 			mu.Unlock()
@@ -868,6 +881,7 @@ func (g *Gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
 		"proxied":    g.proxied.Load(),
 		"resilience": map[string]any{
 			"retries":            g.retries.Load(),
+			"stale_redials":      g.staleRedials.Load(),
 			"parked_writes":      g.parkedWrites.Load(),
 			"journaled_lines":    g.journaledLines.Load(),
 			"replayed_lines":     g.replayedLines.Load(),
@@ -975,7 +989,7 @@ func (g *Gateway) handleRemoveBackend(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusNotFound, fmt.Errorf("backend %s is not in the pool", addr))
 		return
 	}
-	_ = b
+	b.pool.close()
 	g.writeJSON(w, http.StatusOK, map[string]string{"removed": addr})
 }
 

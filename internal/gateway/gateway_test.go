@@ -30,7 +30,7 @@ type poolBackend struct {
 
 func (b *poolBackend) addr() string { return strings.TrimPrefix(b.ts.URL, "http://") }
 
-func newPoolBackend(t *testing.T, opts ...server.Option) *poolBackend {
+func newPoolBackend(t testing.TB, opts ...server.Option) *poolBackend {
 	t.Helper()
 	reg := registry.New()
 	ts := httptest.NewServer(server.New(reg, opts...).Handler())
@@ -40,7 +40,7 @@ func newPoolBackend(t *testing.T, opts ...server.Option) *poolBackend {
 
 // newTestGateway stands a gateway over the given backends. The probe loop
 // is not started; tests drive health transitions by hand.
-func newTestGateway(t *testing.T, opts Options, backends ...*poolBackend) (*Gateway, *httptest.Server) {
+func newTestGateway(t testing.TB, opts Options, backends ...*poolBackend) (*Gateway, *httptest.Server) {
 	t.Helper()
 	addrs := make([]string, len(backends))
 	for i, b := range backends {

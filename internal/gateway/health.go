@@ -56,7 +56,8 @@ func (g *Gateway) probeLoop() {
 		select {
 		case <-g.stopCh:
 			return
-		case <-ticker.C:
+		case now := <-ticker.C:
+			g.sweepIdle(now)
 			if g.probeAll() {
 				// Membership changed (a readmit): move sessions onto the
 				// returning owner in the background; a failed sweep retries
@@ -72,6 +73,15 @@ func (g *Gateway) probeLoop() {
 				}()
 			}
 		}
+	}
+}
+
+// sweepIdle closes the pooled connections idle past idleConnTimeout.
+func (g *Gateway) sweepIdle(now time.Time) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	for _, b := range g.backends {
+		b.pool.sweep(now)
 	}
 }
 

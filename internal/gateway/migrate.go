@@ -246,19 +246,12 @@ func (g *Gateway) moveSession(ctx context.Context, name, holder, owner string) e
 // listSessions returns the session names a backend holds. Listing only
 // reads, so it rides the retrying round trip.
 func (g *Gateway) listSessions(ctx context.Context, b *backend) ([]string, error) {
-	br, err := g.roundTrip(ctx, b, http.MethodGet, b.base+"/v1/sessions", nil, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	if br.status != http.StatusOK {
-		return nil, fmt.Errorf("status %d", br.status)
-	}
 	var lr struct {
 		Sessions []struct {
 			Name string `json:"name"`
 		} `json:"sessions"`
 	}
-	if err := json.Unmarshal(br.body, &lr); err != nil {
+	if err := g.getJSON(ctx, b, "/v1/sessions", &lr); err != nil {
 		return nil, err
 	}
 	names := make([]string, 0, len(lr.Sessions))
@@ -269,9 +262,11 @@ func (g *Gateway) listSessions(ctx context.Context, b *backend) ([]string, error
 }
 
 // exportSession pulls a session's snapshot bytes off its holder. Export
-// is read-only, so transport failures retry.
+// is read-only, so transport failures retry. The bytes stay in the
+// response's buffer, which is never released to the pool: the caller
+// holds them through the import.
 func (g *Gateway) exportSession(ctx context.Context, b *backend, name string) ([]byte, error) {
-	br, err := g.roundTrip(ctx, b, http.MethodPost, b.base+"/v1/sessions/"+name+"/export", nil, nil, true)
+	br, err := g.roundTrip(ctx, b, http.MethodPost, "/v1/sessions/"+name+"/export", nil, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -296,10 +291,11 @@ func (g *Gateway) importSession(ctx context.Context, b *backend, name string, sn
 		return err
 	}
 	hdr := http.Header{"Content-Type": []string{"application/json"}}
-	br, err := g.roundTrip(ctx, b, http.MethodPost, b.base+"/v1/sessions", hdr, body, false)
+	br, err := g.roundTrip(ctx, b, http.MethodPost, "/v1/sessions", hdr, body, false)
 	if err != nil {
 		return err
 	}
+	defer br.release()
 	if br.status != http.StatusCreated {
 		return fmt.Errorf("status %d: %s", br.status, bytes.TrimSpace(br.body))
 	}
@@ -312,10 +308,11 @@ func (g *Gateway) deleteSession(ctx context.Context, b *backend, name string) er
 	if b == nil {
 		return fmt.Errorf("backend gone")
 	}
-	br, err := g.roundTrip(ctx, b, http.MethodDelete, b.base+"/v1/sessions/"+name, nil, nil, false)
+	br, err := g.roundTrip(ctx, b, http.MethodDelete, "/v1/sessions/"+name, nil, nil, false)
 	if err != nil {
 		return err
 	}
+	br.release()
 	if br.status != http.StatusOK && br.status != http.StatusNotFound {
 		return fmt.Errorf("status %d", br.status)
 	}

@@ -5,7 +5,8 @@ package gateway
 //   - proxyBuffered: request body already in memory (create, whose name
 //     the gateway had to read; the one-shot verbs) or bodiless (info,
 //     delete). Both sides fully buffered, which is what lets idempotent
-//     calls retry with backoff (retry.go) behind the circuit breaker.
+//     calls retry with backoff (retry.go) behind the circuit breaker, on
+//     connections the request's own goroutine drives (connpool.go).
 //
 //   - proxyStream: everything else, including the NDJSON streams. The
 //     inbound side is switched to full duplex (an HTTP/1 server otherwise
@@ -17,7 +18,8 @@ package gateway
 //     surfaces as an in-band {"error": …} terminal line — never a
 //     silently hung client.
 //
-// Hop-by-hop headers are stripped both ways per RFC 9110 §7.6.1.
+// Hop-by-hop fields are stripped both ways per RFC 9110 §7.6.1: the fixed
+// list below and every field a message's Connection header names.
 
 import (
 	"encoding/json"
@@ -25,24 +27,55 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 )
 
-// hopHeaders never cross a proxy.
-var hopHeaders = []string{
-	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
-	"Proxy-Connection", "Te", "Trailer", "Transfer-Encoding", "Upgrade",
-}
-
-func copyHeaders(dst, src http.Header) {
-	for k, vv := range src {
-		for _, v := range vv {
-			dst.Add(k, v)
+// hopByHop reports whether the header field k (in canonical form) stops
+// at the gateway, given the message's Connection values. Expect is
+// answered by the gateway's own server, which sends 100 Continue when a
+// handler first reads the body, so it is never forwarded either.
+func hopByHop(k string, connection []string) bool {
+	switch k {
+	case "Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
+		"Proxy-Connection", "Te", "Trailer", "Transfer-Encoding", "Upgrade", "Expect":
+		return true
+	}
+	for _, v := range connection {
+		for v != "" {
+			var name string
+			name, v, _ = strings.Cut(v, ",")
+			if strings.EqualFold(strings.TrimSpace(name), k) {
+				return true
+			}
 		}
 	}
-	for _, h := range hopHeaders {
-		dst.Del(h)
+	return false
+}
+
+// copyHeaders sets in dst every end-to-end field of src. dst shares src's
+// value slices; neither side appends to them.
+func copyHeaders(dst, src http.Header) {
+	connection := src["Connection"]
+	for k, vv := range src {
+		if !hopByHop(k, connection) {
+			dst[k] = vv
+		}
 	}
+}
+
+// endToEnd returns h itself when it holds no hop-by-hop field, and
+// otherwise a copy of its end-to-end fields.
+func endToEnd(h http.Header) http.Header {
+	connection := h["Connection"]
+	for k := range h {
+		if hopByHop(k, connection) {
+			out := make(http.Header, len(h))
+			copyHeaders(out, h)
+			return out
+		}
+	}
+	return h
 }
 
 // outgoing builds the backend request mirroring the inbound one.
@@ -51,40 +84,38 @@ func (g *Gateway) outgoing(r *http.Request, b *backend, body io.Reader, length i
 	if err != nil {
 		return nil, err
 	}
-	out.Header = make(http.Header, len(r.Header))
-	copyHeaders(out.Header, r.Header)
+	out.Header = endToEnd(r.Header)
 	out.ContentLength = length
 	return out, nil
 }
 
 // admit claims a backend proxy slot, answering 503 + Retry-After when the
-// backend is saturated. The release func is nil when admission failed.
-func (g *Gateway) admit(w http.ResponseWriter, b *backend) func() {
+// backend is saturated. An admitted caller releases the slot with
+// b.release.
+func (g *Gateway) admit(w http.ResponseWriter, b *backend) bool {
 	if !b.acquire() {
 		g.writeUnavailable(w, 1,
 			fmt.Errorf("backend %s is at its in-flight limit (%d); retry shortly", b.addr, g.opts.MaxInflight))
-		return nil
+		return false
 	}
 	g.proxied.Add(1)
-	return b.release
+	return true
 }
 
 // proxyBuffered forwards a request whose body (possibly nil) is already
 // in memory and copies the fully buffered response back. It rides the
-// retrying round trip: idempotent calls may be attempted up to
-// Retry.MaxAttempts times on transport failure, and because nothing is
-// written to the client until a whole response is in hand, a retry can
-// never fire after client-visible bytes. Returns the upstream status (0
-// when every attempt failed, with the 502/503 already written).
+// retrying round trip: idempotent calls ride the pooled connections
+// (connpool.go) and may be attempted up to Retry.MaxAttempts times on
+// transport failure, and because nothing is written to the client until a
+// whole response is in hand, a retry can never fire after client-visible
+// bytes. Returns the upstream status (0 when every attempt failed, with
+// the 502/503 already written).
 func (g *Gateway) proxyBuffered(w http.ResponseWriter, r *http.Request, b *backend, body []byte, idempotent bool) (int, error) {
-	release := g.admit(w, b)
-	if release == nil {
+	if !g.admit(w, b) {
 		return 0, errSaturated
 	}
-	defer release()
-	hdr := make(http.Header, len(r.Header))
-	copyHeaders(hdr, r.Header)
-	br, err := g.roundTrip(r.Context(), b, r.Method, b.base+r.URL.RequestURI(), hdr, body, idempotent)
+	defer b.release()
+	br, err := g.roundTrip(r.Context(), b, r.Method, r.URL.RequestURI(), endToEnd(r.Header), body, idempotent)
 	if err != nil {
 		var open *errBreakerOpen
 		if errors.As(err, &open) {
@@ -106,11 +137,10 @@ var errSaturated = errors.New("backend saturated")
 // failure is reported in-band; otherwise it behaves like a plain proxy
 // that happens not to buffer.
 func (g *Gateway) proxyStream(w http.ResponseWriter, r *http.Request, b *backend, stream bool) {
-	release := g.admit(w, b)
-	if release == nil {
+	if !g.admit(w, b) {
 		return
 	}
-	defer release()
+	defer b.release()
 	// Streams respect the breaker's verdict but never retry or time out:
 	// they are long-lived by design.
 	if ok, wait := b.breaker.allow(time.Now()); !ok {

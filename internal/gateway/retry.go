@@ -5,10 +5,11 @@ package gateway
 //
 //   - Only idempotent verbs retry. Reads (session info, list, stats),
 //     read-only POSTs (whatif, query, export) and the control-plane's
-//     list/export are safe to repeat; create, add, compress and the
-//     client-facing delete are not — a lost response leaves their effect
-//     in doubt, and repeating them double-applies. Those get exactly one
-//     attempt and surface the error.
+//     list/export are safe to repeat, and ride the pooled connections of
+//     connpool.go; create, add, compress and the client-facing delete are
+//     not — a lost response leaves their effect in doubt, and repeating
+//     them double-applies. Those get exactly one attempt on g.client and
+//     surface the error.
 //
 //   - Retries are budgeted per backend. A token bucket refilled at
 //     RetryBudgetPerSec caps how much extra load retry storms may add; an
@@ -27,7 +28,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -92,25 +92,43 @@ func (e *errBreakerOpen) Error() string {
 
 // bufferedResponse is a fully read backend response — the shape retries
 // require, since a retry must never fire after response bytes reached the
-// client.
+// client. Its body lives in a buffer from respBufs, which release returns.
 type bufferedResponse struct {
 	status int
 	header http.Header
 	body   []byte
+	buf    *[]byte
 }
 
-// write replays the buffered response onto a client ResponseWriter.
+// write replays the buffered response onto a client ResponseWriter and
+// then releases its buffer.
 func (br *bufferedResponse) write(w http.ResponseWriter) {
 	copyHeaders(w.Header(), br.header)
 	w.WriteHeader(br.status)
 	w.Write(br.body) //nolint:errcheck // client went away; nothing to do
+	br.release()
 }
 
-// roundTrip performs one buffered gateway→backend call under the retry
-// policy. body may be nil. Idempotent calls retry transport failures with
-// backoff while the per-backend budget lasts; everything else gets one
-// attempt. The breaker gates every attempt.
-func (g *Gateway) roundTrip(ctx context.Context, b *backend, method, url string, header http.Header, body []byte, idempotent bool) (*bufferedResponse, error) {
+// release returns the response's buffer to respBufs, the grown one when
+// it is no larger than maxPooledBuf. Nothing may read body afterwards.
+func (br *bufferedResponse) release() {
+	if br.buf == nil {
+		return
+	}
+	if c := cap(br.body); c > 0 && c <= maxPooledBuf {
+		*br.buf = br.body[:0]
+	}
+	respBufs.Put(br.buf)
+	br.buf, br.body = nil, nil
+}
+
+// roundTrip performs one buffered gateway→backend call of uri, a
+// request-URI, under the retry policy. header holds only end-to-end
+// fields and body may be nil. Idempotent calls ride b's pooled
+// connections and retry transport failures with backoff while the
+// per-backend budget lasts; everything else gets one attempt on g.client.
+// The breaker gates every attempt. The caller releases the response.
+func (g *Gateway) roundTrip(ctx context.Context, b *backend, method, uri string, header http.Header, body []byte, idempotent bool) (bufferedResponse, error) {
 	pol := g.opts.Retry
 	backoff := pol.BackoffBase
 	var lastErr error
@@ -119,16 +137,22 @@ func (g *Gateway) roundTrip(ctx context.Context, b *backend, method, url string,
 			// Fail fast; if an earlier attempt tripped the breaker mid-loop,
 			// surface that attempt's error rather than the breaker's.
 			if lastErr != nil {
-				return nil, lastErr
+				return bufferedResponse{}, lastErr
 			}
-			return nil, &errBreakerOpen{addr: b.addr, retryAfter: wait}
+			return bufferedResponse{}, &errBreakerOpen{addr: b.addr, retryAfter: wait}
 		}
-		resp, err := g.attemptOnce(ctx, b, method, url, header, body, pol.AttemptTimeout)
+		var resp bufferedResponse
+		var err error
+		if idempotent {
+			resp, err = g.attemptPooled(ctx, b, method, uri, header, body)
+		} else {
+			resp, err = g.attemptOnce(ctx, b, method, uri, header, body)
+		}
 		if err == nil {
 			b.breaker.onSuccess()
 			return resp, nil
 		}
-		lastErr = err
+		lastErr = fmt.Errorf("backend %s: %w", b.addr, err)
 		g.suspect(b)
 		if !idempotent || ctx.Err() != nil {
 			break
@@ -137,7 +161,7 @@ func (g *Gateway) roundTrip(ctx context.Context, b *backend, method, url string,
 			break
 		}
 		if allowed, _ := b.retryBudget.allow(1, time.Now()); !allowed {
-			g.opts.Logger.Printf("gateway: retry budget for %s exhausted; failing %s %s without retry", b.addr, method, url)
+			g.opts.Logger.Printf("gateway: retry budget for %s exhausted; failing %s %s without retry", b.addr, method, uri)
 			break
 		}
 		g.retries.Add(1)
@@ -147,53 +171,48 @@ func (g *Gateway) roundTrip(ctx context.Context, b *backend, method, url string,
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return nil, lastErr
+			return bufferedResponse{}, lastErr
 		}
 	}
-	return nil, lastErr
+	return bufferedResponse{}, lastErr
 }
 
-// attemptOnce is one bounded request + full body read.
-func (g *Gateway) attemptOnce(ctx context.Context, b *backend, method, url string, header http.Header, body []byte, timeout time.Duration) (*bufferedResponse, error) {
-	actx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// attemptOnce is one bounded call on g.client, the request and the full
+// body read.
+func (g *Gateway) attemptOnce(ctx context.Context, b *backend, method, uri string, header http.Header, body []byte) (bufferedResponse, error) {
+	ctx, cancel := context.WithTimeout(ctx, g.opts.Retry.AttemptTimeout)
+	defer cancel()
 	var reader io.Reader
 	if body != nil {
 		reader = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(actx, method, url, reader)
+	req, err := http.NewRequestWithContext(ctx, method, b.base+uri, reader)
 	if err != nil {
-		return nil, err
+		return bufferedResponse{}, err
 	}
 	if header != nil {
-		copyHeaders(req.Header, header)
-	}
-	if body != nil {
-		req.ContentLength = int64(len(body))
+		req.Header = header
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("backend %s: %w", b.addr, err)
+		return bufferedResponse{}, err
 	}
 	defer resp.Body.Close()
 	// The body read happens inside the attempt window: a backend that
 	// answers headers then stalls is as failed as one that never dials.
-	payload, err := readResponse(resp, method, g.opts.MaxCreateBytes)
-	if err != nil {
-		return nil, fmt.Errorf("backend %s: %w", b.addr, err)
+	br := bufferedResponse{status: resp.StatusCode, header: resp.Header, buf: respBufs.Get().(*[]byte)}
+	if br.body, err = readResponse(resp, method, g.opts.MaxCreateBytes, (*br.buf)[:0]); err != nil {
+		br.release()
+		return bufferedResponse{}, err
 	}
-	return &bufferedResponse{status: resp.StatusCode, header: resp.Header.Clone(), body: payload}, nil
+	return br, nil
 }
 
-// readResponse reads a backend response body of at most limit bytes with
-// reqbody.ReadAll, which grows its buffer with the bytes that arrive, up
-// to the declared length. A declared length over the limit is refused
-// before anything is allocated.
-func readResponse(resp *http.Response, method string, limit int64) ([]byte, error) {
+// readResponse appends a backend response body of at most limit bytes to
+// dst with reqbody.ReadAll, which grows its buffer with the bytes that
+// arrive, up to the declared length. A declared length over the limit is
+// refused before anything is allocated.
+func readResponse(resp *http.Response, method string, limit int64, dst []byte) ([]byte, error) {
 	n := resp.ContentLength
 	if method == http.MethodHead {
 		n = -1 // a HEAD response declares a length it does not send
@@ -201,7 +220,7 @@ func readResponse(resp *http.Response, method string, limit int64) ([]byte, erro
 	if n > limit {
 		return nil, fmt.Errorf("response of %d bytes exceeds the %d-byte proxy buffer", n, limit)
 	}
-	payload, err := reqbody.ReadAll(io.LimitReader(resp.Body, limit+1), n)
+	payload, err := reqbody.ReadAll(dst, io.LimitReader(resp.Body, limit+1), n)
 	if err != nil {
 		return nil, fmt.Errorf("reading response: %w", err)
 	}
@@ -224,10 +243,4 @@ func decorrelatedJitter(base, prev, max time.Duration) time.Duration {
 		d = max
 	}
 	return d
-}
-
-// errorIsTimeout reports whether err is a deadline-style failure (used by
-// tests and logs; the retry loop treats every transport error the same).
-func errorIsTimeout(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded)
 }

@@ -25,27 +25,33 @@ func Read(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 		}
 		return nil, &http.MaxBytesError{Limit: limit}
 	}
-	return ReadAll(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
+	return ReadAll(nil, http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
 }
 
 // firstBuf is the most ReadAll allocates before the first byte arrives.
 const firstBuf = 64 << 10
 
-// ReadAll reads src to its end. size is the length src declares, or -1
-// when it declares none; src itself must bound how much it yields. The
-// buffer starts at size+1 bytes, but no more than 64 KiB (at 512 bytes,
-// as io.ReadAll's does, when no size is declared), and grows fourfold
-// each time it fills, never past size+1 while the body is within
-// its declared length. So the memory held stays in proportion to the
-// bytes received, whatever a header declares, and a body of declared
-// length is copied a few times at most. The +1 leaves room to read the end
-// without growing. On an error ReadAll returns the bytes read before it.
-func ReadAll(src io.Reader, size int64) ([]byte, error) {
+// ReadAll reads src to its end and appends what it read to dst. size is
+// the length src declares, or -1 when it declares none; src itself must
+// bound how much it yields. The buffer starts with room for size+1 bytes
+// past dst's contents, but no more than 64 KiB (for 512, as io.ReadAll's
+// does, when no size is declared); dst itself is that buffer when its
+// spare capacity holds that much. It grows fourfold each time it fills,
+// never past room for size+1 bytes while the body is within its declared
+// length. So the memory held stays in proportion to the bytes received,
+// whatever a header declares, and a body of declared length is copied a
+// few times at most. The +1 leaves room to read the end without growing.
+// On an error ReadAll returns dst with the bytes read before it.
+func ReadAll(dst []byte, src io.Reader, size int64) ([]byte, error) {
 	n := int64(512)
 	if size >= 0 {
 		n = min(size+1, firstBuf)
 	}
-	b := make([]byte, 0, n)
+	b := dst
+	if int64(cap(b)-len(b)) < n {
+		b = append(make([]byte, 0, int64(len(b))+n), b...)
+	}
+	want := int64(len(dst)) + size + 1
 	for {
 		m, err := src.Read(b[len(b):cap(b)])
 		b = b[:len(b)+m]
@@ -57,7 +63,7 @@ func ReadAll(src io.Reader, size int64) ([]byte, error) {
 		}
 		if len(b) == cap(b) {
 			grown := 4 * int64(cap(b))
-			if want := size + 1; want > int64(cap(b)) && want < grown {
+			if size >= 0 && want > int64(cap(b)) && want < grown {
 				grown = want
 			}
 			b = append(make([]byte, 0, grown), b...)

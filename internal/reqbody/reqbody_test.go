@@ -200,7 +200,7 @@ func TestReadAllGrowsWithTheBytesReceived(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := &trickle{data: data, step: 40_000}
-			b, err := ReadAll(src, tc.size)
+			b, err := ReadAll(nil, src, tc.size)
 			if err != nil || !bytes.Equal(b, data) {
 				t.Fatalf("ReadAll = %d bytes, %v", len(b), err)
 			}
@@ -220,6 +220,38 @@ func TestReadAllGrowsWithTheBytesReceived(t *testing.T) {
 				if grows > 4 {
 					t.Errorf("the buffer grew %d times for a %d-byte body", grows, len(data))
 				}
+			}
+		})
+	}
+}
+
+// TestReadAllAppendsToDst checks that ReadAll appends to dst, in dst's own
+// array when its spare capacity holds the declared body, and keeps dst's
+// contents when it has to start a buffer of its own.
+func TestReadAllAppendsToDst(t *testing.T) {
+	data := bytes.Repeat([]byte("0123456789abcdef"), 100)
+	for _, tc := range []struct {
+		name  string
+		room  int
+		size  int64
+		fresh bool // a new buffer must be started
+	}{
+		{"fits", len(data) + 1, int64(len(data)), false},
+		{"too small", 10, int64(len(data)), true},
+		{"unknown length, fits", 4096, -1, false},
+		{"unknown length, too small", 100, -1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst := append(make([]byte, 0, 2+tc.room), "ab"...)
+			b, err := ReadAll(dst, &trickle{data: data, step: 300}, tc.size)
+			if err != nil || !bytes.Equal(b, append([]byte("ab"), data...)) {
+				t.Fatalf("ReadAll = %q, %v", b, err)
+			}
+			if same := &b[0] == &dst[0]; same == tc.fresh {
+				t.Errorf("read into dst's array: %v, want %v", same, !tc.fresh)
+			}
+			if tc.fresh && tc.size >= 0 && cap(b) != len(b)+1 {
+				t.Errorf("cap = %d, want dst's length plus the declared length plus one", cap(b))
 			}
 		})
 	}
