@@ -7,14 +7,10 @@
 #                      e2e leg and the seeded pool chaos sweep — the CI
 #                      gate
 #   make test        — the full (slow) test suite, as tier-1 verify runs it
-#   make bench       — go-test microbenchmarks plus the provbench paper
-#                      tables, the delta-kernel report (BENCH_3.json), the
-#                      planner report (BENCH_5.json), the generic-kernel
-#                      report (BENCH_6.json), the ScenQL generator-vs-wire
-#                      report (BENCH_7.json) and the gateway pool-router
-#                      report (BENCH_9.json), then benchdiff gates the
-#                      series consecutive reports share — the perf
-#                      trajectory reproduces and self-checks in one command
+#   make bench       — every go-test benchmark once, then provbench's
+#                      paper tables and figures (the end-to-end benchmark
+#                      is perfbench/; TestRatioFloors, a plain go test,
+#                      checks the kernel's and planner's measured ratios)
 #   make bench-smoke — every benchmark once (-benchtime=1x), the CI guard
 #                      against benchmarks silently rotting
 #   make examples    — run every example program; a non-zero exit fails
@@ -68,22 +64,8 @@ perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test -count=1 ./...
 
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+bench: bench-smoke
 	$(GO) run ./cmd/provbench
-	$(GO) run ./cmd/provbench -experiment delta -json BENCH_3.json
-	$(GO) run ./cmd/provbench -experiment planner -json BENCH_5.json
-	$(GO) run ./cmd/provbench -experiment semiring -json BENCH_6.json
-	$(GO) run ./cmd/provbench -experiment scenql -json BENCH_7.json
-	$(GO) run ./cmd/provbench -experiment gateway -json BENCH_9.json
-	$(GO) run ./cmd/benchdiff -tolerance 0.25 \
-		-series batch100-sparse,batch100-sparse-nodelta BENCH_3.json BENCH_5.json
-	$(GO) run ./cmd/benchdiff -tolerance 0.25 \
-		-series batch100-sparse,batch100-sparse-nodelta BENCH_5.json BENCH_6.json
-	$(GO) run ./cmd/benchdiff -tolerance 0.25 \
-		-series batch100-sparse,batch100-sparse-nodelta BENCH_6.json BENCH_7.json
-	$(GO) run ./cmd/benchdiff -tolerance 0.25 \
-		-series batch100-sparse,batch100-sparse-nodelta BENCH_7.json BENCH_9.json
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

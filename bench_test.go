@@ -1,11 +1,18 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§4.3, Appendix B) at CI scale. Each BenchmarkFigN/BenchmarkTableN target
-// measures the operations the corresponding plot times; the full sweeps
-// with the paper's row/series layout are produced by cmd/provbench.
+// (§4.3, Appendix B) at CI scale, and the benchmarks of the kernel's and
+// planner's gains. Each BenchmarkFigN/BenchmarkTableN target measures the
+// operations the corresponding plot times; the full sweeps with the
+// paper's row/series layout are produced by cmd/provbench. Each gain that
+// justifies live code (delta routing, the delta kernel, chained deltas,
+// adaptive routing, in-place appends, the bulk float kernels) is a pair of
+// arms, benchmarked on telco-s and Q5, and TestRatioFloors fails when the
+// ratio of a pair on telco-s falls under its floor.
 package provabs_test
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -277,67 +284,429 @@ func BenchmarkCompiledEval(b *testing.B) {
 	}
 }
 
+var (
+	telcoSOnce sync.Once
+	telcoSW    *bench.Workload
+	telcoSErr  error
+)
+
+// telcoS is telco-s, the set the kernel's and planner's gains are
+// measured on: 2,000 customers over 200 zips and 128 plans (200
+// polynomials, 23,028 terms), the shape perfbench's interactive workload
+// serves.
+func telcoS(tb testing.TB) *bench.Workload {
+	tb.Helper()
+	telcoSOnce.Do(func() {
+		var set *provenance.Set
+		set, telcoSErr = telco.SyntheticProvenance(telco.Config{Customers: 2000, Zips: 200, Plans: 128, Months: 12, Seed: 1})
+		telcoSW = &bench.Workload{Name: "telco-s", Set: set, LeafPrefix: "pl", LeafCount: 128}
+	})
+	if telcoSErr != nil {
+		tb.Fatal(telcoSErr)
+	}
+	return telcoSW
+}
+
+// sparsePanels are the two sets each gain is benchmarked on: telco-s and
+// Q5 at SF 0.002.
+func sparsePanels(b *testing.B) []*bench.Workload {
+	return []*bench.Workload{telcoS(b), load(b, "Q5")}
+}
+
+// leaves returns the names and variables of w's first k leaves: plans
+// pl0, pl1, … on telco, suppliers s0, s1, … on TPC-H.
+func leaves(tb testing.TB, w *bench.Workload, k int) ([]string, []provenance.Var) {
+	tb.Helper()
+	var names []string
+	var vars []provenance.Var
+	for i := 0; len(names) < k && i < w.LeafCount; i++ {
+		if v, ok := w.Set.Vocab.Lookup(w.LeafPrefix + itoa(i)); ok {
+			names, vars = append(names, w.LeafPrefix+itoa(i)), append(vars, v)
+		}
+	}
+	if len(names) < k {
+		tb.Fatalf("%s has %d of %d leaf variables", w.Name, len(names), k)
+	}
+	return names, vars
+}
+
+// An op is one operation of a benchmark arm.
+type op func() error
+
+// runOp times op as a benchmark arm.
+func runOp(b *testing.B, f op) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := f(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// batchOp is one EvalBatch of batch on k.
+func batchOp[T any, C provenance.Carrier[T]](k *provenance.Kernel[T, C], batch []*hypo.Scenario, opts hypo.BatchOptions) op {
+	return func() error {
+		_, err := hypo.EvalBatch(k, batch, opts)
+		return err
+	}
+}
+
+// sparseBatch is 100 one-variable scenarios cycling over w's first four
+// leaves, each setting its leaf to 0.8.
+func sparseBatch(tb testing.TB, w *bench.Workload) []*hypo.Scenario {
+	names, _ := leaves(tb, w, 4)
+	batch := make([]*hypo.Scenario, 100)
+	for i := range batch {
+		batch[i] = hypo.NewScenario().Set(names[i%len(names)], 0.8)
+	}
+	return batch
+}
+
+// routingPair returns sparseBatch through EvalBatch on one worker, with
+// the delta path disabled (DeltaCutoff -1) and with default routing.
+func routingPair(tb testing.TB, w *bench.Workload) (nodelta, routed op) {
+	c, batch := w.Set.Compile(), sparseBatch(tb, w)
+	return batchOp(c, batch, hypo.BatchOptions{Workers: 1, DeltaCutoff: -1}),
+		batchOp(c, batch, hypo.BatchOptions{Workers: 1})
+}
+
+// BenchmarkEvalBatchSparse measures what delta routing saves EvalBatch on
+// a sparse batch: 100 one-variable scenarios on one worker, routed by
+// default against DeltaCutoff -1, which evaluates every scenario in full.
+func BenchmarkEvalBatchSparse(b *testing.B) {
+	for _, w := range sparsePanels(b) {
+		nodelta, routed := routingPair(b, w)
+		b.Run(w.Name+"/routed", func(b *testing.B) { runOp(b, routed) })
+		b.Run(w.Name+"/nodelta", func(b *testing.B) { runOp(b, nodelta) })
+	}
+}
+
+// deltaPair returns a full evaluation of w's set and its delta evaluation
+// (DeltaKernel) under one scenario: w's first k leaves at 0.8.
+func deltaPair(tb testing.TB, w *bench.Workload, k int) (full, delta op) {
+	c := w.Set.Compile()
+	_, touched := leaves(tb, w, k)
+	val := c.NewValuation()
+	for _, v := range touched {
+		val[v] = 0.8
+	}
+	d := c.NewDeltaEval()
+	c.Baseline()
+	var fullOut, deltaOut []float64
+	return func() error { fullOut = c.Eval(val, fullOut); return nil },
+		func() error { deltaOut = d.Eval(touched, val, deltaOut); return nil }
+}
+
 // BenchmarkDeltaEval compares full compiled evaluation against the
-// delta-aware path on sparse scenarios (1 and 4 touched variables) for the
-// telco and TPC-H workloads. The acceptance target is ≥5× on the
-// one-variable what-if; cmd/provbench -experiment delta records the same
-// quantities in BENCH_3.json at a sparser scale.
+// delta-aware path on sparse scenarios that touch one and four leaf
+// variables.
 func BenchmarkDeltaEval(b *testing.B) {
-	for _, name := range []string{"telco", "Q5"} {
-		w := load(b, name)
-		compiled := w.Set.Compile()
-		compiled.Baseline() // steady state: baseline cached before timing
-		var touched []provenance.Var
-		for i := 0; len(touched) < 4 && i < 128; i++ {
-			if v, ok := w.Set.Vocab.Lookup(w.LeafPrefix + itoa(i)); ok {
-				touched = append(touched, v)
-			}
-		}
-		if len(touched) < 4 {
-			b.Fatalf("%s: fewer than 4 leaf variables", name)
-		}
-		valFor := func(k int) []float64 {
-			val := compiled.NewValuation()
-			for _, v := range touched[:k] {
-				val[v] = 0.8
-			}
-			return val
-		}
-		b.Run(name+"/full", func(b *testing.B) {
-			val := valFor(1)
-			var out []float64
-			for i := 0; i < b.N; i++ {
-				out = compiled.Eval(val, out)
-			}
-		})
-		delta := compiled.NewDeltaEval()
+	for _, w := range sparsePanels(b) {
+		full, _ := deltaPair(b, w, 1)
+		b.Run(w.Name+"/full", func(b *testing.B) { runOp(b, full) })
 		for _, k := range []int{1, 4} {
-			b.Run(name+"/delta-touch"+itoa(k), func(b *testing.B) {
-				val := valFor(k)
-				var out []float64
+			_, delta := deltaPair(b, w, k)
+			b.Run(w.Name+"/delta-touch"+itoa(k), func(b *testing.B) { runOp(b, delta) })
+		}
+	}
+}
+
+// walkStream is a correlated stream of 100 scenarios over w's first four
+// leaves: each assigns all four, and each step changes one of them, the
+// shape of an interactive what-if session.
+func walkStream(tb testing.TB, w *bench.Workload) []*hypo.Scenario {
+	names, _ := leaves(tb, w, 4)
+	cur := make([]float64, len(names))
+	for i := range cur {
+		cur[i] = 0.5 + float64(i)/8
+	}
+	stream := make([]*hypo.Scenario, 100)
+	for i := range stream {
+		cur[i%len(cur)] = 0.5 + float64(i%9)/8
+		sc := hypo.NewScenario()
+		for j, name := range names {
+			sc.Set(name, cur[j])
+		}
+		stream[i] = sc
+	}
+	return stream
+}
+
+// chainPair returns walkStream through EvalBatch on one worker as a plain
+// batch, each scenario a delta against the identity baseline, and as a
+// chained one (BatchOptions.Chain), each a delta against the answers of
+// the scenario before it. DeltaCutoff 0.99 keeps both on the delta path.
+func chainPair(tb testing.TB, w *bench.Workload) (identity, chained op) {
+	c, stream := w.Set.Compile(), walkStream(tb, w)
+	return batchOp(c, stream, hypo.BatchOptions{Workers: 1, DeltaCutoff: 0.99}),
+		batchOp(c, stream, hypo.BatchOptions{Workers: 1, DeltaCutoff: 0.99, Chain: true})
+}
+
+// BenchmarkChainedStream measures a correlated what-if stream through the
+// chained batch path against the identity-baseline delta path: the
+// Engine.Stream micro-batch comparison.
+func BenchmarkChainedStream(b *testing.B) {
+	for _, w := range sparsePanels(b) {
+		identity, chained := chainPair(b, w)
+		b.Run(w.Name+"/chained", func(b *testing.B) { runOp(b, chained) })
+		b.Run(w.Name+"/identity", func(b *testing.B) { runOp(b, identity) })
+	}
+}
+
+// mixedDensity is the set and batch the adaptive router is measured on.
+// The set is 400 polynomials of 24 terms, each term with its own detail
+// variable, and a hub variable in every term of 60 % of them. A hub
+// scenario recomputes 60 % of the terms: past DefaultDeltaCutoff, so the
+// static cutoff evaluates it in full, yet the delta path still wins there.
+// The batch alternates hub scenarios with one-polynomial ones.
+func mixedDensity() (*provenance.Compiled, []*hypo.Scenario) {
+	const nPolys = 400
+	vb := provenance.NewVocab()
+	hub := vb.Var("hub")
+	set := provenance.NewSet(vb)
+	rng := rand.New(rand.NewSource(11))
+	for i := range nPolys {
+		p := provenance.NewPolynomial()
+		own := vb.Var("s" + itoa(i))
+		for t := range 24 {
+			detail := vb.Var("d" + itoa(i) + "_" + itoa(t))
+			if i%10 < 6 {
+				p.AddTerm(1+rng.Float64(), hub, own, detail)
+			} else {
+				p.AddTerm(1+rng.Float64(), own, detail)
+			}
+		}
+		set.Add("g"+itoa(i), p)
+	}
+	batch := make([]*hypo.Scenario, 100)
+	for i := range batch {
+		if i%2 == 0 {
+			batch[i] = hypo.NewScenario().Set("hub", 0.8)
+		} else {
+			batch[i] = hypo.NewScenario().Set("s"+itoa(i%nPolys), 1.2)
+		}
+	}
+	return set.Compile(), batch
+}
+
+// adaptivePair returns the mixed-density batch through EvalBatch on one
+// worker, routed by the static DefaultDeltaCutoff and by the adaptive
+// cost model, whose state (model) is trained on eight batches first.
+func adaptivePair(tb testing.TB) (static, adaptive op, model *hypo.BatchCounters) {
+	c, batch := mixedDensity()
+	model = &hypo.BatchCounters{}
+	trained := hypo.BatchOptions{Workers: 1, Counters: model}
+	for range 8 {
+		if _, err := hypo.EvalBatch(c, batch, trained); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return batchOp(c, batch, hypo.BatchOptions{Workers: 1, DeltaCutoff: hypo.DefaultDeltaCutoff}),
+		batchOp(c, batch, trained), model
+}
+
+// BenchmarkAdaptiveRouting measures the adaptive router against the static
+// cutoff on the mixed-density batch, and reports the cutoff the model
+// learned (the hub scenarios' density is 0.6).
+func BenchmarkAdaptiveRouting(b *testing.B) {
+	static, adaptive, model := adaptivePair(b)
+	b.Run("adaptive", func(b *testing.B) {
+		runOp(b, adaptive)
+		b.ReportMetric(model.AdaptiveCutoff(), "cutoff")
+	})
+	b.Run("static", func(b *testing.B) { runOp(b, static) })
+}
+
+// appendPair returns two ways to add a two-term polynomial over w's first
+// two leaves to a copy of w's set whose index and baseline are built:
+// Set.Add, which patches both in place (Kernel.Append), and Set.Add
+// followed by the re-index that patch saves: DropIndex, NewDeltaEval and
+// Baseline. Both arms grow the same copy.
+func appendPair(tb testing.TB, w *bench.Workload) (reindex, patch op) {
+	_, vars := leaves(tb, w, 2)
+	poly := provenance.NewPolynomial()
+	poly.AddTerm(2, vars[0])
+	poly.AddTerm(3, vars[0], vars[1])
+	set := w.Set.Clone()
+	c := set.Compiled()
+	c.NewDeltaEval()
+	c.Baseline()
+	reindex = func() error {
+		set.Add("bench", poly)
+		c.DropIndex()
+		c.NewDeltaEval()
+		c.Baseline()
+		return nil
+	}
+	patch = func() error {
+		set.Add("bench", poly)
+		return nil
+	}
+	return reindex, patch
+}
+
+// BenchmarkCompiledAppend measures what Kernel.Append's in-place patch of
+// the index and baseline saves one Set.Add on a session's live kernel.
+// Each arm starts again from a fresh copy, outside the timer, every 4,096
+// adds, so a long -benchtime run cannot grow the set without bound.
+func BenchmarkCompiledAppend(b *testing.B) {
+	for _, w := range sparsePanels(b) {
+		for _, arm := range []string{"append", "reindex"} {
+			b.Run(w.Name+"/"+arm, func(b *testing.B) {
+				var add op
 				for i := 0; i < b.N; i++ {
-					out = delta.Eval(touched[:k], val, out)
+					if i%4096 == 0 {
+						b.StopTimer()
+						reindex, patch := appendPair(b, w)
+						add = patch
+						if arm == "reindex" {
+							add = reindex
+						}
+						b.StartTimer()
+					}
+					if err := add(); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
 	}
 }
 
-// BenchmarkShardedScenario measures single-scenario latency as the
-// polynomial range is split over 1, 2 and 4 goroutines — the
-// intra-scenario sharding path that keeps a huge lone scenario off a single
-// core. Scaling is near-linear on real cores and flat when GOMAXPROCS=1.
+// genericFloat is provenance.Float without its bulk kernels: every method
+// delegates through a field, since embedding Float would promote its
+// unexported bulk methods and put the carrier back on the bulk path. It
+// costs what any carrier without bulk kernels pays: the generic per-term
+// loop.
+type genericFloat struct{ f provenance.Float }
+
+func (g genericFloat) Zero() float64                        { return g.f.Zero() }
+func (g genericFloat) One() float64                         { return g.f.One() }
+func (g genericFloat) Add(a, b float64) float64             { return g.f.Add(a, b) }
+func (g genericFloat) Mul(a, b float64) float64             { return g.f.Mul(a, b) }
+func (g genericFloat) NAdd(n int64, x float64) float64      { return g.f.NAdd(n, x) }
+func (g genericFloat) Equal(a, b float64) bool              { return g.f.Equal(a, b) }
+func (g genericFloat) FromCoeff(c float64) (float64, error) { return g.f.FromCoeff(c) }
+func (g genericFloat) Value(x float64) (float64, error)     { return g.f.Value(x) }
+func (g genericFloat) Chainable() bool                      { return g.f.Chainable() }
+
+// bulkFloatPair returns sparseBatch through EvalBatch on one worker, on
+// w's set compiled into genericFloat and into provenance.Float.
+func bulkFloatPair(tb testing.TB, w *bench.Workload) (generic, bulk op) {
+	g, err := provenance.CompileSet[float64](genericFloat{}, w.Set)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	batch := sparseBatch(tb, w)
+	return batchOp(g, batch, hypo.BatchOptions{Workers: 1}),
+		batchOp(w.Set.Compile(), batch, hypo.BatchOptions{Workers: 1})
+}
+
+// BenchmarkBulkFloat measures what the bulk float kernels save against the
+// generic per-term loop, on the sparse batch.
+func BenchmarkBulkFloat(b *testing.B) {
+	for _, w := range sparsePanels(b) {
+		generic, bulk := bulkFloatPair(b, w)
+		b.Run(w.Name+"/bulk", func(b *testing.B) { runOp(b, bulk) })
+		b.Run(w.Name+"/generic", func(b *testing.B) { runOp(b, generic) })
+	}
+}
+
+// TestRatioFloors re-times, on telco-s, each pair of arms above whose
+// ratio justifies live code, and fails when the ratio falls under its
+// floor. The floors sit well under the ratios measured when they were set
+// (README's Performance section lists both), so that a lost gain fails
+// and a noisy machine does not; adaptive routing's floor says only that it is not slower than
+// the static cutoff beyond noise. Each arm's time is the fastest of five
+// runs of a fixed number of operations, alternating with the other arm's.
+func TestRatioFloors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times the kernel; skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("the race detector distorts the timings")
+	}
+	w := telcoS(t)
+	nodelta, routed := routingPair(t, w)
+	full, delta := deltaPair(t, w, 1)
+	identity, chained := chainPair(t, w)
+	static, adaptive, model := adaptivePair(t)
+	reindex, patch := appendPair(t, w)
+	generic, bulk := bulkFloatPair(t, w)
+	for _, r := range []struct {
+		name       string
+		slow, fast op
+		n          int     // operations per timed run
+		floor      float64 // the least slow/fast that passes
+	}{
+		{"delta routing in EvalBatch (nodelta/routed)", nodelta, routed, 4, 3},
+		{"DeltaKernel (full/one touched variable)", full, delta, 200, 3},
+		{"chained deltas (identity/chained)", identity, chained, 8, 1.5},
+		{"adaptive routing (static/adaptive)", static, adaptive, 8, 0.9},
+		{"Kernel.Append's patch (reindex/patch)", reindex, patch, 16, 10},
+		{"bulk float kernels (generic/bulk)", generic, bulk, 4, 2},
+	} {
+		ratio := timeRatio(t, r.slow, r.fast, r.n)
+		t.Logf("%s: %.2f× (floor %g×)", r.name, ratio, r.floor)
+		if ratio < r.floor {
+			t.Errorf("%s: %.2f×, under its floor of %g×", r.name, ratio, r.floor)
+		}
+	}
+	t.Logf("adaptive routing's learned cutoff: %.2f", model.AdaptiveCutoff())
+}
+
+// timeRatio runs slow and fast once each untimed, then times each as the
+// fastest of five runs of n operations, alternating the two, and returns
+// slow's time over fast's.
+func timeRatio(tb testing.TB, slow, fast op, n int) float64 {
+	tb.Helper()
+	arms := [2]op{slow, fast}
+	for _, f := range arms {
+		if err := f(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+	for range 5 {
+		for i, f := range arms {
+			start := time.Now()
+			for range n {
+				if err := f(); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			best[i] = min(best[i], time.Since(start))
+		}
+	}
+	return float64(best[0]) / float64(best[1])
+}
+
+// BenchmarkShardedScenario measures one scenario's full evaluation with
+// its polynomial range split over 1, 2 and 4 goroutines (EvalSharded): the
+// path EvalBatch takes when a batch has fewer scenarios than workers and
+// the scenario recomputes at least hypo.ShardMinTerms terms. The panels
+// are telco and perfbench's sweep kernel, the greedy-compressed telco-m
+// set. At -cpu 2 on a 2-vCPU AMD EPYC VM, two workers took the telco-m
+// kernel from 160–173 to 95–104 µs, and telco only from 11.5–12.2 to
+// 10.9–12.2 µs; at GOMAXPROCS 1 the extra workers only add their overhead.
 func BenchmarkShardedScenario(b *testing.B) {
-	for _, name := range []string{"telco", "Q5"} {
-		w := load(b, name)
-		compiled := w.Set.Compile()
+	s, forest, B := telcoM(b)
+	comp, err := core.GreedyCompressor().Compress(s, forest, B)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, panel := range []struct {
+		name string
+		set  *provenance.Set
+	}{{"telco", load(b, "telco").Set}, {"telco-m-compressed", comp.Abstracted}} {
+		compiled := panel.set.Compile()
 		val := map[provenance.Var]float64{}
-		for i, v := range w.Set.Vars() {
+		for i, v := range panel.set.Vars() {
 			val[v] = 0.5 + float64(i%7)/8
 		}
 		dense := compiled.Valuation(val)
 		for _, workers := range []int{1, 2, 4} {
-			b.Run(name+"/workers"+itoa(workers), func(b *testing.B) {
+			b.Run(panel.name+"/workers"+itoa(workers), func(b *testing.B) {
 				var out []float64
 				for i := 0; i < b.N; i++ {
 					out = compiled.EvalSharded(dense, out, workers)
@@ -848,87 +1217,6 @@ func itoa(i int) string {
 	return string(buf[n:])
 }
 
-// BenchmarkCompiledAppend measures the incremental-compile path: one
-// Set.Add folded into the live Compiled (index and baseline patched in
-// place) versus that Add followed by a fresh Set.Compile, the whole-set
-// compile the pre-incremental behavior paid per Add. The set is
-// re-cloned outside the timer every few thousand ops so a long -benchtime
-// run cannot grow it without bound; BENCH_5.json records the same
-// comparison on the full workloads via `provbench -experiment planner`.
-func BenchmarkCompiledAppend(b *testing.B) {
-	w := load(b, "telco")
-	leafA, okA := w.Set.Vocab.Lookup("pl0")
-	leafB, okB := w.Set.Vocab.Lookup("pl1")
-	if !okA || !okB {
-		b.Fatal("telco workload is missing pl0/pl1")
-	}
-	poly := provenance.NewPolynomial()
-	poly.AddTerm(2, leafA)
-	poly.AddTerm(3, leafA, leafB)
-	for name, rebuild := range map[string]bool{"append": false, "rebuild": true} {
-		b.Run(name, func(b *testing.B) {
-			var set *provenance.Set
-			for i := 0; i < b.N; i++ {
-				if i%4096 == 0 {
-					b.StopTimer()
-					set = w.Set.Clone()
-					c := set.Compiled()
-					c.NewDeltaEval()
-					c.Baseline()
-					b.StartTimer()
-				}
-				set.Add("bench", poly)
-				if rebuild {
-					set.Compile()
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkChainedStream measures a correlated what-if stream through the
-// chained batch path (delta against the previous scenario's answers)
-// against the identity-baseline delta path — the Engine.Stream micro-batch
-// comparison BENCH_5.json records as stream-chained vs stream-identity.
-func BenchmarkChainedStream(b *testing.B) {
-	w := load(b, "telco")
-	compiled := w.Set.Compile()
-	compiled.Baseline()
-	names := make([]string, 0, 4)
-	for i := 0; len(names) < 4 && i < 128; i++ {
-		if _, ok := w.Set.Vocab.Lookup("pl" + itoa(i)); ok {
-			names = append(names, "pl"+itoa(i))
-		}
-	}
-	if len(names) < 4 {
-		b.Fatal("telco workload has fewer than 4 leaf variables")
-	}
-	cur := map[string]float64{}
-	for i, name := range names {
-		cur[name] = 0.5 + float64(i)/8
-	}
-	scenarios := make([]*hypo.Scenario, 100)
-	for i := range scenarios {
-		cur[names[i%len(names)]] = 0.5 + float64(i%9)/8
-		sc := hypo.NewScenario()
-		for k, v := range cur {
-			sc.Set(k, v)
-		}
-		scenarios[i] = sc
-	}
-	for name, chain := range map[string]bool{"chained": true, "identity": false} {
-		opts := hypo.BatchOptions{Workers: 1, DeltaCutoff: 0.99, Chain: chain}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := hypo.EvalBatch(compiled, scenarios, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkQueryTopK runs ScenQL top-k statements on a telco-s session
 // (2,000 customers over 200 zips): a chained grid sweep over two plan
 // leaves and a SAMPLE over the twelve months, each ranked by one zip's
@@ -939,11 +1227,7 @@ func BenchmarkChainedStream(b *testing.B) {
 // design: its LIMIT is above the grid's 441 scenarios, so every scenario
 // is a winner and the key pass is pure overhead.
 func BenchmarkQueryTopK(b *testing.B) {
-	set, err := telco.SyntheticProvenance(telco.Config{Customers: 2000, Zips: 200, Plans: 128, Months: 12, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := session.Open(set, nil)
+	eng, err := session.Open(telcoS(b).Set, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

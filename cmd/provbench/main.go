@@ -7,20 +7,21 @@
 //
 //	provbench                         # run everything at CI scale
 //	provbench -experiment fig5        # one experiment
-//	provbench -experiment delta -json BENCH_3.json     # delta-kernel report
-//	provbench -experiment planner -json BENCH_5.json   # planner report
-//	provbench -experiment semiring -json BENCH_6.json  # generic-kernel report
-//	provbench -experiment scenql -json BENCH_7.json    # ScenQL generator-vs-wire report
-//	provbench -experiment gateway -json BENCH_9.json   # gateway pool-router report
 //	provbench -workloads Q5,telco     # restrict the workload panels
 //	provbench -tpch-sf 0.02 -telco-customers 20000   # larger scale
 //	provbench -csv                    # machine-readable output
+//
+// The kernel's and planner's own gains (delta routing, chained deltas, the
+// adaptive cutoff, in-place appends, the bulk float kernels) are go-test
+// benchmarks in the repository root's bench_test.go, and TestRatioFloors
+// there checks their ratios.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,14 +29,12 @@ import (
 	"provabs/internal/treegen"
 )
 
+// experiments are the ids -experiment accepts besides "all".
+var experiments = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig14", "table1", "table2"}
+
 func main() {
 	experiment := flag.String("experiment", "all",
-		"all, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig14, table1, table2, "+
-			"delta (the BENCH_3 delta-kernel report), planner (the BENCH_5 "+
-			"self-tuning planner report), semiring (the BENCH_6 generic-kernel "+
-			"report), scenql (the BENCH_7 generator-vs-wire report) or gateway "+
-			"(the BENCH_9 pool-router report); the "+
-			"report experiments are not part of all")
+		"all or one of "+strings.Join(experiments, ", "))
 	workloadsFlag := flag.String("workloads", "Q5,Q10,Q1,telco", "comma-separated workload panels")
 	tpchSF := flag.Float64("tpch-sf", 0.002, "TPC-H scale factor")
 	telcoCustomers := flag.Int("telco-customers", 800, "telco customers")
@@ -45,9 +44,11 @@ func main() {
 	rounds := flag.Int("assign-rounds", 10, "scenario evaluations per speedup measurement")
 	ainyTimeout := flag.Duration("ainy-timeout", 30*time.Second, "competitor cutoff (paper: 24h)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	jsonOut := flag.String("json", "",
-		"delta/planner experiments: also write the machine-readable report (BENCH_3.json / BENCH_5.json) to this file")
 	flag.Parse()
+	if *experiment != "all" && !slices.Contains(experiments, *experiment) {
+		fmt.Fprintf(os.Stderr, "provbench: unknown experiment %q\n", *experiment)
+		os.Exit(2)
+	}
 
 	sc := bench.Scale{
 		TPCHScaleFactor: *tpchSF,
@@ -159,66 +160,5 @@ func main() {
 		for _, w := range ws {
 			emit(bench.GreedyQuality(w, []int{1, 2, 3, 4, 5, 6, 7}))
 		}
-	}
-	// The delta-kernel and planner reports are explicitly requested (never
-	// part of "all": `make bench` runs them as their own steps) and run at
-	// their own, sparser scale so the recorded numbers are reproducible
-	// regardless of the sweep flags.
-	writeJSON := func(data []byte, err error) {
-		if err == nil && *jsonOut != "" {
-			err = os.WriteFile(*jsonOut, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "provbench:", err)
-			os.Exit(1)
-		}
-		if *jsonOut != "" {
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-	}
-	if *experiment == "delta" {
-		rep, err := bench.RunDeltaBench(bench.DeltaScale())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "provbench:", err)
-			os.Exit(1)
-		}
-		emit(rep.Table(), nil)
-		writeJSON(rep.JSON())
-	}
-	if *experiment == "planner" {
-		rep, err := bench.RunPlannerBench(bench.DeltaScale())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "provbench:", err)
-			os.Exit(1)
-		}
-		emit(rep.Table(), nil)
-		writeJSON(rep.JSON())
-	}
-	if *experiment == "semiring" {
-		rep, err := bench.RunSemiringBench(bench.DeltaScale())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "provbench:", err)
-			os.Exit(1)
-		}
-		emit(rep.Table(), nil)
-		writeJSON(rep.JSON())
-	}
-	if *experiment == "scenql" {
-		rep, err := bench.RunScenQLBench(bench.DeltaScale())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "provbench:", err)
-			os.Exit(1)
-		}
-		emit(rep.Table(), nil)
-		writeJSON(rep.JSON())
-	}
-	if *experiment == "gateway" {
-		rep, err := bench.RunGatewayBench(bench.DeltaScale())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "provbench:", err)
-			os.Exit(1)
-		}
-		emit(rep.Table(), nil)
-		writeJSON(rep.JSON())
 	}
 }

@@ -192,49 +192,6 @@ func TestGreedyQualityTable(t *testing.T) {
 	}
 }
 
-// TestRunDeltaBench exercises the BENCH_3 harness end to end at tiny scale:
-// the report must carry every benchmark, a positive delta speedup, and
-// valid JSON.
-func TestRunDeltaBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real benchmarks; skipped with -short")
-	}
-	rep, err := RunDeltaBench(tinyScale(), "telco")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.GOMAXPROCS < 1 {
-		t.Errorf("GOMAXPROCS = %d", rep.GOMAXPROCS)
-	}
-	wr, ok := rep.Workloads["telco"]
-	if !ok {
-		t.Fatal("no telco workload in report")
-	}
-	for _, name := range []string{
-		"full-eval", "delta-eval-touch1", "delta-eval-touch4",
-		"sharded-eval-workers1", "sharded-eval-workers2", "sharded-eval-workers4",
-		"batch100-sparse", "batch100-sparse-nodelta",
-	} {
-		m, ok := wr.Benchmarks[name]
-		if !ok || m.NsPerOp <= 0 {
-			t.Errorf("benchmark %s = %+v", name, m)
-		}
-	}
-	if wr.DeltaSpeedup <= 1 {
-		t.Errorf("delta speedup = %v, want > 1 even at tiny scale", wr.DeltaSpeedup)
-	}
-	out, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), `"delta_speedup"`) {
-		t.Errorf("JSON missing delta_speedup: %s", out)
-	}
-	if !strings.Contains(rep.Table().String(), "delta-eval-touch1") {
-		t.Error("table rendering missing delta benchmark")
-	}
-}
-
 func TestTreeCatalogMatchesTable2(t *testing.T) {
 	tab := TreeCatalog()
 	if len(tab.Rows) != len(treegen.Table2) {
@@ -261,46 +218,5 @@ func TestTableRendering(t *testing.T) {
 	}
 	if got := fmtDuration(1500 * time.Millisecond); got != "1.50s" {
 		t.Errorf("fmtDuration(1.5s) = %q", got)
-	}
-}
-
-// TestRunSemiringBench exercises the BENCH_6 harness end to end at tiny
-// scale: every series present, the no-bulk overhead recorded, valid JSON.
-func TestRunSemiringBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real benchmarks; skipped with -short")
-	}
-	rep, err := RunSemiringBench(tinyScale(), "telco")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.GOMAXPROCS < 1 {
-		t.Errorf("GOMAXPROCS = %d", rep.GOMAXPROCS)
-	}
-	wr, ok := rep.Workloads["telco"]
-	if !ok {
-		t.Fatal("no telco workload in report")
-	}
-	for _, name := range []string{
-		"batch100-sparse", "batch100-sparse-nodelta", "batch100-sparse-nobulk",
-		"bool-batch100", "count-batch100", "tropical-batch100", "minmax-batch100",
-	} {
-		m, ok := wr.Benchmarks[name]
-		if !ok || m.NsPerOp <= 0 {
-			t.Errorf("benchmark %s = %+v", name, m)
-		}
-	}
-	if wr.GenericOverhead <= 0 {
-		t.Errorf("generic overhead = %v, want > 0", wr.GenericOverhead)
-	}
-	out, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), `"generic_overhead"`) {
-		t.Errorf("JSON missing generic_overhead: %s", out)
-	}
-	if !strings.Contains(rep.Table().String(), "bool-batch100") {
-		t.Error("table rendering missing carrier benchmark")
 	}
 }

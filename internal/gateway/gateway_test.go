@@ -456,6 +456,49 @@ func TestGatewayTenantLimits(t *testing.T) {
 	}
 }
 
+// TestGatewayTenantScenarioIsolation pins that the scenario rate is per
+// tenant: a tenant that drains its bucket is refused with 429 and
+// Retry-After, while another tenant's one-shot on the same session, on the
+// same backend, still answers.
+func TestGatewayTenantScenarioIsolation(t *testing.T) {
+	b1 := newPoolBackend(t)
+	_, gts := newTestGateway(t, Options{Limits: TenantLimits{ScenariosPerSec: 0.1, Burst: 2}}, b1)
+	if resp := createSession(t, gts.URL, "shared", "hog"); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: status %d", resp.StatusCode)
+	}
+	oneShot := func(tenant string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, gts.URL+"/v1/sessions/shared/whatif",
+			strings.NewReader(`{"assign":{"m1":1.1}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Tenant", tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	for i := range 2 {
+		if resp := oneShot("hog"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("hog one-shot %d within the burst: status %d", i+1, resp.StatusCode)
+		}
+	}
+	resp := oneShot("hog")
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("hog's third one-shot: status %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 without a Retry-After header")
+	}
+	if resp := oneShot("polite"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("polite one-shot behind a drained hog: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestGatewayUnhealthyBackendAnswers503 pins the dead-backend policy: a
 // session placed on an ejected backend answers 503 + Retry-After (no
 // silent re-route that would split-brain the session) until readmission.
