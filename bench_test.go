@@ -444,7 +444,7 @@ func chainPair(tb testing.TB, w *bench.Workload) (identity, chained op) {
 
 // BenchmarkChainedStream measures a correlated what-if stream through the
 // chained batch path against the identity-baseline delta path: the
-// Engine.Stream micro-batch comparison.
+// Engine.StreamIn micro-batch comparison.
 func BenchmarkChainedStream(b *testing.B) {
 	for _, w := range sparsePanels(b) {
 		identity, chained := chainPair(b, w)
@@ -588,7 +588,6 @@ func (g genericFloat) NAdd(n int64, x float64) float64      { return g.f.NAdd(n,
 func (g genericFloat) Equal(a, b float64) bool              { return g.f.Equal(a, b) }
 func (g genericFloat) FromCoeff(c float64) (float64, error) { return g.f.FromCoeff(c) }
 func (g genericFloat) Value(x float64) (float64, error)     { return g.f.Value(x) }
-func (g genericFloat) Chainable() bool                      { return g.f.Chainable() }
 
 // bulkFloatPair returns sparseBatch through EvalBatch on one worker, on
 // w's set compiled into genericFloat and into provenance.Float.

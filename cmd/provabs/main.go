@@ -341,43 +341,7 @@ func cmdWhatif(args []string) error {
 	if err != nil {
 		return err
 	}
-	if kind != semiring.KindFloat {
-		return whatifIn(eng, kind, scs, *top)
-	}
-	compileStart := time.Now()
-	compiled := eng.Compiled() // cached on the session; the batch below reuses it
-	compileTime := time.Since(compileStart)
-	evalStart := time.Now()
-	rows, err := eng.WhatIfBatch(scs)
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(evalStart)
-	perSec := float64(len(rows)) / elapsed.Seconds()
-	fmt.Printf("compiled %d polynomials / %d monomials in %v\n",
-		compiled.Len(), compiled.Size(), compileTime)
-	fmt.Printf("evaluated %d scenarios in %v (%.0f scenarios/s, %.0f answers/s)\n",
-		len(rows), elapsed, perSec, perSec*float64(compiled.Len()))
-	st := eng.Stats()
-	fmt.Printf("paths: %d delta, %d chained, %d full, %d sharded\n",
-		st.DeltaEvals, st.ChainedEvals, st.FullEvals, st.ShardedEvals)
-	if st.AdaptiveCutoff > 0 {
-		fmt.Printf("adaptive cutoff: %.3f (delta %.2f ns/term, full %.2f ns/term)\n",
-			st.AdaptiveCutoff, st.DeltaNsPerTerm, st.FullNsPerTerm)
-	}
-	if *top > 0 && len(rows) > 0 {
-		first := append([]hypo.Answer(nil), rows[0]...)
-		sort.Slice(first, func(i, j int) bool { return first[i].Value > first[j].Value })
-		n := len(first)
-		if n > *top {
-			n = *top
-		}
-		fmt.Println("first scenario, top answers:")
-		for _, a := range first[:n] {
-			fmt.Printf("  %-40s %14.2f\n", a.Tag, a.Value)
-		}
-	}
-	return nil
+	return whatifTail(eng, kind, scs, *top)
 }
 
 // cmdQuery runs one ScenQL statement against a provenance file: the
@@ -469,15 +433,9 @@ func queryText(eng *session.Engine, info *session.QueryInfo, rows <-chan session
 	elapsed := time.Since(start)
 	fmt.Printf("%d of %d scenarios in the %s semiring in %v (%d errors)\n",
 		n, info.Scenarios, info.Semiring, elapsed, errs)
-	st := eng.Stats()
-	if info.Semiring != semiring.KindFloat {
-		ss := st.Semirings[info.Semiring.String()]
-		fmt.Printf("paths: %d delta, %d chained, %d full, %d sharded, %d ranked\n",
-			ss.DeltaEvals, ss.ChainedEvals, ss.FullEvals, ss.ShardedEvals, ss.RankedEvals)
-		return nil
-	}
+	ss := carrierStats(eng.Stats(), info.Semiring)
 	fmt.Printf("paths: %d delta, %d chained, %d full, %d sharded, %d ranked\n",
-		st.DeltaEvals, st.ChainedEvals, st.FullEvals, st.ShardedEvals, st.RankedEvals)
+		ss.DeltaEvals, ss.ChainedEvals, ss.FullEvals, ss.ShardedEvals, ss.RankedEvals)
 	return nil
 }
 
@@ -517,11 +475,14 @@ func scenarioValue(kind semiring.Kind, rng *rand.Rand) float64 {
 	return 0.5 + rng.Float64()
 }
 
-// whatifIn is cmdWhatif's non-float tail: the same batch evaluation on the
-// chosen carrier's kernel (compiled lazily inside the timed region — the
-// per-carrier compile is part of the first batch's cost) with the
-// per-semiring path counters from Stats.Semirings.
-func whatifIn(eng *session.Engine, kind semiring.Kind, scs []*hypo.Scenario, top int) error {
+// whatifTail is cmdWhatif's evaluation, one for every carrier: the batch
+// on the carrier's runtime (a non-float kernel is compiled lazily inside
+// the timed region — its compile is part of the first batch's cost), then
+// that carrier's path counters and learned cutoff, and the first
+// scenario's top answers.
+func whatifTail(eng *session.Engine, kind semiring.Kind, scs []*hypo.Scenario, top int) error {
+	active := eng.Active()
+	fmt.Printf("kernel: %d polynomials / %d monomials\n", active.Len(), active.Size())
 	evalStart := time.Now()
 	rows, err := eng.WhatIfBatchIn(kind, scs)
 	if err != nil {
@@ -529,23 +490,44 @@ func whatifIn(eng *session.Engine, kind semiring.Kind, scs []*hypo.Scenario, top
 	}
 	elapsed := time.Since(evalStart)
 	perSec := float64(len(rows)) / elapsed.Seconds()
-	fmt.Printf("evaluated %d scenarios in the %s semiring in %v (%.0f scenarios/s)\n",
-		len(rows), kind, elapsed, perSec)
-	ss := eng.Stats().Semirings[kind.String()]
+	fmt.Printf("evaluated %d scenarios in the %s semiring in %v (%.0f scenarios/s, %.0f answers/s)\n",
+		len(rows), kind, elapsed, perSec, perSec*float64(active.Len()))
+	ss := carrierStats(eng.Stats(), kind)
 	fmt.Printf("paths: %d delta, %d chained, %d full, %d sharded\n",
 		ss.DeltaEvals, ss.ChainedEvals, ss.FullEvals, ss.ShardedEvals)
+	if ss.AdaptiveCutoff > 0 {
+		fmt.Printf("adaptive cutoff: %.3f (delta %.2f ns/term, full %.2f ns/term)\n",
+			ss.AdaptiveCutoff, ss.DeltaNsPerTerm, ss.FullNsPerTerm)
+	}
 	if top > 0 && len(rows) > 0 {
 		first := append([]hypo.ValueAnswer(nil), rows[0]...)
 		sort.SliceStable(first, func(i, j int) bool { return valueOrd(first[i].Value) > valueOrd(first[j].Value) })
 		if len(first) > top {
 			first = first[:top]
 		}
+		format := "  %-40s %14v\n"
+		if kind == semiring.KindFloat {
+			format = "  %-40s %14.2f\n" // as eval prints them
+		}
 		fmt.Println("first scenario, top answers:")
 		for _, a := range first {
-			fmt.Printf("  %-40s %14v\n", a.Tag, a.Value)
+			fmt.Printf(format, a.Tag, a.Value)
 		}
 	}
 	return nil
+}
+
+// carrierStats is kind's slice of the session's evaluation accounting: the
+// top-level fields for float, its Stats.Semirings entry otherwise.
+func carrierStats(st session.Stats, kind semiring.Kind) session.SemiringStats {
+	if kind != semiring.KindFloat {
+		return st.Semirings[kind.String()]
+	}
+	return session.SemiringStats{
+		Scenarios: st.Scenarios, DeltaEvals: st.DeltaEvals, ChainedEvals: st.ChainedEvals,
+		FullEvals: st.FullEvals, ShardedEvals: st.ShardedEvals, RankedEvals: st.RankedEvals,
+		DeltaNsPerTerm: st.DeltaNsPerTerm, FullNsPerTerm: st.FullNsPerTerm, AdaptiveCutoff: st.AdaptiveCutoff,
+	}
 }
 
 // valueOrd orders carrier-erased answers for the top-N display: derivable

@@ -21,14 +21,13 @@ package hypo
 // tiny online cost model — EWMAs of the observed ns/term on each path,
 // kept in BatchCounters — that learns where the crossover actually is on
 // this machine and workload. Per scenario on a chained batch
-// (BatchOptions.Chain, gated on the carrier's Chainable capability), the
-// delta base is chosen too: against the identity baseline, or against the
-// previous scenario's answers when the symmetric difference of consecutive
-// valuations is sparser than the scenario itself (correlated streams differ
-// by a variable or two). Per batch, when there are fewer scenarios than
-// workers, the spare cores move *inside* each scenario: the polynomial
-// range (or the affected set) is sharded across the pool, so a single huge
-// scenario no longer runs on one core.
+// (BatchOptions.Chain), the delta base is chosen too: against the identity
+// baseline, or against the previous scenario's answers when the symmetric
+// difference of consecutive valuations is sparser than the scenario itself
+// (correlated streams differ by a variable or two). Per batch, when there
+// are fewer scenarios than workers, the spare cores move *inside* each
+// scenario: the polynomial range (or the affected set) is sharded across
+// the pool, so a single huge scenario no longer runs on one core.
 
 import (
 	"fmt"
@@ -119,16 +118,17 @@ type BatchOptions struct {
 	// greedily reordered by assignment overlap (answers still come back in
 	// input order) and each one may be delta-evaluated against the previous
 	// scenario's answers instead of the identity baseline, whenever the
-	// valuation diff is sparser than the scenario itself. Engine.Stream
-	// sets this for every micro-batch. Chain is ignored for carriers whose
-	// Chainable capability is false — they evaluate as an unchained batch.
+	// valuation diff is sparser than the scenario itself. Chaining is exact
+	// in every carrier: a chained delta recomputes each affected polynomial
+	// whole. The session Engine sets this for every stream and statement
+	// micro-batch.
 	Chain bool
 
 	// ChainState, when non-nil on a chained batch, carries the chain across
 	// calls: the last evaluated scenario of this batch seeds the first
 	// scenario of the next batch handed the same ChainState, so a scenario
 	// stream's micro-batch boundaries stop costing an identity-baseline
-	// delta each. The state is owned by one serial caller (Engine.Stream
+	// delta each. The state is owned by one serial caller (Engine.StreamIn
 	// keeps one per stream); it must not be shared across concurrent
 	// batches, and Release must be called when the stream ends.
 	ChainState *ChainState
@@ -773,7 +773,7 @@ func EvalBatch[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C], scena
 // evalResolvedBatch is the evaluation core shared by EvalBatch and
 // EvalBatchEach: route each already-resolved scenario through the
 // delta/full/sharded machinery on the configured pool, chained in
-// overlap order when the options (and the carrier) ask for it.
+// overlap order when the options ask for it.
 func evalResolvedBatch[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C], resolved []resolvedScenario[T], opts BatchOptions) [][]T {
 	out := make([][]T, len(resolved))
 	if len(resolved) == 0 {
@@ -804,7 +804,7 @@ func evalResolvedBatch[T any, C provenance.Carrier[T]](c *provenance.Kernel[T, C
 	if workers > len(resolved) {
 		workers = len(resolved)
 	}
-	if opts.Chain && c.Carrier().Chainable() {
+	if opts.Chain {
 		evalChainedBatch(c, resolved, opts, out, workers, shard)
 		return out
 	}

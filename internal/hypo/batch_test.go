@@ -427,7 +427,7 @@ func TestSpeedupBranches(t *testing.T) {
 
 // correlatedScenarios builds a random-walk stream: every scenario assigns
 // the same small variable set, each differing from its predecessor in one
-// value — the correlated shape Engine.Stream's chained micro-batches target.
+// value — the correlated shape Engine.StreamIn's chained micro-batches target.
 func correlatedScenarios(s *provenance.Set, n, width int, seed int64) []*Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	var names []string

@@ -6,7 +6,8 @@
 // Scenarios evaluate in any provenance semiring: the batch entry points are
 // generic over provenance.Carrier, so the same scenario can be asked for
 // numeric magnitudes (the default), boolean derivability under deletions,
-// derivation counts, tropical min-plus costs or max-min clearance levels.
+// derivation counts, tropical min-plus costs or max-min clearance levels,
+// and every carrier takes the same delta, chained and sharded routes.
 //
 // The package also quantifies the two costs the paper trades off:
 // assignment time (Figure 10's speedup of compressed vs original
@@ -46,20 +47,6 @@ func (sc *Scenario) SetAll(v float64, names ...string) *Scenario {
 		sc.Assign[n] = v
 	}
 	return sc
-}
-
-// valuation resolves names against a vocabulary; unknown names are reported
-// so scenario typos do not silently evaluate to the identity.
-func (sc *Scenario) valuation(vb *provenance.Vocab) (map[provenance.Var]float64, error) {
-	val := make(map[provenance.Var]float64, len(sc.Assign))
-	for name, x := range sc.Assign {
-		v, ok := vb.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("hypo: scenario assigns unknown variable %q", name)
-		}
-		val[v] = x
-	}
-	return val, nil
 }
 
 // Eval applies the scenario to every polynomial of the set, returning the

@@ -36,12 +36,6 @@ type Carrier[T any] interface {
 	// a count, a cost, a clearance level. It rejects assignments that have
 	// no meaning in the carrier.
 	Value(x float64) (T, error)
-	// Chainable reports whether chained delta bases (DeltaKernel.EvalFrom
-	// against a previous scenario's answers) should be used for this
-	// carrier. The float carrier's cost model is calibrated for it; the
-	// idempotent and selective carriers (bool, tropical, max-min) decline
-	// and fall back to identity-baseline deltas.
-	Chainable() bool
 }
 
 // NaturalTolerance is how far from an integer a float coefficient may stray
@@ -119,10 +113,6 @@ func (Float) FromCoeff(c float64) (float64, error) { return c, nil }
 
 // Value passes the raw assignment through.
 func (Float) Value(x float64) (float64, error) { return x, nil }
-
-// Chainable reports true: the chained-delta cost model is calibrated for
-// the float path.
-func (Float) Chainable() bool { return true }
 
 func (Float) evalBulk(a *kernelArrays[float64], lo, hi int, val, out []float64) {
 	poly := floatLoop(a)

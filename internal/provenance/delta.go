@@ -326,9 +326,8 @@ func (d *DeltaKernel[T, C]) EvalAffectedFrom(ids []int32, val, prevOut, out []T)
 // equal assignments cancelled). It is Affected + EvalAffectedFrom — the
 // convenience form of the chained-delta path for correlated scenario
 // streams, where consecutive valuations differ on far fewer variables than
-// either differs from the identity. Callers choosing a chain base per
-// carrier should consult Carrier.Chainable; the kernel itself is correct
-// for any carrier, since listed polynomials are recomputed whole.
+// either differs from the identity. It is exact in every carrier, since
+// listed polynomials are recomputed whole.
 func (d *DeltaKernel[T, C]) EvalFrom(touched []Var, val, prevOut, out []T) []T {
 	ids, _ := d.Affected(touched)
 	return d.EvalAffectedFrom(ids, val, prevOut, out)

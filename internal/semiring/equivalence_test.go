@@ -120,29 +120,24 @@ func checkKernelEquivalence[T any, C provenance.Carrier[T]](t *testing.T, name s
 		dense = k.Valuation(val)
 		check("EvalDelta", k.EvalDelta(touched, dense, nil))
 
-		// EvalFrom: chain a second perturbation off the first answers (the
-		// carriers that decline chaining still take the same code path with
-		// the identity baseline underneath via EvalDelta, so only chainable
-		// carriers exercise EvalFrom).
-		if cr.Chainable() {
-			prev := append([]T(nil), k.Eval(dense, nil)...)
-			prevVal := val
-			val = map[provenance.Var]T{}
-			for v, x := range prevVal {
-				val[v] = x
-			}
-			var diff []provenance.Var
-			for _, v := range set.Vars() {
-				if rng.Intn(3) == 0 {
-					val[v] = sample(rng)
-					diff = append(diff, v)
-				}
-			}
-			dense = k.Valuation(val)
-			d := k.GetDeltaEval()
-			check("EvalFrom", d.EvalFrom(diff, dense, prev, nil))
-			k.PutDeltaEval(d)
+		// EvalFrom: chain a second perturbation off the first answers.
+		prev := append([]T(nil), k.Eval(dense, nil)...)
+		prevVal := val
+		val = map[provenance.Var]T{}
+		for v, x := range prevVal {
+			val[v] = x
 		}
+		var diff []provenance.Var
+		for _, v := range set.Vars() {
+			if rng.Intn(3) == 0 {
+				val[v] = sample(rng)
+				diff = append(diff, v)
+			}
+		}
+		dense = k.Valuation(val)
+		d := k.GetDeltaEval()
+		check("EvalFrom", d.EvalFrom(diff, dense, prev, nil))
+		k.PutDeltaEval(d)
 
 		// Append: extend the compiled kernel in place and re-check Eval.
 		extra := randomSet(rng, vb, 2)

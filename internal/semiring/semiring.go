@@ -3,8 +3,7 @@
 // (§2.1): polynomials over N[X] are the universal provenance semiring, and
 // assigning semiring values to variables specializes them — Boolean values
 // for existence/non-existence hypotheticals, counts for multiplicity,
-// tropical costs, max-min clearance levels, Viterbi confidences, and so on
-// (Green et al., PODS'07).
+// tropical costs and max-min clearance levels (Green et al., PODS'07).
 //
 // Every carrier here implements provenance.Carrier, so it plugs directly
 // into the compiled evaluation stack: Kernel[T, C] gives each semiring the
@@ -17,8 +16,6 @@ package semiring
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"provabs/internal/provenance"
 )
@@ -28,7 +25,7 @@ import (
 // and Zero annihilates Mul. Implementations must be value-semantics-safe
 // (Eval may reuse results). Carriers additionally implement
 // provenance.Carrier, which embeds these laws and adds the compile-time
-// hooks (NAdd, FromCoeff, Value, Chainable).
+// hooks (NAdd, FromCoeff, Value).
 type Semiring[T any] interface {
 	Zero() T
 	One() T
@@ -91,10 +88,6 @@ func (Counting) FromCoeff(c float64) (int64, error) { return provenance.NaturalC
 // tuple, n replicates it n-fold).
 func (Counting) Value(x float64) (int64, error) { return provenance.NaturalCoeff(x) }
 
-// Chainable reports true: counting deltas recompute affected polynomials
-// whole, exactly like the float path.
-func (Counting) Chainable() bool { return true }
-
 // Boolean is the Boolean semiring ({false,true}, ∨, ∧): does the tuple
 // survive the hypothetical deletion scenario.
 type Boolean struct{}
@@ -117,10 +110,6 @@ func (Boolean) FromCoeff(c float64) (bool, error) {
 // Value parses a scenario assignment as survival: 0 deletes the tuple,
 // anything else keeps it.
 func (Boolean) Value(x float64) (bool, error) { return x != 0, nil }
-
-// Chainable reports false: the idempotent carriers use identity-baseline
-// deltas only.
-func (Boolean) Chainable() bool { return false }
 
 // Tropical is the min-plus semiring (R∪{∞}, min, +, ∞, 0): cheapest
 // derivation cost.
@@ -157,10 +146,6 @@ func (Tropical) Value(x float64) (float64, error) {
 	return x, nil
 }
 
-// Chainable reports false: min is not invertible, so chained bases buy
-// nothing over the identity baseline.
-func (Tropical) Chainable() bool { return false }
-
 // MinMax is the max-min access-control semiring (R∪{±∞}, max, min, −∞, +∞):
 // valuate each tuple with its clearance level and the answer is the highest
 // level at which it is still derivable — the best-supported derivation's
@@ -196,184 +181,6 @@ func (MinMax) Value(x float64) (float64, error) {
 		return 0, fmt.Errorf("clearance level is NaN")
 	}
 	return x, nil
-}
-
-// Chainable reports false: the idempotent carriers use identity-baseline
-// deltas only.
-func (MinMax) Chainable() bool { return false }
-
-// Viterbi is the Viterbi semiring ([0,1], max, ·, 0, 1): most likely
-// derivation.
-type Viterbi struct{}
-
-func (Viterbi) Zero() float64            { return 0 }
-func (Viterbi) One() float64             { return 1 }
-func (Viterbi) Add(a, b float64) float64 { return math.Max(a, b) }
-func (Viterbi) Mul(a, b float64) float64 { return a * b }
-func (Viterbi) Equal(a, b float64) bool  { return a == b }
-
-// NAdd keeps x for any positive multiplicity (max is idempotent).
-func (Viterbi) NAdd(n int64, x float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return x
-}
-
-// FromCoeff maps any positive multiplicity to the certain One.
-func (Viterbi) FromCoeff(c float64) (float64, error) {
-	n, err := provenance.NaturalCoeff(c)
-	if err != nil {
-		return 0, err
-	}
-	return (Viterbi{}).NAdd(n, 1), nil
-}
-
-// Value parses a scenario assignment as the tuple's probability.
-func (Viterbi) Value(x float64) (float64, error) {
-	if !(x >= 0 && x <= 1) {
-		return 0, fmt.Errorf("probability %v is outside [0,1]", x)
-	}
-	return x, nil
-}
-
-// Chainable reports false: the idempotent carriers use identity-baseline
-// deltas only.
-func (Viterbi) Chainable() bool { return false }
-
-// Fuzzy is the fuzzy semiring ([0,1], max, min, 0, 1).
-type Fuzzy struct{}
-
-func (Fuzzy) Zero() float64            { return 0 }
-func (Fuzzy) One() float64             { return 1 }
-func (Fuzzy) Add(a, b float64) float64 { return math.Max(a, b) }
-func (Fuzzy) Mul(a, b float64) float64 { return math.Min(a, b) }
-func (Fuzzy) Equal(a, b float64) bool  { return a == b }
-
-// NAdd keeps x for any positive multiplicity (max is idempotent).
-func (Fuzzy) NAdd(n int64, x float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return x
-}
-
-// FromCoeff maps any positive multiplicity to the fully-true One.
-func (Fuzzy) FromCoeff(c float64) (float64, error) {
-	n, err := provenance.NaturalCoeff(c)
-	if err != nil {
-		return 0, err
-	}
-	return (Fuzzy{}).NAdd(n, 1), nil
-}
-
-// Value parses a scenario assignment as the tuple's membership degree.
-func (Fuzzy) Value(x float64) (float64, error) {
-	if !(x >= 0 && x <= 1) {
-		return 0, fmt.Errorf("membership degree %v is outside [0,1]", x)
-	}
-	return x, nil
-}
-
-// Chainable reports false: the idempotent carriers use identity-baseline
-// deltas only.
-func (Fuzzy) Chainable() bool { return false }
-
-// Witnesses is an element of the Why semiring: a set of witness sets, each
-// witness a sorted set of variable names. The canonical encoding keeps sets
-// sorted and deduplicated so Equal is structural.
-type Witnesses [][]string
-
-// Why is the Why-provenance semiring (sets of witness sets; union and
-// pairwise union). Zero is the empty set; One is the set holding the empty
-// witness.
-type Why struct{}
-
-func (Why) Zero() Witnesses { return Witnesses{} }
-func (Why) One() Witnesses  { return Witnesses{{}} }
-
-func (Why) Add(a, b Witnesses) Witnesses {
-	return canonWitnesses(append(append(Witnesses{}, a...), b...))
-}
-
-func (Why) Mul(a, b Witnesses) Witnesses {
-	var out Witnesses
-	for _, wa := range a {
-		for _, wb := range b {
-			merged := map[string]bool{}
-			for _, x := range wa {
-				merged[x] = true
-			}
-			for _, x := range wb {
-				merged[x] = true
-			}
-			var w []string
-			for x := range merged {
-				w = append(w, x)
-			}
-			sort.Strings(w)
-			out = append(out, w)
-		}
-	}
-	return canonWitnesses(out)
-}
-
-func (Why) Equal(a, b Witnesses) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if strings.Join(a[i], ",") != strings.Join(b[i], ",") {
-			return false
-		}
-	}
-	return true
-}
-
-// NAdd keeps x for any positive multiplicity (union is idempotent).
-func (Why) NAdd(n int64, x Witnesses) Witnesses {
-	if n <= 0 {
-		return Witnesses{}
-	}
-	return x
-}
-
-// FromCoeff maps any positive multiplicity to One.
-func (Why) FromCoeff(c float64) (Witnesses, error) {
-	n, err := provenance.NaturalCoeff(c)
-	if err != nil {
-		return Witnesses{}, err
-	}
-	return (Why{}).NAdd(n, Witnesses{{}}), nil
-}
-
-// Value reports an error: witness sets cannot be parsed from a number —
-// valuate Why polynomials programmatically with Singleton.
-func (Why) Value(x float64) (Witnesses, error) {
-	return nil, fmt.Errorf("why-provenance has no numeric valuation")
-}
-
-// Chainable reports false: the idempotent carriers use identity-baseline
-// deltas only.
-func (Why) Chainable() bool { return false }
-
-// Singleton returns the Why value of a base tuple annotated with name.
-func Singleton(name string) Witnesses { return Witnesses{{name}} }
-
-func canonWitnesses(ws Witnesses) Witnesses {
-	seen := map[string]bool{}
-	var out Witnesses
-	for _, w := range ws {
-		key := strings.Join(w, ",")
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, w)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Join(out[i], ",") < strings.Join(out[j], ",")
-	})
-	return out
 }
 
 // Numeric is the standard (R, +, ·) semiring — the aggregate reading of

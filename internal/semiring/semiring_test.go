@@ -78,25 +78,6 @@ func TestSemiringLaws(t *testing.T) {
 			return float64(r.Intn(9))
 		}
 	})
-	// Binary fractions multiply exactly in float64, keeping associativity
-	// checkable with exact equality.
-	binFrac := []float64{0, 0.125, 0.25, 0.5, 1}
-	checkLaws[float64](t, "viterbi", Viterbi{}, func(r *rand.Rand) float64 { return binFrac[r.Intn(len(binFrac))] })
-	checkLaws[float64](t, "fuzzy", Fuzzy{}, func(r *rand.Rand) float64 { return float64(r.Intn(11)) / 10 })
-	checkLaws[Witnesses](t, "why", Why{}, func(r *rand.Rand) Witnesses {
-		names := []string{"r1", "r2", "r3"}
-		var ws Witnesses
-		for i := 0; i < r.Intn(3); i++ {
-			var w []string
-			for _, n := range names {
-				if r.Intn(2) == 0 {
-					w = append(w, n)
-				}
-			}
-			ws = append(ws, w)
-		}
-		return canonWitnesses(ws)
-	})
 	checkLaws[float64](t, "numeric", Numeric{}, func(r *rand.Rand) float64 { return float64(r.Intn(9)) })
 }
 
@@ -150,21 +131,6 @@ func TestEvalTropicalCheapestDerivation(t *testing.T) {
 	}
 	if got != 7 { // min(2+5, 10)
 		t.Errorf("tropical eval = %v, want 7", got)
-	}
-}
-
-func TestEvalWhyProvenance(t *testing.T) {
-	vb := provenance.NewVocab()
-	p := provenance.MustParse(vb, "a·b + a")
-	got, err := Eval[Witnesses](Why{}, p, func(v provenance.Var) Witnesses {
-		return Singleton(vb.Name(v))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Witnesses{{"a"}, {"a", "b"}}
-	if !(Why{}).Equal(got, want) {
-		t.Errorf("why eval = %v, want %v", got, want)
 	}
 }
 

@@ -562,7 +562,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *regi
 		return
 	}
 	// The evaluation context dies with the request OR the session: closing
-	// the session mid-stream cancels ctx, which tears down Engine.Stream's
+	// the session mid-stream cancels ctx, which tears down Engine.StreamIn's
 	// goroutine and ends the response.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()

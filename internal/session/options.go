@@ -55,7 +55,7 @@ func ParseStrategy(name string) (Strategy, error) {
 // Option configures an Engine at Open time.
 type Option func(*Engine)
 
-// WithWorkers sets the worker-pool size used by WhatIfBatch and Stream
+// WithWorkers sets the worker-pool size used by WhatIfBatch and StreamIn
 // (0 or negative = GOMAXPROCS). With fewer scenarios than workers the pool
 // shards each scenario's polynomial range instead of idling.
 func WithWorkers(n int) Option {
@@ -75,14 +75,14 @@ func WithDeltaCutoff(f float64) Option {
 	return func(e *Engine) { e.deltaCutoff = f }
 }
 
-// WithStreamBuffer sets the capacity of Stream's output channel, so a slow
+// WithStreamBuffer sets the capacity of StreamIn's output channel, so a slow
 // consumer does not serialize evaluation (0 = the micro-batch size,
 // negative = unbuffered).
 func WithStreamBuffer(n int) Option {
 	return func(e *Engine) { e.streamBuf = n }
 }
 
-// WithStreamBatch caps how many pending scenarios Stream drains into one
+// WithStreamBatch caps how many pending scenarios StreamIn drains into one
 // micro-batched evaluation (0 = the default, 64).
 func WithStreamBatch(n int) Option {
 	return func(e *Engine) { e.streamBatch = n }

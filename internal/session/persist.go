@@ -96,6 +96,7 @@ func Restore(st *SnapshotState, opts ...Option) (*Engine, error) {
 		forest = f
 	}
 	e := &Engine{set: st.Source, forest: forest, active: st.Active}
+	e.float.kernel = st.Active.Compiled()
 	if st.Compressed {
 		e.comp = &core.Compression{
 			Strategy:   st.Strategy,

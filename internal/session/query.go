@@ -3,8 +3,9 @@ package session
 // ScenQL execution: the Engine is the executor behind internal/scenql's
 // statement→plan→execute pipeline. A plan's scenarios are pulled off its
 // snake-order iterator in micro-batches and pushed through the same
-// chained, delta-routed stream path Engine.Stream uses — consecutive grid
-// points differ in one axis, so almost every scenario is a chained delta.
+// chained, delta-routed path Engine.StreamIn uses, on the runtime of the
+// statement's carrier — consecutive grid points differ in one axis, so
+// almost every scenario is a chained delta.
 // ORDER BY runs key-first instead: each scenario is evaluated on its ORDER
 // BY polynomial alone and ranked in a streaming top-k that holds k
 // (key, scenario) pairs, and only the k winners are then evaluated in
@@ -191,15 +192,10 @@ func (e *Engine) QueryStream(ctx context.Context, src string) (*QueryInfo, <-cha
 	return info, out, nil
 }
 
-// runPlan sweeps the plan on its carrier's kernel (see sweep); set is the
+// runPlan sweeps the plan on its carrier's runtime (see sweep); set is the
 // active set the plan was compiled against. A carrier the active set
 // cannot compile into fails every scenario in-band, as on a stream.
 func (e *Engine) runPlan(ctx context.Context, p *scenql.Plan, set *provenance.Set, emit func(QueryRow) bool) ([]QueryRow, error) {
-	if p.Kind == semiring.KindFloat {
-		return sweep(ctx, e, p, set, func() (evalTarget[float64, provenance.Float], error) {
-			return e.floatTarget(), nil
-		}, emit)
-	}
 	e.mu.RLock()
 	rt, err := e.runtimeLocked(p.Kind)
 	e.mu.RUnlock()
@@ -325,7 +321,6 @@ func sweep[T any, C provenance.Carrier[T]](ctx context.Context, e *Engine, p *sc
 type kernelDesc struct {
 	polys, terms  int
 	keyTerms      int // terms of the ORDER BY polynomial (set by describeKernel)
-	chainable     bool
 	counters      *hypo.BatchCounters
 	vocab         *provenance.Vocab
 	termsTouching func([]provenance.Var) int
@@ -337,23 +332,11 @@ type kernelDesc struct {
 func (e *Engine) describeKernel(p *scenql.Plan) (kernelDesc, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var desc kernelDesc
-	if p.Kind == semiring.KindFloat || p.Kind == "" {
-		c := e.compiledLocked()
-		desc = kernelDesc{
-			polys: c.Len(), terms: c.Size(),
-			chainable:     provenance.Float{}.Chainable(),
-			counters:      &e.counters,
-			vocab:         c.Vocab,
-			termsTouching: c.TermsTouching,
-		}
-	} else {
-		rt, err := e.runtimeLocked(p.Kind)
-		if err != nil {
-			return kernelDesc{}, err
-		}
-		desc = rt.describe()
+	rt, err := e.runtimeLocked(p.Kind)
+	if err != nil {
+		return kernelDesc{}, err
 	}
+	desc := rt.describe()
 	if p.Order != nil {
 		desc.keyTerms = e.active.PolySize(p.Order.Index)
 	}
@@ -411,7 +394,7 @@ func (e *Engine) explain(p *scenql.Plan, src string) (*scenql.ExplainPlan, error
 		Semiring:    p.Kind.String(),
 		Polynomials: desc.polys,
 		Terms:       desc.terms,
-		Chained:     deltaOn && desc.chainable,
+		Chained:     deltaOn,
 		CostModel:   cm,
 		Input:       input,
 	}
@@ -458,7 +441,7 @@ func (e *Engine) routes(p *scenql.Plan, desc kernelDesc, threshold int, deltaOn 
 			Vars:          cl.Vars,
 			Transitions:   cl.Transitions,
 			AffectedTerms: affected,
-			Route:         routeLabel(cl.Label, affected, threshold, deltaOn, desc.chainable, desc.terms, workers),
+			Route:         routeLabel(cl.Label, affected, threshold, deltaOn, desc.terms, workers),
 		}
 	}
 	return routes
@@ -466,12 +449,12 @@ func (e *Engine) routes(p *scenql.Plan, desc kernelDesc, threshold int, deltaOn 
 
 // routeLabel predicts the evaluation route of one transition class, the
 // way evalState would decide it: delta when the affected terms fit the
-// threshold (chained for step transitions on a chainable carrier — their
-// diff is one axis, always no wider than the scenario), otherwise full —
-// sharded when the kernel is big enough to split and workers are spare.
-func routeLabel(class string, affected, threshold int, deltaOn, chainable bool, terms, workers int) string {
+// threshold (chained for step transitions — their diff is one axis, always
+// no wider than the scenario), otherwise full — sharded when the kernel is
+// big enough to split and workers are spare.
+func routeLabel(class string, affected, threshold int, deltaOn bool, terms, workers int) string {
 	if deltaOn && affected <= threshold {
-		if class != "seed" && chainable {
+		if class != "seed" {
 			return "chained"
 		}
 		return "delta"

@@ -436,14 +436,17 @@ func TestQueryExplainTopK(t *testing.T) {
 }
 
 // TestQueryExplainNonFloat checks EXPLAIN builds against the non-float
-// kernel it would execute on: bool is not chainable, so even a routable
-// step class reports "delta", never "chained".
+// kernel it would execute on and predicts its routes: every carrier
+// chains, so bool's step class routes "chained", and running the statement
+// records, in the bool carrier's own counters, exactly the route counts
+// EXPLAIN predicted (one delta seed, four chained steps).
 func TestQueryExplainNonFloat(t *testing.T) {
 	e, err := Open(chainFixture(), nil, WithWorkers(1), WithDeltaCutoff(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query("EXPLAIN m IN [0:1:0.5] USING bool")
+	const stmt = "m IN [0:1:0.25] USING bool"
+	res, err := e.Query("EXPLAIN " + stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,13 +454,26 @@ func TestQueryExplainNonFloat(t *testing.T) {
 	if !ok {
 		t.Fatalf("plan root is %T, want *EvalNode", res.Explain.Plan)
 	}
-	if eval.Semiring != "bool" || eval.Chained {
-		t.Fatalf("eval = %+v, want bool and unchained", eval)
+	if eval.Semiring != "bool" || !eval.Chained {
+		t.Fatalf("eval = %+v, want bool and chained", eval)
 	}
+	predicted := map[string]int64{}
 	for _, r := range eval.Routes {
-		if r.Route == "chained" {
-			t.Fatalf("bool route %q chained; bool is not chainable", r.Class)
+		predicted[r.Route] += r.Transitions
+		if r.Class == "step m" && r.Route != "chained" {
+			t.Errorf("bool route %q = %q, want chained", r.Class, r.Route)
 		}
+	}
+	if _, err := e.Query(stmt); err != nil {
+		t.Fatal(err)
+	}
+	got := e.Stats().Semirings["bool"]
+	if got.DeltaEvals != predicted["delta"] || got.ChainedEvals != predicted["chained"] || got.FullEvals != predicted["full"] {
+		t.Fatalf("bool ran delta %d, chained %d, full %d; EXPLAIN predicted %v",
+			got.DeltaEvals, got.ChainedEvals, got.FullEvals, predicted)
+	}
+	if predicted["delta"] != 1 || predicted["chained"] != 4 {
+		t.Fatalf("EXPLAIN predicted %v, want 1 delta and 4 chained", predicted)
 	}
 }
 

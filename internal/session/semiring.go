@@ -1,14 +1,16 @@
 package session
 
-// Semiring-aware evaluation: the same session can answer what-ifs in any
-// wire-selectable carrier (semiring.Kind), not just the float64 default.
-// Each non-float carrier used gets its own lazily compiled kernel over the
-// session's active set, its own BatchCounters (so a boolean stream's
+// Carrier runtimes: the same session answers what-ifs in every
+// wire-selectable carrier (semiring.Kind), each through one semState — a
+// kernel, its baseline, its own BatchCounters (so a boolean stream's
 // timings never steer the float cost model, and vice versa) and its own
-// scenario accounting, surfaced in Stats.Semirings. The kernels live in a
-// small map behind semMu; Add mirrors its incremental Append into every
-// live kernel and Compress drops them all (the active set changed
-// wholesale).
+// scenario count. The float runtime is a field of the Engine whose kernel
+// is the active set's own storage: Open, Restore and Compress set it, Add
+// extends it through the set, and its accounting fills Stats' top-level
+// fields. The other carriers' kernels are compiled from the active set on
+// first use and live in a small map behind semMu, surfaced in
+// Stats.Semirings; Add mirrors its incremental Append into every live one
+// and Compress drops them all (the active set changed wholesale).
 //
 // Lock order: e.mu before e.semMu, everywhere.
 
@@ -59,7 +61,7 @@ func (s *SemiringStats) accumulate(o SemiringStats) {
 	}
 }
 
-// semRuntime is the carrier-erased face of one non-float evaluation kernel;
+// semRuntime is the carrier-erased face of one carrier's runtime;
 // semState[T, C] implements it for each concrete carrier.
 type semRuntime interface {
 	// rows evaluates a batch; any unresolvable scenario fails the call.
@@ -72,7 +74,8 @@ type semRuntime interface {
 	query(ctx context.Context, e *Engine, p *scenql.Plan, set *provenance.Set, emit func(QueryRow) bool) ([]QueryRow, error)
 	// mirror appends one tagged polynomial incrementally, reporting false
 	// when the kernel must be rebuilt (the caller then drops the runtime
-	// and the next use recompiles).
+	// and the next use recompiles). The float runtime is never mirrored:
+	// its kernel is the active set's, which Add extends.
 	mirror(tag string, p *provenance.Polynomial) bool
 	// stats snapshots the runtime's accounting.
 	stats() SemiringStats
@@ -96,9 +99,9 @@ func newSemState[T any, C provenance.Carrier[T]](cr C, s *provenance.Set) (*semS
 	return &semState[T, C]{kernel: k}, nil
 }
 
-// newSemRuntime compiles the active set into the named carrier. Compilation
-// fails when the provenance has coefficients the carrier rejects (e.g. a
-// fractional multiplicity under counting).
+// newSemRuntime compiles the active set into the named non-float carrier.
+// Compilation fails when the provenance has coefficients the carrier
+// rejects (e.g. a fractional multiplicity under counting).
 func newSemRuntime(kind semiring.Kind, s *provenance.Set) (semRuntime, error) {
 	switch kind {
 	case semiring.KindBool:
@@ -157,7 +160,6 @@ func (st *semState[T, C]) mirror(tag string, p *provenance.Polynomial) bool {
 func (st *semState[T, C]) describe() kernelDesc {
 	return kernelDesc{
 		polys: st.kernel.Len(), terms: st.kernel.Size(),
-		chainable:     st.kernel.Carrier().Chainable(),
 		counters:      &st.counters,
 		vocab:         st.kernel.Vocab,
 		termsTouching: st.kernel.TermsTouching,
@@ -178,10 +180,15 @@ func (st *semState[T, C]) stats() SemiringStats {
 	}
 }
 
-// runtimeLocked returns (building if needed) the evaluation runtime for a
-// non-float kind against the current active set. Callers hold e.mu (read or
-// write).
+// runtimeLocked returns the evaluation runtime for kind against the
+// current active set: the float runtime (counting its kernel's first
+// evaluation in Stats' Compiles), or another carrier's, compiled on first
+// use. Callers hold e.mu (read or write).
 func (e *Engine) runtimeLocked(kind semiring.Kind) (semRuntime, error) {
+	if kind == semiring.KindFloat || kind == "" {
+		e.compiledLocked()
+		return &e.float, nil
+	}
 	e.semMu.Lock()
 	defer e.semMu.Unlock()
 	if rt, ok := e.sems[kind]; ok {
@@ -235,10 +242,8 @@ func (e *Engine) semStatsLocked() map[string]SemiringStats {
 	return out
 }
 
-// WhatIfIn answers a single scenario in the named semiring, carrier-erased.
-// KindFloat evaluates on the plain WhatIf path; other kinds evaluate on that
-// carrier's own kernel, compiled from the active set on first use and
-// extended in place by Add like the float one.
+// WhatIfIn answers a single scenario in the named semiring, carrier-erased,
+// on that carrier's runtime.
 func (e *Engine) WhatIfIn(kind semiring.Kind, sc *hypo.Scenario) ([]hypo.ValueAnswer, error) {
 	row, err := e.WhatIfRow(kind, sc)
 	if err != nil {
@@ -272,14 +277,10 @@ func (e *Engine) WhatIfBatchIn(kind semiring.Kind, scs []*hypo.Scenario) ([][]hy
 	return out, nil
 }
 
+// whatIfRows evaluates a batch on kind's runtime. Batch accounting stays
+// with the batch entry points, so single evaluations do not inflate the
+// batch counter.
 func (e *Engine) whatIfRows(kind semiring.Kind, scs []*hypo.Scenario) ([]hypo.Row, error) {
-	if kind == semiring.KindFloat || kind == "" {
-		rows, tags, base, err := answers(e, scs)
-		if err != nil {
-			return nil, err
-		}
-		return rowsOf(tags, base, rows), nil
-	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	rt, err := e.runtimeLocked(kind)

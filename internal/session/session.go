@@ -1,10 +1,10 @@
 // Package session implements the library's session-oriented Engine: one
 // long-lived object owning a provenance set, an abstraction forest, the
-// chosen compression, and the compiled kernel scenarios evaluate (the
-// active set's own storage). The paper's workload is exactly this shape —
-// compress once, then answer a stream of hypothetical scenarios — and the
-// Engine makes the compile-once/evaluate-many lifecycle a property of the
-// API instead of a discipline every caller re-implements.
+// chosen compression, and one evaluation runtime per semiring carrier. The
+// paper's workload is exactly this shape — compress once, then answer a
+// stream of hypothetical scenarios — and the Engine makes the
+// compile-once/evaluate-many lifecycle a property of the API instead of a
+// discipline every caller re-implements.
 //
 // Lifecycle:
 //
@@ -12,7 +12,13 @@
 //	comp, _ := e.Compress(B, session.WithStrategy(session.StrategyGreedy))
 //	answers, _ := e.WhatIf(scenario)        // evaluates the abstracted set
 //	rows, _ := e.WhatIfBatch(scenarios)     // one cached compile, parallel eval
-//	for r := range e.Stream(ctx, in) { … }  // streaming ingestion
+//	for r := range e.StreamIn(ctx, kind, in) { … } // streaming, any carrier
+//
+// Every carrier (semiring.Kind) evaluates through the same runtime: a
+// kernel, its baseline, its routing counters and its scenario count. The
+// float runtime's kernel is the active set's own storage; the others are
+// compiled from the active set on first use (see semiring.go). Streams and
+// ScenQL statements chain their micro-batches in every carrier.
 //
 // All methods are safe for concurrent use: evaluation paths share a read
 // lock, Compress and Add take it exclusively. Adding provenance after
@@ -47,21 +53,19 @@ type Engine struct {
 	active      *provenance.Set   // what scenarios evaluate: comp.Abstracted or set
 	workers     int
 	deltaCutoff float64 // delta-vs-full density cutoff (0 = hypo default)
-	streamBuf   int     // Stream output-channel capacity (0 = batch size, <0 = unbuffered)
-	streamBatch int     // micro-batch cap for Stream (0 = defaultStreamBatch)
+	streamBuf   int     // StreamIn output-channel capacity (0 = batch size, <0 = unbuffered)
+	streamBatch int     // micro-batch cap for StreamIn (0 = defaultStreamBatch)
+
+	float semState[float64, provenance.Float] // kernel: the active set's storage
 
 	semMu sync.Mutex                   // guards sems; taken after e.mu
 	sems  map[semiring.Kind]semRuntime // non-float kernels, lazily built
 
-	floatBase baseSlot[float64, provenance.Float] // the float kernel's baseline
-
 	lastCompiled   atomic.Pointer[provenance.Compiled]
 	compiles       atomic.Int64
-	scenarios      atomic.Int64
 	batches        atomic.Int64
 	queries        atomic.Int64
 	added          atomic.Int64
-	counters       hypo.BatchCounters // delta/full/sharded evaluation accounting
 	streamBatches  atomic.Int64
 	streamMaxBatch atomic.Int64
 }
@@ -81,6 +85,7 @@ func Open(set *provenance.Set, forest *abstree.Forest, opts ...Option) (*Engine,
 		}
 	}
 	e := &Engine{set: set, forest: forest, active: set}
+	e.float.kernel = set.Compiled()
 	for _, o := range opts {
 		o(e)
 	}
@@ -114,8 +119,9 @@ func (e *Engine) Compress(B int, opts ...CompressOption) (*core.Compression, err
 	e.comp = comp
 	e.active = comp.Abstracted
 	e.set.Compiled().DropIndex() // only the active set is evaluated from here on
-	e.floatBase.p.Store(nil)     // the old kernel's baseline dies with it
-	e.dropRuntimesLocked()       // semiring kernels compiled the old active set
+	e.float.kernel = e.active.Compiled()
+	e.float.base.p.Store(nil) // the old kernel's baseline dies with it
+	e.dropRuntimesLocked()    // the other carriers compiled the old active set
 	return comp, nil
 }
 
@@ -143,10 +149,11 @@ func (e *Engine) Add(tag string, p *provenance.Polynomial) {
 	e.added.Add(1)
 }
 
-// compiledLocked returns the active set's kernel, counting the kernels
-// the session has evaluated for Stats. Callers hold e.mu (read or write).
+// compiledLocked returns the float runtime's kernel, the active set's own
+// storage, counting the kernels the session has evaluated for Stats.
+// Callers hold e.mu (read or write).
 func (e *Engine) compiledLocked() *provenance.Compiled {
-	c := e.active.Compiled()
+	c := e.float.kernel
 	if e.lastCompiled.Swap(c) != c {
 		e.compiles.Add(1)
 	}
@@ -164,62 +171,28 @@ func (e *Engine) Compiled() *provenance.Compiled {
 	return e.compiledLocked()
 }
 
-// batchOptions assembles the evaluation tuning every path shares: the worker
-// pool, the delta cutoff (the adaptive cost model by default — the engine's
-// counters carry its state across calls), and the engine-owned counters.
-func (e *Engine) batchOptions() hypo.BatchOptions {
-	return hypo.BatchOptions{Workers: e.workers, DeltaCutoff: e.deltaCutoff, Counters: &e.counters}
-}
-
-// streamBatchOptions is batchOptions for Stream's micro-batches, which are
-// additionally chained: consecutive scenarios of a stream tend to be
-// correlated, so each is delta-evaluated against its overlap-ordered
-// predecessor's answers whenever that diff is sparser than the scenario.
-func (e *Engine) streamBatchOptions() hypo.BatchOptions {
-	opts := e.batchOptions()
-	opts.Chain = true
-	return opts
-}
-
-// answers is the shared float evaluation path: cached compile, parallel
-// eval, scenario accounting. It returns the raw answer vectors with the
-// kernel's tags and baseline (captured under the lock, like the answers);
-// WhatIf tags the vectors, WhatIfRow pairs them into rows. Batch
-// accounting stays with the batch entry points so streamed and single
-// evaluations do not inflate the batch counter.
-func answers(e *Engine, scs []*hypo.Scenario) (rows [][]float64, tags []string, base *hypo.Baseline, err error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	c := e.compiledLocked()
-	rows, err = hypo.EvalBatch(c, scs, e.batchOptions())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	e.scenarios.Add(int64(len(scs)))
-	return rows, c.Tags, e.floatBase.of(c), nil
-}
-
 // WhatIf answers a single hypothetical scenario against the session's
-// current provenance.
+// current provenance: WhatIfRow in the float carrier, tagged.
 func (e *Engine) WhatIf(sc *hypo.Scenario) ([]hypo.Answer, error) {
-	rows, tags, _, err := answers(e, []*hypo.Scenario{sc})
+	row, err := e.WhatIfRow(semiring.KindFloat, sc)
 	if err != nil {
 		return nil, err
 	}
-	return hypo.TagAnswers(tags, rows[0]), nil
+	return hypo.TagAnswers(row.Tags, row.Values.([]float64)), nil
 }
 
 // WhatIfBatch answers many scenarios in parallel on the session's worker
-// pool, reusing the cached compiled provenance — no per-call compile.
+// pool, reusing the cached compiled provenance — no per-call compile. It
+// is WhatIfBatchIn in the float carrier, tagged.
 func (e *Engine) WhatIfBatch(scs []*hypo.Scenario) ([][]hypo.Answer, error) {
-	rows, tags, _, err := answers(e, scs)
+	rows, err := e.whatIfRows(semiring.KindFloat, scs)
 	if err != nil {
 		return nil, err
 	}
 	e.batches.Add(1)
 	out := make([][]hypo.Answer, len(rows))
-	for i, vals := range rows {
-		out[i] = hypo.TagAnswers(tags, vals)
+	for i, row := range rows {
+		out[i] = hypo.TagAnswers(row.Tags, row.Values.([]float64))
 	}
 	return out, nil
 }
@@ -272,8 +245,8 @@ type Stats struct {
 	FullEvals       int64  `json:"full_evals"`       // scenarios answered by full re-evaluation
 	ShardedEvals    int64  `json:"sharded_evals"`    // scenarios split across goroutines
 	RankedEvals     int64  `json:"ranked_evals"`     // scenarios answered on their ScenQL ORDER BY polynomial alone
-	StreamBatches   int64  `json:"stream_batches"`   // micro-batches evaluated by Stream
-	StreamMaxBatch  int64  `json:"stream_max_batch"` // largest Stream micro-batch so far
+	StreamBatches   int64  `json:"stream_batches"`   // micro-batches evaluated by StreamIn and ScenQL
+	StreamMaxBatch  int64  `json:"stream_max_batch"` // largest such micro-batch so far
 
 	// Adaptive routing model (the learned replacement for a static delta
 	// cutoff): observed ns per term on each path and the affected-term
@@ -346,27 +319,28 @@ func (s *Stats) Accumulate(o Stats) {
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	fs := e.float.stats()
 	st := Stats{
 		Polynomials:     e.active.Len(),
 		Monomials:       e.active.Size(),
 		Variables:       e.active.VarCount(),
 		SourceMonomials: e.set.Size(),
 		Compressed:      e.comp != nil,
-		Scenarios:       e.scenarios.Load(),
+		Scenarios:       fs.Scenarios,
 		Batches:         e.batches.Load(),
 		Queries:         e.queries.Load(),
 		Compiles:        e.compiles.Load(),
 		Added:           e.added.Load(),
-		DeltaEvals:      e.counters.DeltaEvals.Load(),
-		ChainedEvals:    e.counters.ChainedEvals.Load(),
-		FullEvals:       e.counters.FullEvals.Load(),
-		ShardedEvals:    e.counters.ShardedEvals.Load(),
-		RankedEvals:     e.counters.RankedEvals.Load(),
+		DeltaEvals:      fs.DeltaEvals,
+		ChainedEvals:    fs.ChainedEvals,
+		FullEvals:       fs.FullEvals,
+		ShardedEvals:    fs.ShardedEvals,
+		RankedEvals:     fs.RankedEvals,
 		StreamBatches:   e.streamBatches.Load(),
 		StreamMaxBatch:  e.streamMaxBatch.Load(),
-		DeltaNsPerTerm:  e.counters.DeltaNsPerTerm(),
-		FullNsPerTerm:   e.counters.FullNsPerTerm(),
-		AdaptiveCutoff:  e.counters.AdaptiveCutoff(),
+		DeltaNsPerTerm:  fs.DeltaNsPerTerm,
+		FullNsPerTerm:   fs.FullNsPerTerm,
+		AdaptiveCutoff:  fs.AdaptiveCutoff,
 		Semirings:       e.semStatsLocked(),
 	}
 	if e.comp != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -427,14 +428,14 @@ func TestStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := make(chan *hypo.Scenario)
-	out := e.Stream(context.Background(), in)
+	out := e.StreamIn(context.Background(), semiring.KindFloat, in)
 	go func() {
 		defer close(in)
 		in <- hypo.NewScenario().Set("q1", 0.8)
 		in <- hypo.NewScenario().Set("bogus", 1) // semantic error: reported in-band
 		in <- hypo.NewScenario().Set("q1", 1.2)
 	}()
-	var got []StreamResult
+	var got []ValueStreamResult
 	for r := range out {
 		got = append(got, r)
 	}
@@ -476,10 +477,10 @@ func TestStreamMicroBatches(t *testing.T) {
 		in <- hypo.NewScenario().Set("m1", 0.5+float64(i)/32)
 	}
 	close(in)
-	// The whole backlog is visible before Stream starts, so it must be
+	// The whole backlog is visible before StreamIn starts, so it must be
 	// answered in at most a couple of micro-batches, not 20 singles.
-	var got []StreamResult
-	for r := range e.Stream(context.Background(), in) {
+	var got []ValueStreamResult
+	for r := range e.StreamIn(context.Background(), semiring.KindFloat, in) {
 		got = append(got, r)
 	}
 	if len(got) != n {
@@ -527,7 +528,7 @@ func TestStreamBatchCap(t *testing.T) {
 	}
 	close(in)
 	count := 0
-	for range e.Stream(context.Background(), in) {
+	for range e.StreamIn(context.Background(), semiring.KindFloat, in) {
 		count++
 	}
 	if count != n {
@@ -553,7 +554,7 @@ func TestStreamBufferedOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := make(chan *hypo.Scenario, n)
-	out := e.Stream(context.Background(), in)
+	out := e.StreamIn(context.Background(), semiring.KindFloat, in)
 	for i := 0; i < n; i++ {
 		in <- hypo.NewScenario().Set("m3", 1.1)
 	}
@@ -580,10 +581,20 @@ func TestStreamBufferedOutput(t *testing.T) {
 
 // TestConcurrentWhatIfBatchAndAdd hammers evaluation and mutation together;
 // it exists to fail under -race if the delta path (baseline cache, inverted
-// index, counters) ever shares mutable state across the compile boundary.
+// index, counters) or a carrier runtime ever shares mutable state across
+// the compile boundary. Float and counting batches run beside Adds and a
+// second Compress, which swaps the float runtime's kernel and drops the
+// counting one; the set has natural coefficients so counting compiles.
 func TestConcurrentWhatIfBatchAndAdd(t *testing.T) {
-	set, forest := fixture(t)
-	vb := set.Vocab
+	vb := provenance.NewVocab()
+	set := provenance.NewSet(vb)
+	set.Add("zip 10001", provenance.MustParse(vb,
+		"220·p1·m1 + 240·p1·m3 + 127·f1·m1 + 114·f1·m3 + 76·y1·m1 + 72·y1·m3 + 42·v·m1 + 24·v·m3"))
+	set.Add("zip 10002", provenance.MustParse(vb, "100·p1·m1 + 50·f1·m3 + 25·y1·m1"))
+	forest, err := abstree.NewForest(abstree.MustParseTree("Year(q1(m1,m3))"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	e, err := Open(set, forest)
 	if err != nil {
 		t.Fatal(err)
@@ -596,13 +607,24 @@ func TestConcurrentWhatIfBatchAndAdd(t *testing.T) {
 		hypo.NewScenario(),
 		hypo.NewScenario().Set("p1", 1.5).Set("q1", 0.25),
 	}
+	counts := []*hypo.Scenario{
+		hypo.NewScenario().Set("q1", 2),
+		hypo.NewScenario(),
+		hypo.NewScenario().Set("p1", 3).Set("q1", 0),
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := e.WhatIfBatch(scs); err != nil {
+				var err error
+				if g%2 == 0 {
+					_, err = e.WhatIfBatch(scs)
+				} else {
+					_, err = e.WhatIfBatchIn(semiring.KindCount, counts)
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -614,6 +636,11 @@ func TestConcurrentWhatIfBatchAndAdd(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
 			e.Add(fmt.Sprintf("added %d", i), provenance.MustParse(vb, "2·p1·m1"))
+			if i == 4 {
+				if _, err := e.Compress(8); err != nil {
+					t.Error(err)
+				}
+			}
 		}
 	}()
 	wg.Wait()
@@ -625,6 +652,13 @@ func TestConcurrentWhatIfBatchAndAdd(t *testing.T) {
 		t.Errorf("DeltaEvals %d + ChainedEvals %d + FullEvals %d != Scenarios %d",
 			st.DeltaEvals, st.ChainedEvals, st.FullEvals, st.Scenarios)
 	}
+	if cs, ok := st.Semirings["count"]; ok && cs.DeltaEvals+cs.ChainedEvals+cs.FullEvals != cs.Scenarios {
+		t.Errorf("count: DeltaEvals %d + ChainedEvals %d + FullEvals %d != Scenarios %d",
+			cs.DeltaEvals, cs.ChainedEvals, cs.FullEvals, cs.Scenarios)
+	}
+	if e.Active().Len() != 12 {
+		t.Errorf("active set holds %d polynomials, want 12", e.Active().Len())
+	}
 }
 
 func TestStreamCancel(t *testing.T) {
@@ -635,7 +669,7 @@ func TestStreamCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	in := make(chan *hypo.Scenario) // never written: the stream must still exit
-	out := e.Stream(ctx, in)
+	out := e.StreamIn(ctx, semiring.KindFloat, in)
 	cancel()
 	select {
 	case _, ok := <-out:
@@ -779,7 +813,7 @@ func TestStreamChainedCounterSlowConsumer(t *testing.T) {
 		in <- hypo.NewScenario().Set("m1", 0.5)
 	}
 	close(in)
-	out := e.Stream(context.Background(), in)
+	out := e.StreamIn(context.Background(), semiring.KindFloat, in)
 	// The deliberately slow reader consumes nothing until the stream has
 	// buffered the whole backlog.
 	deadline := time.Now().Add(5 * time.Second)
@@ -840,7 +874,7 @@ func TestStreamChainsAcrossMicroBatches(t *testing.T) {
 	}
 	const n = 12
 	in := make(chan *hypo.Scenario)
-	out := e.Stream(context.Background(), in)
+	out := e.StreamIn(context.Background(), semiring.KindFloat, in)
 	go func() {
 		defer close(in)
 		for i := 0; i < n; i++ {
@@ -867,48 +901,81 @@ func TestStreamChainsAcrossMicroBatches(t *testing.T) {
 	}
 }
 
-// TestStreamInChainsAcrossMicroBatches: the per-carrier stream carries its
-// own chain state. Counting is chainable, so the same correlated stream
-// chains on the count kernel and the accounting lands in the carrier's own
-// counters; the float ones stay untouched.
+// TestStreamInChainsAcrossMicroBatches: every carrier's stream carries its
+// own chain state across micro-batches. On the same correlated stream (a
+// pinned, m stepping through values valid in the carrier) each carrier
+// chains every scenario after the first, the accounting lands in that
+// carrier's own counters, and every row equals the one-at-a-time answer.
 func TestStreamInChainsAcrossMicroBatches(t *testing.T) {
-	e, err := Open(chainFixture(), nil, WithStreamBatch(1), WithWorkers(1), WithDeltaCutoff(0.99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 10
-	in := make(chan *hypo.Scenario)
-	out := e.StreamIn(context.Background(), semiring.KindCount, in)
-	go func() {
-		defer close(in)
-		for i := 0; i < n; i++ {
-			in <- hypo.NewScenario().Set("a", 2).Set("m", float64(i%4))
-		}
-	}()
-	count := 0
-	for r := range out {
-		if r.Err != nil {
-			t.Errorf("result %d errored: %v", r.Index, r.Err)
-		}
-		count++
-	}
-	if count != n {
-		t.Fatalf("stream yielded %d results, want %d", count, n)
-	}
-	st := e.Stats()
-	cs, ok := st.Semirings["count"]
-	if !ok {
-		t.Fatal("no count entry in Stats.Semirings")
-	}
-	if cs.Scenarios != n {
-		t.Errorf("count scenarios = %d, want %d", cs.Scenarios, n)
-	}
-	if cs.ChainedEvals < n-1 {
-		t.Errorf("count ChainedEvals = %d, want >= %d", cs.ChainedEvals, n-1)
-	}
-	if st.Scenarios != 0 || st.ChainedEvals != 0 {
-		t.Errorf("float counters touched by a count stream: Scenarios=%d ChainedEvals=%d",
-			st.Scenarios, st.ChainedEvals)
+	const n = 200
+	for _, tc := range []struct {
+		kind semiring.Kind
+		a    float64
+		m    func(i int) float64
+	}{
+		{semiring.KindFloat, 0.25, func(i int) float64 { return 0.5 + float64(i)/64 }},
+		{semiring.KindBool, 1, func(i int) float64 { return float64(i % 2) }},
+		{semiring.KindCount, 2, func(i int) float64 { return float64(i % 4) }},
+		{semiring.KindTropical, 3, func(i int) float64 { return float64(i % 5) }},
+		{semiring.KindMinMax, 2, func(i int) float64 { return float64(i % 5) }},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			e, err := Open(chainFixture(), nil, WithStreamBatch(1), WithDeltaCutoff(0.99))
+			if err != nil {
+				t.Fatal(err)
+			}
+			scs := make([]*hypo.Scenario, n)
+			for i := range scs {
+				scs[i] = hypo.NewScenario().Set("a", tc.a).Set("m", tc.m(i))
+			}
+			in := make(chan *hypo.Scenario)
+			out := e.StreamIn(context.Background(), tc.kind, in)
+			go func() {
+				defer close(in)
+				for _, sc := range scs {
+					in <- sc
+				}
+			}()
+			var got []hypo.Row
+			for r := range out {
+				if r.Err != nil {
+					t.Fatalf("result %d errored: %v", r.Index, r.Err)
+				}
+				got = append(got, r.Row)
+			}
+			if len(got) != n {
+				t.Fatalf("stream yielded %d results, want %d", len(got), n)
+			}
+			st := e.Stats()
+			cs := SemiringStats{Scenarios: st.Scenarios, ChainedEvals: st.ChainedEvals}
+			if tc.kind != semiring.KindFloat {
+				cs = st.Semirings[tc.kind.String()]
+				if st.Scenarios != 0 || st.ChainedEvals != 0 {
+					t.Errorf("float counters touched by a %s stream: Scenarios=%d ChainedEvals=%d",
+						tc.kind, st.Scenarios, st.ChainedEvals)
+				}
+			}
+			if st.StreamBatches != n {
+				t.Fatalf("StreamBatches = %d, want %d (cap 1 forces one batch per scenario)", st.StreamBatches, n)
+			}
+			if cs.Scenarios != n || cs.ChainedEvals < n-1 {
+				t.Errorf("%s: %d scenarios, %d chained; want %d and >= %d (the chain must survive micro-batch boundaries)",
+					tc.kind, cs.Scenarios, cs.ChainedEvals, n, n-1)
+			}
+			ref, err := Open(chainFixture(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sc := range scs {
+				want, err := ref.WhatIfRow(tc.kind, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got[i].Values, want.Values) {
+					t.Fatalf("scenario %d: streamed %v, one at a time %v", i, got[i].Values, want.Values)
+				}
+			}
+		})
 	}
 }
 

@@ -15,114 +15,51 @@ import (
 // is not held back noticeably.
 const defaultStreamBatch = 64
 
-// StreamResult is one streamed what-if outcome. Index is the scenario's
-// arrival position, so consumers can correlate answers with requests even
-// if they fan results out. A scenario that fails to resolve (e.g. assigns
-// an unknown variable) yields Err without terminating the stream.
-type StreamResult struct {
-	Index   int
-	Answers []hypo.Answer
-	Err     error
-}
-
-// ValueStreamResult is one streamed outcome of StreamIn, whose carrier is
-// chosen per stream: Row holds the answers in the carrier's own slice
-// (Row.Erase boxes them).
+// ValueStreamResult is one streamed outcome of StreamIn. Index is the
+// scenario's arrival position, so consumers can correlate answers with
+// requests even if they fan results out. Row holds the answers in the
+// carrier's own slice (Row.Erase boxes them). A scenario that fails to
+// resolve (e.g. assigns an unknown variable) yields Err without
+// terminating the stream.
 type ValueStreamResult struct {
 	Index int
 	Row   hypo.Row
 	Err   error
 }
 
-// Stream evaluates scenarios as they arrive on in, emitting one
-// StreamResult per scenario in arrival order. The returned channel closes
-// when in closes or ctx is cancelled.
+// StreamIn evaluates scenarios as they arrive on in, in the named
+// semiring, emitting one ValueStreamResult per scenario in arrival order.
+// The returned channel closes when in closes or ctx is cancelled.
 //
 // Scenarios are not evaluated one at a time: whatever is pending on in when
-// the evaluator comes around is drained into one micro-batched EvalBatch
-// call (up to WithStreamBatch scenarios), so a backed-up stream gets the
-// batch path's parallelism and delta routing automatically while an idle
-// stream still answers each scenario as it arrives. Each micro-batch is
-// evaluated as a chain: scenarios are greedily ordered by assignment
-// overlap and delta-evaluated against their predecessor's answers when the
-// consecutive diff is sparser than the scenario itself (Stats' ChainedEvals
-// counts those), falling back to the identity baseline otherwise. The chain
-// survives micro-batch boundaries — the stream carries a hypo.ChainState,
-// so the first scenario of each micro-batch chains off the previous batch's
-// last answers instead of paying an identity-baseline delta (an idle stream
-// evaluating one scenario at a time chains every one of them). Results are
-// emitted in arrival order through a channel with a small buffer
-// (WithStreamBuffer), so a slow consumer does not serialize evaluation.
-// Each micro-batch reuses the session's cached compiled provenance — the
-// stream never recompiles unless the session is mutated between scenarios —
-// and per-scenario errors are reported in-band so one malformed scenario
-// does not tear down a long-lived connection.
-func (e *Engine) Stream(ctx context.Context, in <-chan *hypo.Scenario) <-chan StreamResult {
-	cs := &hypo.ChainState{}
-	maxBatch, buf := e.streamParams()
-	return streamLoop(ctx, in, maxBatch, buf,
-		func(base int, scs []*hypo.Scenario) []StreamResult {
-			b := e.floatBatch(base, scs, cs)
-			out := make([]StreamResult, len(scs))
-			for i, err := range b.errs {
-				out[i] = StreamResult{Index: base + i, Err: err}
-				if err == nil {
-					out[i].Answers = hypo.TagAnswers(b.tags, b.rows[i])
-				}
-			}
-			return out
-		},
-		cs.Release)
-}
-
-// StreamIn is Stream in the named semiring: the same micro-batched, chained,
-// error-isolating loop, evaluating on the carrier's own kernel (for
-// carriers without chain support — boolean, tropical, minmax — micro-batches
-// evaluate unchained; see provenance.Carrier.Chainable). KindFloat streams
-// on the float path. A carrier the session's
-// provenance cannot compile into (e.g. fractional coefficients under
-// counting) reports the error in-band on every scenario rather than
-// tearing down the stream.
+// the evaluator comes around is drained into one micro-batched evaluation
+// (up to WithStreamBatch scenarios), so a backed-up stream gets the batch
+// path's parallelism and delta routing automatically while an idle stream
+// still answers each scenario as it arrives. Each micro-batch is evaluated
+// as a chain, in every carrier: scenarios are greedily ordered by
+// assignment overlap and delta-evaluated against their predecessor's
+// answers when the consecutive diff is sparser than the scenario itself
+// (the carrier's ChainedEvals counts those), falling back to the identity
+// baseline otherwise. The chain survives micro-batch boundaries — the
+// stream carries a hypo.ChainState, so the first scenario of each
+// micro-batch chains off the previous batch's last answers instead of
+// paying an identity-baseline delta (an idle stream evaluating one scenario
+// at a time chains every one of them). Results are emitted in arrival order
+// through a channel with a small buffer (WithStreamBuffer), so a slow
+// consumer does not serialize evaluation. Each micro-batch reuses the
+// carrier's cached kernel — the stream never recompiles unless the session
+// is mutated between scenarios — and per-scenario errors are reported
+// in-band so one malformed scenario does not tear down a long-lived
+// connection. A carrier the session's provenance cannot compile into (e.g.
+// fractional coefficients under counting) reports the error in-band on
+// every scenario.
 func (e *Engine) StreamIn(ctx context.Context, kind semiring.Kind, in <-chan *hypo.Scenario) <-chan ValueStreamResult {
-	cs := &hypo.ChainState{}
 	maxBatch, buf := e.streamParams()
-	eval := func(base int, scs []*hypo.Scenario) []ValueStreamResult {
-		return e.evalStreamIn(kind, base, scs, cs)
-	}
-	if kind == semiring.KindFloat || kind == "" {
-		eval = func(base int, scs []*hypo.Scenario) []ValueStreamResult {
-			return e.floatBatch(base, scs, cs).results(base)
-		}
-	}
-	return streamLoop(ctx, in, maxBatch, buf, eval, cs.Release)
-}
-
-// streamParams resolves the configured micro-batch cap and output-channel
-// capacity.
-func (e *Engine) streamParams() (maxBatch, buf int) {
-	maxBatch = e.streamBatch
-	if maxBatch <= 0 {
-		maxBatch = defaultStreamBatch
-	}
-	buf = e.streamBuf
-	switch {
-	case buf == 0:
-		buf = maxBatch
-	case buf < 0:
-		buf = 0
-	}
-	return maxBatch, buf
-}
-
-// streamLoop is the drain-and-evaluate loop shared by Stream and StreamIn:
-// block for one scenario, drain whatever else is already pending (up to
-// maxBatch), evaluate the micro-batch with eval, emit in arrival order.
-// done runs when the stream ends (releasing the chain state).
-func streamLoop[R any](ctx context.Context, in <-chan *hypo.Scenario, maxBatch, buf int, eval func(int, []*hypo.Scenario) []R, done func()) <-chan R {
-	out := make(chan R, buf)
+	out := make(chan ValueStreamResult, buf)
 	go func() {
 		defer close(out)
-		defer done()
+		cs := &hypo.ChainState{}
+		defer cs.Release()
 		idx := 0
 		pending := make([]*hypo.Scenario, 0, maxBatch)
 		for {
@@ -150,7 +87,7 @@ func streamLoop[R any](ctx context.Context, in <-chan *hypo.Scenario, maxBatch, 
 					break drain
 				}
 			}
-			for _, r := range eval(idx, pending) {
+			for _, r := range e.evalStreamIn(kind, idx, pending, cs) {
 				select {
 				case out <- r:
 				case <-ctx.Done():
@@ -164,6 +101,23 @@ func streamLoop[R any](ctx context.Context, in <-chan *hypo.Scenario, maxBatch, 
 		}
 	}()
 	return out
+}
+
+// streamParams resolves the configured micro-batch cap and output-channel
+// capacity.
+func (e *Engine) streamParams() (maxBatch, buf int) {
+	maxBatch = e.streamBatch
+	if maxBatch <= 0 {
+		maxBatch = defaultStreamBatch
+	}
+	buf = e.streamBuf
+	switch {
+	case buf == 0:
+		buf = maxBatch
+	case buf < 0:
+		buf = 0
+	}
+	return maxBatch, buf
 }
 
 // rawBatch is one evaluated micro-batch in its kernel's own value type:
@@ -180,9 +134,9 @@ type rawBatch[T any] struct {
 	base *hypo.Baseline
 }
 
-// evalTarget is one carrier's kernel with the options and the scenario
-// counter its evaluations accrue to: the float cache or a semState. It is
-// valid while the caller holds e.mu.
+// evalTarget is one carrier runtime's kernel with the options and the
+// scenario counter its evaluations accrue to. It is valid while the caller
+// holds e.mu.
 type evalTarget[T any, C provenance.Carrier[T]] struct {
 	e         *Engine
 	kernel    *provenance.Kernel[T, C]
@@ -255,22 +209,9 @@ func (b rawBatch[T]) results(base int) []ValueStreamResult {
 	return out
 }
 
-// floatTarget is the float kernel's evalTarget. Callers hold e.mu.
-func (e *Engine) floatTarget() evalTarget[float64, provenance.Float] {
-	return evalTarget[float64, provenance.Float]{e: e, kernel: e.compiledLocked(), base: &e.floatBase, opts: e.streamBatchOptions(), scenarios: &e.scenarios}
-}
-
-// floatBatch evaluates one micro-batch on the float kernel, raw; cs chains
-// the batch onto the previous one.
-func (e *Engine) floatBatch(base int, scs []*hypo.Scenario, cs *hypo.ChainState) rawBatch[float64] {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.floatTarget().raw(base, scs, cs)
-}
-
-// evalStreamIn answers one micro-batch on a non-float carrier's kernel. A
-// carrier the active set cannot compile into fails every scenario of the
-// batch in-band.
+// evalStreamIn answers one micro-batch on kind's runtime; cs chains the
+// batch onto the previous one. A carrier the active set cannot compile
+// into fails every scenario of the batch in-band.
 func (e *Engine) evalStreamIn(kind semiring.Kind, base int, scs []*hypo.Scenario, cs *hypo.ChainState) []ValueStreamResult {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -48,7 +48,7 @@
 //
 // Every evaluation then runs on the session's one cached compilation:
 // Engine.WhatIf answers a scenario, Engine.WhatIfBatch evaluates many in
-// parallel on the worker pool, Engine.Stream answers scenarios as they
+// parallel on the worker pool, Engine.StreamIn answers scenarios as they
 // arrive on a channel, and Engine.Query runs ScenQL sweeps. Engine.Add
 // appends provenance to the live compilation in place (Compiles stays 1),
 // and Engine.Compiled exposes that compilation for direct use.
@@ -101,8 +101,8 @@
 // The compiled kernel is generic over the provenance semiring: the same
 // flattening, inverted index, delta routing and chained streaming run on
 // any commutative semiring carrier, with the float64 path bit-identical to
-// the pre-generic kernel. Every evaluation entry point has an -In variant
-// taking a SemiringKind:
+// the pre-generic kernel. Every evaluation entry point takes a
+// SemiringKind (WhatIf and WhatIfBatch are typed float shorthands):
 //
 //	alive, _ := eng.WhatIfIn(provabs.SemiringBool, provabs.NewScenario().Set("q1", 0))
 //	counts, _ := eng.WhatIfBatchIn(provabs.SemiringCount, scenarios)
@@ -181,8 +181,6 @@ type (
 	Engine = session.Engine
 	// EngineStats is a point-in-time snapshot of an Engine.
 	EngineStats = session.Stats
-	// StreamResult is one streamed what-if outcome of Engine.Stream.
-	StreamResult = session.StreamResult
 	// ValueStreamResult is one streamed outcome of Engine.StreamIn: Row
 	// holds the answers in the semiring's own slice ([]float64, []bool or
 	// []int64) with their tags, and Row.Erase boxes them as ValueAnswers.
@@ -323,12 +321,12 @@ func WithWorkers(n int) Option { return session.WithWorkers(n) }
 // timings; >0 = static fraction; negative disables the delta path).
 func WithDeltaCutoff(f float64) Option { return session.WithDeltaCutoff(f) }
 
-// WithStreamBuffer sets the capacity of Engine.Stream's output channel so a
+// WithStreamBuffer sets the capacity of Engine.StreamIn's output channel so a
 // slow consumer does not serialize evaluation (0 = the micro-batch size,
 // negative = unbuffered).
 func WithStreamBuffer(n int) Option { return session.WithStreamBuffer(n) }
 
-// WithStreamBatch caps how many pending scenarios Engine.Stream drains into
+// WithStreamBatch caps how many pending scenarios Engine.StreamIn drains into
 // one micro-batched evaluation (0 = the default, 64).
 func WithStreamBatch(n int) Option { return session.WithStreamBatch(n) }
 
