@@ -14,6 +14,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -570,6 +572,124 @@ func BenchmarkCompiledAppend(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// addLine is one add line in perfbench's feed shape: one or two terms,
+// each a plan × month product with a two-decimal coefficient.
+type addLine struct{ tag, poly string }
+
+func addLines(n int) []addLine {
+	rng := rand.New(rand.NewSource(7))
+	out := make([]addLine, n)
+	for i := range out {
+		terms := make([]string, 1+rng.Intn(2))
+		for t := range terms {
+			terms[t] = strconv.FormatFloat(float64(100+rng.Intn(60000))/100, 'g', -1, 64) + "*" +
+				telco.PlanVar(rng.Intn(128)) + "*" + telco.MonthVar(1+rng.Intn(12))
+		}
+		out[i] = addLine{"a" + itoa(i), strings.Join(terms, " + ")}
+	}
+	return out
+}
+
+// addSession compresses set with greedy at B = |P|/2 on perfbench's trees
+// (the 2×64 plans tree and the quarter tree) and returns a function that
+// restores a fresh copy of that session with its index and baseline
+// built, as a session fed adds after its first what-if has them.
+func addSession(tb testing.TB, set *provenance.Set) func() *session.Engine {
+	tb.Helper()
+	plans, err := telco.PlansTree(treegen.Shape{Type: 1, Fanouts: []int{2, 64}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	forest := abstree.MustForest(plans, telco.QuarterTree())
+	e, err := session.Open(set.Clone(), forest)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	comp, err := e.Compress(set.Size()/2, session.WithStrategy(session.StrategyGreedy))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	trees := []string{plans.String(), telco.QuarterTree().String()}
+	return func() *session.Engine {
+		e, err := session.Restore(&session.SnapshotState{
+			Source: e.Source().Clone(), Active: comp.Abstracted.Clone(),
+			Compressed: true, Strategy: comp.Strategy, ML: comp.ML, VL: comp.VL, Adequate: comp.Adequate,
+			Subst: comp.Subst, Trees: trees,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := e.WhatIf(hypo.NewScenario().Set("m3", 0.8)); err != nil {
+			tb.Fatal(err)
+		}
+		return e
+	}
+}
+
+// BenchmarkAdd times one add line's engine cost, Engine.AddText (parse,
+// abstract under the compression's substitution, append to the source and
+// active kernels, their index and baseline), on greedy-compressed telco-s
+// (200 polynomials) and telco-m (2,000). Each arm starts again from a
+// fresh copy, outside the timer, every 16,384 adds: often enough that the
+// session stays near its size, and seldom enough that the first add's
+// copy of every array the restore sized exactly, which a long-lived
+// session pays once, stays a small share of an add.
+func BenchmarkAdd(b *testing.B) {
+	const run = 1 << 14
+	lines := addLines(1024)
+	for _, tc := range []struct {
+		name string
+		set  func() *provenance.Set
+	}{
+		{"telco-s", func() *provenance.Set { return telcoS(b).Set }},
+		{"telco-m", func() *provenance.Set { s, _, _ := telcoM(b); return s }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			fresh := addSession(b, tc.set())
+			var e *session.Engine
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%run == 0 {
+					b.StopTimer()
+					e = fresh()
+					b.StartTimer()
+				}
+				l := lines[i%len(lines)]
+				if err := e.AddText(l.tag, l.poly); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestAddAllocs bounds the allocations of one add line's engine cost
+// (BenchmarkAdd's telco-s arm): the session's arrays, index lists and
+// tags grow by appending, so an add allocates only when one of them
+// outgrows its room.
+func TestAddAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates behind the test's back")
+	}
+	const maxAllocs = 1
+	lines := addLines(1024)
+	e := addSession(t, telcoS(t).Set)()
+	i := 0
+	add := func() {
+		l := lines[i%len(lines)]
+		if err := e.AddText(l.tag, l.poly); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range 64 {
+		add() // new names, first growth of the scratch
+	}
+	if got := testing.AllocsPerRun(1000, add); got > maxAllocs {
+		t.Errorf("%.2f allocations per add, want at most %d", got, maxAllocs)
 	}
 }
 

@@ -172,11 +172,11 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 // caller follows.
 func addPoly(t testing.TB, ss *durable.SessionStore, eng *session.Engine, tag, src string) {
 	t.Helper()
-	p, err := eng.ParsePoly(src)
+	k, err := eng.ParseKernel(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wait, err := ss.Add(eng, tag, p)
+	wait, err := ss.Add(eng, tag, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,13 +375,13 @@ func TestGroupCommitWindow(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := eng.ParsePoly(fmt.Sprintf("%d·p1 + 1·v", i+1))
+			k, err := eng.ParseKernel(fmt.Sprintf("%d·p1 + 1·v", i+1))
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			tag := fmt.Sprintf("g%d", i)
-			wait, err := ss.Add(eng, tag, p)
+			wait, err := ss.Add(eng, tag, k)
 			if err != nil {
 				t.Error(err)
 				return
@@ -427,12 +427,12 @@ func sweepWorkload(t testing.TB, fs *faultfs.FS) (acked []string) {
 	defer ss.Close()
 	for i := 0; i < 8; i++ {
 		src := fmt.Sprintf("%d·p1·m1 + %d·w%d", i+1, i+2, i)
-		p, err := eng.ParsePoly(src)
+		k, err := eng.ParseKernel(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tag := fmt.Sprintf("t%d", i)
-		wait, err := ss.Add(eng, tag, p)
+		wait, err := ss.Add(eng, tag, k)
 		if err != nil {
 			return acked
 		}

@@ -1,6 +1,6 @@
 // Package durable persists session state: a versioned, CRC32C-checksummed
 // snapshot of the compiled form plus a length-prefixed write-ahead log of
-// every Add since, so a process restart replays through Compiled.Append —
+// every Add since, so a process restart replays through Kernel.Append —
 // O(new terms), never a recompile — and Stats().Compiles stays 1 across
 // the restart.
 //

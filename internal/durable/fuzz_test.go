@@ -32,8 +32,8 @@ func seedWAL(tb testing.TB) []byte {
 	p2 := provenance.MustParse(vb, "0.5·x^2")
 	var b []byte
 	b = appendFrame(b, appendVocabRecord(nil, 1, []string{"x", "y", "z"}))
-	b = appendFrame(b, appendAddRecord(nil, 2, "first", p1))
-	b = appendFrame(b, appendAddRecord(nil, 3, "second", p2))
+	b = appendFrame(b, appendAddRecord(nil, 2, "first", p1.Compile()))
+	b = appendFrame(b, appendAddRecord(nil, 3, "second", p2.Compile()))
 	return b
 }
 
@@ -81,16 +81,17 @@ func FuzzWALScan(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Accepted records must survive application: building polynomials
+		// Accepted records must survive application: building kernels
 		// from them may reject out-of-vocabulary variables but must not
 		// panic.
-		vocab := 0
+		vb := provenance.NewVocab()
+		var pb provenance.PolyBuilder
 		for _, rec := range s.records {
 			switch rec.kind {
 			case recVocab:
-				vocab += len(rec.names)
+				vb.Vars(rec.names...)
 			case recAdd:
-				buildPoly(rec.terms, vocab)
+				buildKernel(&pb, rec.terms, vb) //nolint:errcheck // only panics fail
 			}
 		}
 	})

@@ -95,13 +95,14 @@ func appendVocabRecord(dst []byte, seq uint64, names []string) []byte {
 	return dst
 }
 
-// appendAddRecord encodes a recAdd payload (not framed).
-func appendAddRecord(dst []byte, seq uint64, tag string, p *provenance.Polynomial) []byte {
+// appendAddRecord encodes a recAdd payload (not framed) for the
+// polynomial of the one-polynomial kernel k.
+func appendAddRecord(dst []byte, seq uint64, tag string, k *provenance.Compiled) []byte {
 	dst = append(dst, recAdd)
 	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.AppendUvarint(dst, uint64(len(tag)))
 	dst = append(dst, tag...)
-	return appendPoly(dst, p.Compile().TermArrays(), 0)
+	return appendPoly(dst, k.TermArrays(), 0)
 }
 
 // appendPoly encodes polynomial i of a kernel's term arrays, its terms in
@@ -280,17 +281,19 @@ func readPoly(r *byteReader, buf []provenance.VarPow, term func(coeff float64, f
 	return buf, nil
 }
 
-// buildPoly turns decoded terms into a polynomial, range-checking every
-// variable against the vocabulary size at apply time.
-func buildPoly(terms []dumpTerm, vocabLen int) (*provenance.Polynomial, error) {
-	if err := checkVocab(terms, vocabLen); err != nil {
+// buildKernel turns decoded terms into b's one-polynomial kernel over vb,
+// merged as AddMonomial merges them into a map (the record's order), after
+// range-checking every variable against the vocabulary's size at apply
+// time.
+func buildKernel(b *provenance.PolyBuilder, terms []dumpTerm, vb *provenance.Vocab) (*provenance.Compiled, error) {
+	if err := checkVocab(terms, vb.Len()); err != nil {
 		return nil, err
 	}
-	p := provenance.NewPolynomial()
+	b.Reset()
 	for _, t := range terms {
-		p.AddMonomial(provenance.NewMonomialPows(t.coeff, t.factors...))
+		b.Term(t.coeff, t.factors)
 	}
-	return p, nil
+	return b.Kernel(vb), nil
 }
 
 // checkVocab range-checks every variable of decoded terms against the

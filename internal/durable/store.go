@@ -193,7 +193,11 @@ func (s *Store) Create(name string, eng *session.Engine) (*SessionStore, error) 
 // It returns a wait function that resolves once the record is durable; the
 // caller must only acknowledge the add after wait returns nil. On error
 // nothing was applied, and the WAL is poisoned against later appends.
-func (ss *SessionStore) Add(eng *session.Engine, tag string, p *provenance.Polynomial) (wait func() error, err error) {
+//
+// k is the add's one-polynomial kernel (session.Engine.ParseKernel's, or
+// Polynomial.Compile's): its arrays are the record's terms, in the
+// kernel's key order, and Engine.AddKernel applies it.
+func (ss *SessionStore) Add(eng *session.Engine, tag string, k *provenance.Compiled) (wait func() error, err error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.closed {
@@ -209,7 +213,7 @@ func (ss *SessionStore) Add(eng *session.Engine, tag string, p *provenance.Polyn
 		n++
 	}
 	ss.seq++
-	frames = appendFrame(frames, appendAddRecord(nil, ss.seq, tag, p))
+	frames = appendFrame(frames, appendAddRecord(nil, ss.seq, tag, k))
 	n++
 	wait, err = ss.w.append(frames, n)
 	if err != nil {
@@ -219,7 +223,7 @@ func (ss *SessionStore) Add(eng *session.Engine, tag string, p *provenance.Polyn
 		ss.seq, ss.vocabCount = seq0, vocab0
 		return nil, err
 	}
-	eng.Add(tag, p)
+	eng.AddKernel(tag, k)
 	return wait, nil
 }
 
@@ -329,8 +333,9 @@ type RecoveryInfo struct {
 
 // Recover rebuilds a session from its durable state: decode the snapshot,
 // restore the engine (its kernel arrives warm, no recompile), then replay
-// WAL records past the snapshot's sequence through Engine.Add — which
-// extends the compiled form via Compiled.Append. A torn WAL tail is
+// WAL records past the snapshot's sequence through Engine.AddKernel, each
+// record's terms built into a one-polynomial kernel, which extends the
+// compiled form via Kernel.Append. A torn WAL tail is
 // truncated with a warning; a corrupt middle or snapshot fails recovery.
 func (s *Store) Recover(name string, opts ...session.Option) (*session.Engine, *SessionStore, RecoveryInfo, error) {
 	var info RecoveryInfo
@@ -380,6 +385,8 @@ func (s *Store) Recover(name string, opts ...session.Option) (*session.Engine, *
 		return nil, nil, info, fmt.Errorf("durable: session %q WAL: %w", name, err)
 	}
 	lastSeq := snapSeq
+	var pb provenance.PolyBuilder
+	vb := eng.Source().Vocab
 	for _, rec := range scan.records {
 		if rec.seq <= snapSeq {
 			// Covered by the snapshot: a crash landed between rename and
@@ -395,11 +402,11 @@ func (s *Store) Recover(name string, opts ...session.Option) (*session.Engine, *
 		case recVocab:
 			eng.InternVars(rec.names)
 		case recAdd:
-			p, err := buildPoly(rec.terms, eng.VocabLen())
+			k, err := buildKernel(&pb, rec.terms, vb)
 			if err != nil {
 				return nil, nil, info, fmt.Errorf("durable: session %q WAL record %d: %w", name, rec.seq, err)
 			}
-			eng.Add(rec.tag, p)
+			eng.AddKernel(rec.tag, k)
 			info.WALRecords++
 		}
 	}

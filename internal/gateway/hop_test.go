@@ -1,13 +1,17 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"testing"
+	"time"
 
 	"provabs/internal/provenance"
 	"provabs/internal/telco"
@@ -125,6 +129,79 @@ func BenchmarkGatewayHop(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				shot(i)
 			}
+		})
+	}
+}
+
+// addStream opens a full-duplex add stream to the fixture's session at
+// base and returns a function that sends add line i and waits for its
+// ack, with one line in flight, as perfbench's feed sends them.
+func (f *hopFixture) addStream(tb testing.TB, base string) func(i int) {
+	tb.Helper()
+	pr, pw := io.Pipe()
+	tb.Cleanup(func() { pw.Close() })
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/sessions/"+f.name+"/add", pr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr := &http.Transport{}
+	tb.Cleanup(tr.CloseIdleConnections)
+	resps := make(chan *http.Response, 1)
+	go func() {
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			pw.CloseWithError(err)
+			close(resps)
+			return
+		}
+		resps <- resp
+	}()
+	var acks *bufio.Reader
+	rng := rand.New(rand.NewSource(2))
+	return func(i int) {
+		line := fmt.Sprintf(`{"tag":"a%06d","poly":"%g*pl%d*m%d + %g*pl%d*m%d"}`+"\n",
+			i, float64(100+rng.Intn(60000))/100, rng.Intn(128), 1+rng.Intn(12),
+			float64(100+rng.Intn(60000))/100, rng.Intn(128), 1+rng.Intn(12))
+		if _, err := io.WriteString(pw, line); err != nil {
+			tb.Fatal(err)
+		}
+		if acks == nil {
+			resp, ok := <-resps
+			if !ok || resp.StatusCode != http.StatusOK {
+				tb.Fatalf("add stream via %s did not open", base)
+			}
+			tb.Cleanup(func() { resp.Body.Close() })
+			acks = bufio.NewReader(resp.Body)
+		}
+		ack, err := acks.ReadBytes('\n')
+		if err != nil || !bytes.HasPrefix(ack, []byte(`{"index":`)) || bytes.Contains(ack, []byte("error")) {
+			tb.Fatalf("add line %d via %s: ack %q, %v", i, base, ack, err)
+		}
+	}
+}
+
+// BenchmarkAddStream sends add lines in perfbench's feed shape to the
+// telco-s session, its index built, with one line in flight on one
+// full-duplex stream, straight to the backend and through the gateway,
+// and reports each arm's median latency per line.
+func BenchmarkAddStream(b *testing.B) {
+	f := newHopFixture(b)
+	f.oneShots(b, f.direct)(0) // build the index and baseline
+	for _, tc := range []struct{ name, base string }{{"direct", f.direct}, {"gateway", f.gateway}} {
+		b.Run(tc.name, func(b *testing.B) {
+			add := f.addStream(b, tc.base)
+			add(-1) // open the stream before timing
+			lat := make([]time.Duration, b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range lat {
+				start := time.Now()
+				add(i)
+				lat[i] = time.Since(start)
+			}
+			b.StopTimer()
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50-µs/line")
 		})
 	}
 }

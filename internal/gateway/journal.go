@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -96,6 +97,7 @@ type addProxy struct {
 	w         http.ResponseWriter
 	rc        *http.ResponseController
 	enc       *json.Encoder
+	ackBuf    []byte // the common ack line, rewritten in place
 	anyWrite  bool
 	termWrote bool
 
@@ -311,27 +313,33 @@ func (p *addProxy) pumpAcks(leg *upstreamLeg, resp *http.Response) {
 		if len(raw) == 0 {
 			continue
 		}
-		var msg ackMsg
-		if err := json.Unmarshal(raw, &msg); err != nil {
-			leg.err = fmt.Errorf("backend %s: undecodable ack line %q", leg.b.addr, raw)
-			break
-		}
-		if msg.Index == nil {
-			// In-band terminal from the backend (persistence failure, torn
-			// input): the stream is over; relay verbatim.
-			leg.err = fmt.Errorf("backend %s: %s", leg.b.addr, msg.Error)
-			break
+		// The common ack is read and rewritten without encoding/json.
+		index, ok := plainAckIndex(raw)
+		var errMsg string
+		if !ok {
+			var msg ackMsg
+			if err := json.Unmarshal(raw, &msg); err != nil {
+				leg.err = fmt.Errorf("backend %s: undecodable ack line %q", leg.b.addr, raw)
+				break
+			}
+			if msg.Index == nil {
+				// In-band terminal from the backend (persistence failure, torn
+				// input): the stream is over; relay verbatim.
+				leg.err = fmt.Errorf("backend %s: %s", leg.b.addr, msg.Error)
+				break
+			}
+			index, errMsg = *msg.Index, msg.Error
 		}
 		p.mu.Lock()
 		if len(p.pending) == 0 {
 			p.mu.Unlock()
-			leg.err = fmt.Errorf("backend %s acked index %d with no line outstanding", leg.b.addr, *msg.Index)
+			leg.err = fmt.Errorf("backend %s acked index %d with no line outstanding", leg.b.addr, index)
 			break
 		}
 		ci := p.pending[0]
 		p.pending = p.pending[1:]
 		p.mu.Unlock()
-		if !p.writeAck(ackMsg{Index: &ci, Error: msg.Error}) {
+		if !p.writeAck(ci, errMsg) {
 			leg.err = errClientGone
 			break
 		}
@@ -585,7 +593,7 @@ func (p *addProxy) failLocked(err error) {
 }
 
 // writeAck relays one ack line to the client.
-func (p *addProxy) writeAck(msg ackMsg) bool {
+func (p *addProxy) writeAck(index int, errMsg string) bool {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	if p.termWrote {
@@ -595,13 +603,50 @@ func (p *addProxy) writeAck(msg ackMsg) bool {
 		p.w.Header().Set("Content-Type", "application/x-ndjson")
 		p.anyWrite = true
 	}
-	if err := p.enc.Encode(msg); err != nil {
+	var err error
+	if errMsg == "" {
+		p.ackBuf = appendAck(p.ackBuf[:0], index)
+		_, err = p.w.Write(p.ackBuf)
+	} else {
+		err = p.enc.Encode(ackMsg{Index: &index, Error: errMsg})
+	}
+	if err != nil {
 		return false
 	}
 	if err := p.rc.Flush(); err != nil {
 		return false
 	}
 	return true
+}
+
+// plainAckIndex reads the common ack line, {"index":N} with N a decimal
+// of at most 18 digits and no leading zero, and returns N; ok is false for
+// any other line. For every line it accepts, encoding/json decodes the
+// same index and no error into an ackMsg.
+func plainAckIndex(raw []byte) (index int, ok bool) {
+	const head = `{"index":`
+	digits, found := bytes.CutPrefix(raw, []byte(head))
+	if !found {
+		return 0, false
+	}
+	digits, found = bytes.CutSuffix(digits, []byte("}"))
+	if !found || len(digits) == 0 || len(digits) > 18 || digits[0] == '0' && len(digits) > 1 {
+		return 0, false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		index = index*10 + int(c-'0')
+	}
+	return index, true
+}
+
+// appendAck appends the ack line of index with no error, as encoding/json
+// encodes ackMsg{Index: &index} followed by a newline.
+func appendAck(dst []byte, index int) []byte {
+	dst = strconv.AppendInt(append(dst, `{"index":`...), int64(index), 10)
+	return append(dst, "}\n"...)
 }
 
 // sendTerminal reports the stream's failure: as a plain HTTP error if no

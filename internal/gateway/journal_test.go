@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -268,4 +269,31 @@ func TestGatewayMigrateUnderWriteLoad(t *testing.T) {
 			t.Fatalf("answer %d drifted across migration: %v -> %v", i, preMigration[i], postMigration[i])
 		}
 	}
+}
+
+// FuzzAckRewrite checks the add proxy's rewrite of the common ack line
+// against encoding/json: every line plainAckIndex reads, encoding/json
+// decodes into an ackMsg with the same index and no error, and the line
+// appendAck writes for any index is what encoding/json encodes for it.
+func FuzzAckRewrite(f *testing.F) {
+	for _, s := range []string{`{"index":0}`, `{"index":17}`, `{"index":007}`, `{"index":-3}`,
+		`{"index":1,"error":"bad"}`, `{"error":"gone"}`, `{"index": 4}`, `{"index":99999999999999999999}`,
+		`{"index":1e2}`, `{"index":12}}`, `{"Index":5}`} {
+		f.Add([]byte(s), 41)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, index int) {
+		if got, ok := plainAckIndex(raw); ok {
+			var msg ackMsg
+			if err := json.Unmarshal(raw, &msg); err != nil || msg.Index == nil || *msg.Index != got || msg.Error != "" {
+				t.Fatalf("plainAckIndex(%q) = %d; encoding/json reads index %v, error %q, err %v", raw, got, msg.Index, msg.Error, err)
+			}
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(ackMsg{Index: &index}); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendAck(nil, index); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendAck(%d) = %q, encoding/json writes %q", index, got, want.Bytes())
+		}
+	})
 }

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -432,19 +433,27 @@ func symDiff[T any, C provenance.Carrier[T]](cr C, aV []provenance.Var, aX []T, 
 // emitted in input order; only evaluation follows the chain. The search is
 // quadratic in the batch size, so it is skipped — arrival order chains
 // as-is, which on a correlated stream is already near-optimal — past
-// maxChainOrder scenarios, and on sets too small for the reordering gain
-// to repay the search (the caller gates on set size).
+// maxChainOrder scenarios, on sets too small for the reordering gain to
+// repay the search (the caller gates on set size), and when arrival order
+// is already the chain the search would find (isChain), as a ScenQL snake
+// grid's is.
 func chainOrder[T any, C provenance.Carrier[T]](cr C, resolved []resolvedScenario[T], search bool) []int {
 	n := len(resolved)
 	order := make([]int, n)
-	if !search || n > maxChainOrder {
-		for i := range order {
-			order[i] = i
-		}
+	for i := range order {
+		order[i] = i
+	}
+	if !search || n > maxChainOrder || isChain(cr, resolved) {
 		return order
 	}
+	return chainSearch(cr, resolved, order)
+}
+
+// chainSearch is chainOrder's greedy search, written into order.
+func chainSearch[T any, C provenance.Carrier[T]](cr C, resolved []resolvedScenario[T], order []int) []int {
+	n := len(resolved)
 	used := make([]bool, n)
-	used[0] = true
+	used[0], order[0] = true, 0
 	cur := 0
 	var scratch []provenance.Var // reused symDiff output: its length is the metric
 	for k := 1; k < n; k++ {
@@ -464,6 +473,64 @@ func chainOrder[T any, C provenance.Carrier[T]](cr C, resolved []resolvedScenari
 		cur = best
 	}
 	return order
+}
+
+// isChain reports whether arrival order is the order chainOrder's search
+// returns, in O(n log n) instead of its O(n²): when consecutive scenarios
+// differ in at most one variable and no two scenarios are equal (so every
+// pair differs in at least one), the search's pick at each step is the
+// next arrival, the first unvisited scenario at the least difference. A
+// scenario is hashed by its assignments that differ from One; equal
+// scenarios hash equal, and a collision only sends the batch to the
+// search.
+func isChain[T any, C provenance.Carrier[T]](cr C, resolved []resolvedScenario[T]) bool {
+	var scratch []provenance.Var
+	for i := 1; i < len(resolved); i++ {
+		a, b := resolved[i-1], resolved[i]
+		if scratch = symDiff(cr, a.vars, a.vals, b.vars, b.vals, scratch[:0]); len(scratch) > 1 {
+			return false
+		}
+	}
+	one := cr.One()
+	hashes := make([]uint64, len(resolved))
+	for i, rs := range resolved {
+		h := uint64(14695981039346656037) // FNV-1a over (var, value bits) pairs
+		for j, v := range rs.vars {
+			if !cr.Equal(rs.vals[j], one) {
+				h = (h ^ uint64(v)) * 1099511628211
+				h = (h ^ valueBits(rs.vals[j])) * 1099511628211
+			}
+		}
+		hashes[i] = h
+	}
+	slices.Sort(hashes)
+	for i := 1; i < len(hashes); i++ {
+		if hashes[i] == hashes[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// valueBits returns bits that two values equal under their carrier's
+// Equal share: the carriers' Equal is ==, so a float's bits (both zeros
+// as one), a count, a boolean. Any other value reads as 0, so that such
+// scenarios collide and go to the search.
+func valueBits[T any](x T) uint64 {
+	switch v := any(x).(type) {
+	case float64:
+		if v == 0 {
+			return 0
+		}
+		return math.Float64bits(v)
+	case int64:
+		return uint64(v)
+	case bool:
+		if v {
+			return 1
+		}
+	}
+	return 0
 }
 
 // routingConfig resolves the delta-vs-full routing parameters from the

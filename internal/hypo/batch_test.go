@@ -3,6 +3,7 @@ package hypo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -561,5 +562,48 @@ func TestAdaptiveCutoffLearns(t *testing.T) {
 	}
 	if d, f := counters.DeltaEvals.Load(), counters.FullEvals.Load(); d == 0 || f == 0 || d+f != int64(len(sparse)) {
 		t.Errorf("delta %d + full %d != %d, want both paths exercised", d, f, len(sparse))
+	}
+}
+
+// TestIsChainMatchesSearch: when isChain accepts a batch, chainOrder's
+// search returns arrival order itself, so skipping it changes no
+// evaluation. The batches are walks over four variables, each scenario
+// changing up to two of them from the one before, with values that
+// include the identity (an assignment of One equals no assignment) and
+// repeat, so both the skip and the search are taken.
+func TestIsChainMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	values := []float64{1, 0.5, 2, 0, 3}
+	accepted, rejected := 0, 0
+	for range 3000 {
+		n := 2 + rng.Intn(14)
+		cur := [4]float64{1, 1, 1, 1}
+		resolved := make([]resolvedScenario[float64], n)
+		for i := range resolved {
+			for range rng.Intn(3) {
+				cur[rng.Intn(4)] = values[rng.Intn(len(values))]
+			}
+			for v, x := range cur {
+				if x != 1 || rng.Intn(2) == 0 { // an identity assignment, or none
+					resolved[i].vars = append(resolved[i].vars, provenance.Var(v+1))
+					resolved[i].vals = append(resolved[i].vals, x)
+				}
+			}
+		}
+		arrival := make([]int, n)
+		for i := range arrival {
+			arrival[i] = i
+		}
+		if !isChain(provenance.Float{}, resolved) {
+			rejected++
+			continue
+		}
+		accepted++
+		if got := chainSearch(provenance.Float{}, resolved, make([]int, n)); !slices.Equal(got, arrival) {
+			t.Fatalf("isChain accepted a batch whose search order is %v", got)
+		}
+	}
+	if accepted < 100 || rejected < 100 {
+		t.Fatalf("isChain accepted %d batches and rejected %d; the walks should give both", accepted, rejected)
 	}
 }

@@ -24,6 +24,12 @@ func randomAppendPoly(rng *rand.Rand, vars []Var, maxTerms int, withPows bool) *
 	return p
 }
 
+// compilePolys compiles polys into one float kernel, for Append.
+func compilePolys(polys []*Polynomial) *Compiled {
+	c, _ := CompilePolys[float64, Float](Float{}, polys) // Float.FromCoeff never fails
+	return c
+}
+
 // TestAppendEquivalence is the incremental-compile acceptance test: across
 // seeds, exponents, empty polynomials and index/baseline warm-up states,
 // evaluating an appended Compiled must be bit-identical per polynomial to a
@@ -72,7 +78,7 @@ func TestAppendEquivalence(t *testing.T) {
 		}
 		for lo := 0; lo < len(extra); {
 			hi := lo + 1 + rng.Intn(len(extra)-lo)
-			if !c.Append(extra[lo:hi], tags[lo:hi]) {
+			if !c.Append(compilePolys(extra[lo:hi]), tags[lo:hi]) {
 				t.Fatalf("seed %d: Append declined within the compiled vocabulary", seed)
 			}
 			lo = hi
@@ -124,7 +130,7 @@ func TestAppendVocabGrowth(t *testing.T) {
 	c.NewDeltaEval()
 	c.Baseline()
 	grown := []*Polynomial{MustParse(vb, "5·brandnew"), MustParse(vb, "x·later^2 + 1"), NewPolynomial()}
-	if !c.Append(grown, []string{"b", "c", "d"}) {
+	if !c.Append(compilePolys(grown), []string{"b", "c", "d"}) {
 		t.Fatal("Append declined variables beyond the indexed vocabulary")
 	}
 	for i, p := range grown {
@@ -167,7 +173,7 @@ func TestDropIndex(t *testing.T) {
 	c.Baseline()
 	c.DropIndex()
 	s.Add("b", MustParse(vb, "5·z + x^2"))
-	if c.varTermOff != nil || c.baseline != nil {
+	if c.varTerms != nil || c.baseline != nil {
 		t.Fatal("Append patched an index or baseline DropIndex discarded")
 	}
 	val := c.NewValuation()

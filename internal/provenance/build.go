@@ -165,29 +165,8 @@ func (b *SetBuilder) Set(tags []string) *Set {
 // a count of the distinct keys, so the set's arrays are allocated once.
 func (s *Set) Substitute(subst map[Var]Var) *Set {
 	k := s.k
-	to := make([]Var, int(k.maxVar)+1) // to[v]: v's image, 0 if v stays
-	for v, w := range subst {
-		if v > 0 && int(v) < len(to) && w > 0 && w != v {
-			to[v] = w
-		}
-	}
-	image := func(buf []VarPow, t int) []VarPow {
-		changed := false
-		for f := k.factOff[t]; f < k.factOff[t+1]; f++ {
-			p := VarPow{Var: k.vars[f], Pow: k.pows[f]}
-			if w := to[p.Var]; w != 0 {
-				p.Var, changed = w, true
-			}
-			buf = append(buf, p)
-		}
-		if changed {
-			// A sum past 2^31−1 wraps, as Polynomial.Substitute wraps it; a
-			// compatible forest never maps two variables of one monomial
-			// to one.
-			buf, _ = canonicalPairs(buf)
-		}
-		return buf
-	}
+	to := DenseSubstitution(subst)
+	image := func(buf []VarPow, t int) []VarPow { return to.image(buf, &k.kernelArrays, t) }
 
 	// Every monomial's new key, and each polynomial's monomials sorted by
 	// it, source order breaking ties. A key's first eight bytes, as a
@@ -251,4 +230,181 @@ func (s *Set) Substitute(subst map[Var]Var) *Set {
 type keyed struct {
 	pre uint64
 	t   int32
+}
+
+// PolyBuilder builds one polynomial at a time as a one-polynomial kernel,
+// the form an add takes from its text (Parse) or its WAL record to the
+// kernels it extends (Kernel.Append). Terms merge as AddMonomial merges
+// them into a map: the coefficients of one key are summed, from zero, in
+// the order given, and a key whose sum is exactly zero is dropped; the
+// kernel holds the merged terms in ascending key order, as
+// Polynomial.Compile lays them out. A builder reuses its storage, so an
+// add after the first allocates nothing in it; the kernel it returns is
+// valid until the builder's next use. The zero value is ready to use.
+type PolyBuilder struct {
+	k     Compiled  // the polynomial built last
+	pairs []VarPow  // every term's pairs, in the order given
+	keys  []byte    // every term's key, in the order given
+	terms []termEnd // where each term's pairs and key end
+	coef  []float64 // each term's coefficient
+	order []int32   // the terms in ascending key order, ties in the order given
+	to    []VarPow  // Substitute's image of one term
+}
+
+// termEnd is where one term's pairs end in PolyBuilder.pairs and its key
+// in PolyBuilder.keys; the term before it ends where it starts.
+type termEnd struct{ pairs, key int32 }
+
+// keptTerms bounds the storage a builder keeps for its next polynomial: one
+// that held more terms lets its storage go at Reset, so one huge add line
+// does not pin its size for the builder's life.
+const keptTerms = 1 << 12
+
+// Reset empties the builder for the next polynomial.
+func (b *PolyBuilder) Reset() {
+	if cap(b.terms) > keptTerms {
+		*b = PolyBuilder{}
+		return
+	}
+	b.pairs, b.keys, b.terms, b.coef = b.pairs[:0], b.keys[:0], b.terms[:0], b.coef[:0]
+}
+
+// Term adds coeff times the monomial of pairs, which must be in ascending
+// Var order with each variable once (as a kernel's terms and
+// Monomial.Vars hold them). The builder keeps no view of pairs.
+func (b *PolyBuilder) Term(coeff float64, pairs []VarPow) {
+	b.pairs = append(b.pairs, pairs...)
+	b.endTerm(coeff)
+}
+
+// endTerm closes the term whose pairs were appended to b.pairs since the
+// last term ended.
+func (b *PolyBuilder) endTerm(coeff float64) {
+	from := int32(0)
+	if n := len(b.terms); n > 0 {
+		from = b.terms[n-1].pairs
+	}
+	b.keys = AppendKey(b.keys, b.pairs[from:])
+	b.terms = append(b.terms, termEnd{pairs: int32(len(b.pairs)), key: int32(len(b.keys))})
+	b.coef = append(b.coef, coeff)
+}
+
+// span returns term i's pairs and key.
+func (b *PolyBuilder) span(i int) ([]VarPow, []byte) {
+	var p0, k0 int32
+	if i > 0 {
+		p0, k0 = b.terms[i-1].pairs, b.terms[i-1].key
+	}
+	return b.pairs[p0:b.terms[i].pairs], b.keys[k0:b.terms[i].key]
+}
+
+// Kernel merges the terms added since the last Reset into the builder's
+// one-polynomial kernel over vb and returns it.
+func (b *PolyBuilder) Kernel(vb *Vocab) *Compiled {
+	n := len(b.terms)
+	b.order = b.order[:0]
+	for i := range n {
+		b.order = append(b.order, int32(i))
+	}
+	key := func(i int32) []byte { _, k := b.span(int(i)); return k }
+	for i := 1; i < n; i++ {
+		if bytes.Compare(key(int32(i)), key(int32(i-1))) < 0 {
+			slices.SortFunc(b.order, func(x, y int32) int {
+				if c := bytes.Compare(key(x), key(y)); c != 0 {
+					return c
+				}
+				return cmp.Compare(x, y)
+			})
+			break
+		}
+	}
+
+	k := &b.k
+	if k.varTerms != nil || k.baselineDone { // an index or baseline of the last polynomial
+		k.DropIndex()
+	}
+	k.Vocab, k.Tags = vb, nil
+	k.polyOff = append(k.polyOff[:0], 0)
+	k.coeffs, k.vars, k.pows = k.coeffs[:0], k.vars[:0], k.pows[:0]
+	k.factOff = append(k.factOff[:0], 0)
+	for j := 0; j < n; {
+		i := b.order[j]
+		sum := 0.0
+		for ; j < n && bytes.Equal(key(b.order[j]), key(i)); j++ {
+			sum += b.coef[b.order[j]] // from zero, as AddMonomial sums: a signalling NaN is quieted
+		}
+		if sum == 0 {
+			continue
+		}
+		pairs, _ := b.span(int(i))
+		k.coeffs = append(k.coeffs, sum)
+		for _, p := range pairs {
+			k.vars = append(k.vars, p.Var)
+			k.pows = append(k.pows, p.Pow)
+		}
+		k.factOff = append(k.factOff, int32(len(k.vars)))
+	}
+	k.polyOff = append(k.polyOff, int32(len(k.coeffs)))
+	k.maxVar, k.allPow1 = 0, true
+	k.noteFactors(0)
+	return k
+}
+
+// Substitute builds the image of src's first polynomial under to into the
+// builder's one-polynomial kernel, replacing what the builder held, and
+// returns that kernel: P↓S for one polynomial, merged as Set.Substitute
+// merges each member (the terms in src's key order, so the coefficients
+// of terms that become one are summed in ascending source-key order).
+func (b *PolyBuilder) Substitute(src *Compiled, to Substitution) *Compiled {
+	b.Reset()
+	for t := src.polyOff[0]; t < src.polyOff[1]; t++ {
+		b.to = to.image(b.to[:0], &src.kernelArrays, int(t))
+		b.Term(src.coeffs[t], b.to)
+	}
+	return b.Kernel(src.Vocab)
+}
+
+// Substitution is a variable mapping in dense form, indexed by Var:
+// variable v becomes Substitution[v] when v is in range and that entry is
+// not NoVar, and stays otherwise. Built once, it abstracts add after add
+// without reading a map.
+type Substitution []Var
+
+// DenseSubstitution returns the dense form of subst. Variables absent from
+// subst, or mapped to NoVar or to themselves, stay.
+func DenseSubstitution(subst map[Var]Var) Substitution {
+	n := 0
+	for v, w := range subst {
+		if v > 0 && w > 0 && w != v {
+			n = max(n, int(v)+1)
+		}
+	}
+	to := make(Substitution, n)
+	for v, w := range subst {
+		if v > 0 && w > 0 && w != v {
+			to[v] = w
+		}
+	}
+	return to
+}
+
+// image appends term t's pairs under the substitution to buf, in
+// canonical form. A repeated variable's exponents that sum past 2^31−1
+// wrap, as Polynomial.Substitute wraps them; a compatible forest never
+// maps two variables of one monomial to one.
+func (to Substitution) image(buf []VarPow, k *kernelArrays[float64], t int) []VarPow {
+	changed := false
+	for f := k.factOff[t]; f < k.factOff[t+1]; f++ {
+		p := VarPow{Var: k.vars[f], Pow: k.pows[f]}
+		if int(p.Var) < len(to) {
+			if w := to[p.Var]; w != NoVar {
+				p.Var, changed = w, true
+			}
+		}
+		buf = append(buf, p)
+	}
+	if changed {
+		buf, _ = canonicalPairs(buf)
+	}
+	return buf
 }

@@ -15,17 +15,17 @@ import (
 // The kernel is monomorphized per carrier by the compiler; the float
 // carrier additionally supplies a fused bulk loop (see bulkKernel), so the
 // float64 instantiation — the Compiled alias — runs the exact pre-generic
-// code path. The CSR inverted index, the cached identity baseline and the
+// code path. The inverted index, the cached identity baseline and the
 // delta scratch epochs are carrier-agnostic.
 //
 // The float kernel is also how a Set stores its terms (Set.Compiled
 // returns it), and a kernel grows only at the end: Append extends it with
-// additional polynomials without touching what is already there (the path
-// behind Set.Add), so a session compiles once and evaluates many times —
-// the paper's interactive many-scenario setting (Figure 10), where the
-// same provenance answers a stream of hypothetical scenarios. A kernel
-// from Compile or CompileSet is a copy that later Adds to the set do not
-// reach.
+// another kernel's polynomials without touching what is already there (the
+// path behind Set.AddKernel), so a session compiles once and evaluates
+// many times — the paper's interactive many-scenario setting (Figure 10),
+// where the same provenance answers a stream of hypothetical scenarios. A
+// kernel from Compile or CompileSet is a copy that later Adds to the set
+// do not reach.
 //
 // Append mutates the receiver; it must not run concurrently with
 // evaluation. The session Engine serializes the two behind its lock.
@@ -45,23 +45,24 @@ type Kernel[T any, C Carrier[T]] struct {
 
 	maxVar Var // largest Var occurring in any factor (0 when none)
 
-	// Inverted index for delta evaluation (see delta.go): which polynomials
-	// each variable occurs in, in CSR layout (ID lists ascending per
-	// variable), built once on first delta use so compile-only callers
-	// never pay for it. varTermOff keeps only the term *counts* per
-	// variable (as cumulative offsets) for TermsTouching; the term id lists
-	// themselves are transient during index construction. varPolyTerms[v]
-	// is the total term count of the polynomials containing v — a sound
-	// lower bound on any scenario touching v's affected terms.
+	// Inverted index for delta evaluation (see delta.go): which
+	// polynomials each variable occurs in, one ascending id list per
+	// variable, built once on first delta use so compile-only callers
+	// never pay for it. The lists are carved from one array at the build,
+	// each with no room past its end, and a list an Append extends grows on
+	// its own, so an Append costs its new terms. varTerms keeps only the
+	// term *count* per variable, for TermsTouching. varPolyTerms[v] is the
+	// total term count of the polynomials containing v — a sound lower
+	// bound on any scenario touching v's affected terms.
 	indexOnce    sync.Once
-	varTermOff   []int32 // var v occurs in varTermOff[v+1]-varTermOff[v] terms
-	varPolyOff   []int32 // var v owns poly ids varPolyIDs[varPolyOff[v]:varPolyOff[v+1]]
-	varPolyIDs   []int32
+	varTerms     []int32   // var v occurs in varTerms[v] terms
+	varPolys     [][]int32 // var v occurs in polynomials varPolys[v], ascending
 	varPolyTerms []int32
 
 	baselineOnce sync.Once // guards baseline, the answers under the identity
 	baselineDone bool      // set inside baselineOnce: lets Append patch vs skip
 	baseline     []T
+	ident        []T       // an identity valuation Append patches the baseline with
 	deltaPool    sync.Pool // *DeltaKernel scratch for the EvalDelta convenience
 }
 
@@ -192,15 +193,18 @@ func (c *Kernel[T, C]) noteFactors(f int) {
 	}
 }
 
-// Append extends the compiled form with additional polynomials in place —
-// the path behind Set.Add. Only the new polynomials' terms are flattened;
-// when the inverted index and the baseline answer vector have already
-// been built they are patched (per-variable id lists merged and, for
-// variables past the indexed ones, started; identity answers of the new
-// polynomials appended) instead of discarded, so an Add-heavy session
-// keeps one compilation alive for its whole lifetime. Evaluation of the
-// pre-existing polynomials is bit-identical to a fresh compile: their
-// term data is untouched.
+// Append extends the kernel in place with the polynomials of src, a float
+// kernel over the same vocabulary (a one-polynomial kernel from
+// ParseKernel, a PolyBuilder or Polynomial.Compile, say) — the path behind
+// Set.AddKernel. src's arrays are copied, each coefficient converted
+// through the carrier; when the inverted index and the baseline answer
+// vector have already been built they are patched (each new polynomial's
+// id appended to the list of every variable it contains, lists started
+// for variables past the indexed ones; the new polynomials' identity
+// answers appended) instead of discarded, so an Add-heavy session keeps
+// one compilation alive for its whole lifetime, and an Append costs the
+// terms it adds. Evaluation of the pre-existing polynomials is
+// bit-identical to a fresh compile: their term data is untouched.
 //
 // Append reports false — leaving the receiver unchanged — when a
 // coefficient does not convert into the carrier (never for the float
@@ -210,24 +214,45 @@ func (c *Kernel[T, C]) noteFactors(f int) {
 //
 // Append mutates the receiver and must not run concurrently with
 // evaluation; callers (like the session Engine) serialize the two.
-func (c *Kernel[T, C]) Append(polys []*Polynomial, tags []string) bool {
+func (c *Kernel[T, C]) Append(src *Compiled, tags []string) bool {
 	firstPoly, firstTerm, firstFactor := c.Len(), len(c.coeffs), len(c.vars)
-	if err := c.appendTerms(c.carrier, polys); err != nil {
-		// A rejected coefficient: drop what was appended.
-		c.polyOff, c.coeffs, c.factOff = c.polyOff[:firstPoly+1], c.coeffs[:firstTerm], c.factOff[:firstTerm+1]
-		c.vars, c.pows = c.vars[:firstFactor], c.pows[:firstFactor]
-		return false
+	for _, x := range src.coeffs {
+		ct, err := c.carrier.FromCoeff(x)
+		if err != nil {
+			c.coeffs = c.coeffs[:firstTerm] // a rejected coefficient: drop what was appended
+			return false
+		}
+		c.coeffs = append(c.coeffs, ct)
 	}
+	for _, o := range src.polyOff[1:] {
+		c.polyOff = append(c.polyOff, int32(firstTerm)+o)
+	}
+	for _, o := range src.factOff[1:] {
+		c.factOff = append(c.factOff, int32(firstFactor)+o)
+	}
+	c.vars = append(c.vars, src.vars...)
+	c.pows = append(c.pows, src.pows...)
 	c.noteFactors(firstFactor)
 	c.Tags = append(c.Tags, tags...)
-	if c.varTermOff != nil {
-		c.patchIndex(firstPoly, firstTerm)
+	if c.varTerms != nil {
+		c.patchIndex(firstPoly)
 	}
 	if c.baselineDone {
 		c.baseline = append(c.baseline, make([]T, c.Len()-firstPoly)...)
-		c.evalRange(firstPoly, c.Len(), c.NewValuation(), c.baseline)
+		c.evalRange(firstPoly, c.Len(), c.identity(), c.baseline)
 	}
 	return true
+}
+
+// identity returns an identity valuation of the kernel's length, kept
+// across Appends and grown with the vocabulary, so patching the baseline
+// does not allocate one per Append. Callers hold the kernel exclusively.
+func (c *Kernel[T, C]) identity() []T {
+	one := c.carrier.One()
+	for len(c.ident) < c.ValuationLen() {
+		c.ident = append(c.ident, one)
+	}
+	return c.ident
 }
 
 // TermArrays is the flat term data of a compiled kernel, in the layout

@@ -30,90 +30,123 @@ func (c *Kernel[T, C]) ensureIndex() {
 	c.indexOnce.Do(c.buildDeltaIndex)
 }
 
-// buildDeltaIndex constructs the CSR inverted index over the flattened
-// term data: patchIndex from an empty index, every polynomial new. Ids
-// are filled in polynomial order, so every per-variable id list is
-// ascending. Only the per-variable term counts are kept (varTermOff) —
-// routing needs the polynomial lists, not the term lists.
+// buildDeltaIndex constructs the inverted index over the flattened term
+// data: each variable's term count, and its polynomial ids, filled in
+// polynomial order, so every list is ascending. The lists are carved from
+// one array, each with no room past its end. Only the per-variable term
+// counts are kept (varTerms) — routing needs the polynomial lists, not
+// the term lists.
 func (c *Kernel[T, C]) buildDeltaIndex() {
-	c.varTermOff, c.varPolyOff, c.varPolyIDs, c.varPolyTerms = []int32{0}, []int32{0}, nil, []int32{}
-	c.patchIndex(0, 0)
-}
-
-// patchIndex extends an already-built inverted index to cover polynomials
-// appended after the build (Append), in place: per-variable term counts
-// are re-accumulated, and each new polynomial's id is appended to the id
-// list of every variable it contains — new ids are all larger than the
-// existing ones, so every per-variable list stays ascending after one
-// right-to-left shift of the lists that the new ids push along. Variables
-// past the indexed ones (the vocabulary grew) get rows of their own,
-// exactly as a fresh build would give them. Cost is O(existing ids + new
-// terms + |vocab|), a memmove-dominated fraction of a full recompile, and
-// the arrays grow with slack, so a run of Adds allocates only the small
-// per-call counts.
-func (c *Kernel[T, C]) patchIndex(firstPoly, firstTerm int) {
-	indexed := len(c.varTermOff) - 1
-	nVars := indexed
-	if len(c.vars) > 0 {
-		nVars = max(indexed, int(c.maxVar)+1)
-	}
-	c.varTermOff = slices.Grow(c.varTermOff, nVars-indexed)
-	c.varPolyOff = slices.Grow(c.varPolyOff, nVars-indexed)
-	for range nVars - indexed { // new rows start empty, at the end
-		c.varTermOff = append(c.varTermOff, c.varTermOff[indexed])
-		c.varPolyOff = append(c.varPolyOff, c.varPolyOff[indexed])
-	}
-	c.varPolyTerms = append(c.varPolyTerms, make([]int32, nVars-indexed)...)
-
-	// Per variable, the terms it gains and the new polynomials holding it
-	// (mark deduplicates within one polynomial, by id).
-	scratch := make([]int32, 3*nVars)
-	terms, polys, mark := scratch[:nVars], scratch[nVars:2*nVars], scratch[2*nVars:]
-	for v := range mark {
-		mark[v] = -1
-	}
-	for f := c.factOff[firstTerm]; f < int32(len(c.vars)); f++ {
-		terms[c.vars[f]]++
-	}
-	added := 0
-	for pi := firstPoly; pi < c.Len(); pi++ {
-		for f := c.factOff[c.polyOff[pi]]; f < c.factOff[c.polyOff[pi+1]]; f++ {
-			if v := c.vars[f]; mark[v] != int32(pi) {
-				mark[v] = int32(pi)
-				polys[v]++
-				added++
-			}
-		}
-	}
-	var sum int32
-	for v := range nVars {
-		sum += terms[v]
-		c.varTermOff[v+1] += sum
-	}
-
-	// Shift each id list right by the new ids of the lists before it,
-	// last list first, then turn polys[v] into where v's new ids go.
-	ids := slices.Grow(c.varPolyIDs, added)[:len(c.varPolyIDs)+added]
-	shift := int32(added)
-	for v := nVars - 1; v >= 0; v-- {
-		lo, hi := c.varPolyOff[v], c.varPolyOff[v+1]
-		shift -= polys[v]
-		copy(ids[lo+shift:], ids[lo:hi])
-		c.varPolyOff[v+1] = hi + shift + polys[v]
-		polys[v] = hi + shift
-	}
-	for pi := firstPoly; pi < c.Len(); pi++ {
+	rows := c.indexRows()
+	c.varTerms, c.varPolyTerms = make([]int32, rows), make([]int32, rows)
+	last := make([]int32, rows) // 1 + the last polynomial counted for v
+	off := make([]int32, rows+1)
+	for pi := range c.Len() {
 		n := c.polyOff[pi+1] - c.polyOff[pi]
 		for f := c.factOff[c.polyOff[pi]]; f < c.factOff[c.polyOff[pi+1]]; f++ {
-			if v := c.vars[f]; mark[v] != -2-int32(pi) {
-				mark[v] = -2 - int32(pi)
-				ids[polys[v]] = int32(pi)
-				polys[v]++
+			v := c.vars[f]
+			c.varTerms[v]++
+			if last[v] != int32(pi)+1 {
+				last[v] = int32(pi) + 1
+				off[v+1]++
 				c.varPolyTerms[v] += n
 			}
 		}
 	}
-	c.varPolyIDs = ids
+	for v := range rows {
+		off[v+1] += off[v]
+	}
+	ids := make([]int32, off[rows])
+	c.varPolys = make([][]int32, rows)
+	for v := range rows {
+		c.varPolys[v] = ids[off[v]:off[v]:off[v+1]]
+	}
+	for pi := range c.Len() {
+		for f := c.factOff[c.polyOff[pi]]; f < c.factOff[c.polyOff[pi+1]]; f++ {
+			c.addPolyID(c.vars[f], int32(pi))
+		}
+	}
+}
+
+// indexRows is the number of variables the index has rows for: every Var
+// up to MaxVar, or none when no term has a factor.
+func (c *Kernel[T, C]) indexRows() int {
+	if len(c.vars) == 0 {
+		return 0
+	}
+	return int(c.maxVar) + 1
+}
+
+// addPolyID appends polynomial pi to v's id list unless it ends with pi
+// already (pi's terms are visited together, and after every smaller id).
+func (c *Kernel[T, C]) addPolyID(v Var, pi int32) bool {
+	ids := c.varPolys[v]
+	if n := len(ids); n > 0 && ids[n-1] == pi {
+		return false
+	}
+	c.varPolys[v] = append(ids, pi)
+	return true
+}
+
+// patchIndex extends an already-built inverted index to cover polynomials
+// appended after the build (Append), in place, into exactly what a fresh
+// build gives: new ids are all larger than the existing ones, so each is
+// appended to the list of every variable its polynomial contains, and
+// variables past the indexed ones (the vocabulary grew) get rows of their
+// own. Only the lists that grow past their room move, so the cost is the
+// new terms, plus the new rows, plus an amortized copy of a moved list.
+func (c *Kernel[T, C]) patchIndex(firstPoly int) {
+	if rows := c.indexRows(); rows > len(c.varTerms) {
+		grow := rows - len(c.varTerms)
+		c.varTerms = append(c.varTerms, make([]int32, grow)...)
+		c.varPolyTerms = append(c.varPolyTerms, make([]int32, grow)...)
+		c.varPolys = append(c.varPolys, make([][]int32, grow)...)
+	}
+	for pi := firstPoly; pi < c.Len(); pi++ {
+		n := c.polyOff[pi+1] - c.polyOff[pi]
+		for f := c.factOff[c.polyOff[pi]]; f < c.factOff[c.polyOff[pi+1]]; f++ {
+			v := c.vars[f]
+			c.varTerms[v]++
+			if c.addPolyID(v, int32(pi)) {
+				c.varPolyTerms[v] += n
+			}
+		}
+	}
+}
+
+// indexCSR returns the inverted index in the CSR layout CompiledDump
+// documents: var v occurs in termOff[v+1]-termOff[v] terms and in
+// polynomials ids[polyOff[v]:polyOff[v+1]].
+func (c *Kernel[T, C]) indexCSR() (termOff, polyOff, ids, polyTerms []int32) {
+	rows := len(c.varTerms)
+	termOff, polyOff = make([]int32, rows+1), make([]int32, rows+1)
+	for v := range rows {
+		termOff[v+1] = termOff[v] + c.varTerms[v]
+		polyOff[v+1] = polyOff[v] + int32(len(c.varPolys[v]))
+	}
+	ids = make([]int32, 0, polyOff[rows])
+	for _, l := range c.varPolys {
+		ids = append(ids, l...)
+	}
+	return termOff, polyOff, ids, slices.Clone(c.varPolyTerms)
+}
+
+// indexMatches reports whether the built index equals the CSR image
+// termOff, polyOff, ids and polyTerms (see indexCSR), without building
+// that image.
+func (c *Kernel[T, C]) indexMatches(termOff, polyOff, ids, polyTerms []int32) bool {
+	rows := len(c.varTerms)
+	if len(termOff) != rows+1 || len(polyOff) != rows+1 || termOff[0] != 0 || polyOff[0] != 0 ||
+		!slices.Equal(polyTerms, c.varPolyTerms) || int(polyOff[rows]) != len(ids) {
+		return false
+	}
+	for v := range rows {
+		lo, hi := polyOff[v], polyOff[v+1]
+		if termOff[v+1]-termOff[v] != c.varTerms[v] || lo > hi || !slices.Equal(ids[lo:hi], c.varPolys[v]) {
+			return false
+		}
+	}
+	return true
 }
 
 // DropIndex discards the inverted index and the identity baseline, to be
@@ -123,8 +156,8 @@ func (c *Kernel[T, C]) patchIndex(firstPoly, firstTerm int) {
 // concurrently with evaluation.
 func (c *Kernel[T, C]) DropIndex() {
 	c.indexOnce, c.baselineOnce = sync.Once{}, sync.Once{}
-	c.varTermOff, c.varPolyOff, c.varPolyIDs, c.varPolyTerms = nil, nil, nil, nil
-	c.baseline, c.baselineDone = nil, false
+	c.varTerms, c.varPolys, c.varPolyTerms = nil, nil, nil
+	c.baseline, c.baselineDone, c.ident = nil, false, nil
 }
 
 // Baseline returns the answer vector under the identity valuation (every
@@ -145,10 +178,10 @@ func (c *Kernel[T, C]) TermsTouching(touched []Var) int {
 	c.ensureIndex()
 	n := 0
 	for _, v := range touched {
-		if v < 0 || int(v)+1 >= len(c.varTermOff) {
+		if v < 0 || int(v) >= len(c.varTerms) {
 			continue
 		}
-		n += int(c.varTermOff[v+1] - c.varTermOff[v])
+		n += int(c.varTerms[v])
 	}
 	return n
 }
@@ -217,10 +250,10 @@ func (d *DeltaKernel[T, C]) Affected(touched []Var) ([]int32, int) {
 	d.ids = d.ids[:0]
 	terms := 0
 	for _, v := range touched {
-		if v < 0 || int(v)+1 >= len(c.varPolyOff) {
+		if v < 0 || int(v) >= len(c.varPolys) {
 			continue
 		}
-		for _, pi := range c.varPolyIDs[c.varPolyOff[v]:c.varPolyOff[v+1]] {
+		for _, pi := range c.varPolys[v] {
 			if d.mark[pi] != d.epoch {
 				d.mark[pi] = d.epoch
 				d.ids = append(d.ids, pi)

@@ -20,7 +20,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"slices"
 )
 
 // CompiledDump is the flat, exported image of a Compiled kernel. All
@@ -59,19 +58,17 @@ func (d *CompiledDump) NPolys() int { return len(d.PolyOff) - 1 }
 func DumpCompiled(c *Compiled) *CompiledDump {
 	c.ensureIndex()
 	c.Baseline()
-	return &CompiledDump{
-		PolyOff:      append([]int32(nil), c.polyOff...),
-		Coeffs:       append([]float64(nil), c.coeffs...),
-		FactOff:      append([]int32(nil), c.factOff...),
-		Vars:         append([]Var(nil), c.vars...),
-		Pows:         append([]int32(nil), c.pows...),
-		Tags:         append([]string(nil), c.Tags...),
-		Baseline:     append([]float64(nil), c.baseline...),
-		VarTermOff:   append([]int32(nil), c.varTermOff...),
-		VarPolyOff:   append([]int32(nil), c.varPolyOff...),
-		VarPolyIDs:   append([]int32(nil), c.varPolyIDs...),
-		VarPolyTerms: append([]int32(nil), c.varPolyTerms...),
+	d := &CompiledDump{
+		PolyOff:  append([]int32(nil), c.polyOff...),
+		Coeffs:   append([]float64(nil), c.coeffs...),
+		FactOff:  append([]int32(nil), c.factOff...),
+		Vars:     append([]Var(nil), c.vars...),
+		Pows:     append([]int32(nil), c.pows...),
+		Tags:     append([]string(nil), c.Tags...),
+		Baseline: append([]float64(nil), c.baseline...),
 	}
+	d.VarTermOff, d.VarPolyOff, d.VarPolyIDs, d.VarPolyTerms = c.indexCSR()
+	return d
 }
 
 // RestoreSet makes a Set over vb of a dump: the dump's term arrays and
@@ -100,8 +97,7 @@ func RestoreSet(vb *Vocab, d *CompiledDump) (*Set, error) {
 	// data and index describe different kernels.
 	if d.VarTermOff != nil || d.VarPolyOff != nil || d.VarPolyIDs != nil || d.VarPolyTerms != nil {
 		c.ensureIndex()
-		if !slices.Equal(c.varTermOff, d.VarTermOff) || !slices.Equal(c.varPolyOff, d.VarPolyOff) ||
-			!slices.Equal(c.varPolyIDs, d.VarPolyIDs) || !slices.Equal(c.varPolyTerms, d.VarPolyTerms) {
+		if !c.indexMatches(d.VarTermOff, d.VarPolyOff, d.VarPolyIDs, d.VarPolyTerms) {
 			return nil, fmt.Errorf("provenance: dump inverted index disagrees with its term data")
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Parse parses a polynomial in the paper's notation, e.g.
@@ -13,9 +14,34 @@ import (
 //
 // Both "·" and "*" multiply; "^" raises a variable to an integer power; terms
 // are separated by "+" or "-". Variables are interned into vb. A bare number
-// is a constant monomial; a bare variable has coefficient 1.
+// is a constant monomial; a bare variable has coefficient 1. Monomials with
+// the same variables merge, their coefficients summed in the order they
+// appear, and a sum of exactly zero drops the monomial.
+//
+// Parsing takes time linear in the length of s: Parse reads s once, through
+// ParseKernel, and builds the map polynomial from the kernel's terms.
 func Parse(vb *Vocab, s string) (*Polynomial, error) {
-	p := NewPolynomial()
+	var b PolyBuilder
+	k, err := b.Parse(vb, s)
+	if err != nil {
+		return nil, err
+	}
+	return polyOf(&k.kernelArrays, 0), nil
+}
+
+// ParseKernel parses s as Parse does into a one-polynomial kernel over vb:
+// the terms Parse's map would hold, in ascending key order, as
+// Polynomial.Compile lays them out. It is the first step of an add, which
+// goes from its text to the kernels it extends without a map.
+func ParseKernel(vb *Vocab, s string) (*Compiled, error) {
+	return new(PolyBuilder).Parse(vb, s)
+}
+
+// Parse parses s as Parse does into the builder's one-polynomial kernel,
+// replacing what the builder held, and returns that kernel; the next use
+// of the builder overwrites it.
+func (b *PolyBuilder) Parse(vb *Vocab, s string) (*Compiled, error) {
+	b.Reset()
 	lex := &lexer{src: s}
 	sign := 1.0
 	first := true
@@ -23,20 +49,19 @@ func Parse(vb *Vocab, s string) (*Polynomial, error) {
 		lex.skipSpace()
 		if lex.eof() {
 			if first {
-				return p, nil // empty input is the zero polynomial
+				return b.Kernel(vb), nil // empty input is the zero polynomial
 			}
 			return nil, fmt.Errorf("provenance: trailing operator in %q", s)
 		}
-		m, err := parseMonomial(vb, lex)
+		coeff, err := b.parseMonomial(vb, lex)
 		if err != nil {
 			return nil, err
 		}
-		m.Coeff *= sign
-		p.AddMonomial(m)
+		b.endTerm(coeff * sign)
 		first = false
 		lex.skipSpace()
 		if lex.eof() {
-			return p, nil
+			return b.Kernel(vb), nil
 		}
 		switch c := lex.next(); c {
 		case '+':
@@ -58,7 +83,9 @@ func MustParse(vb *Vocab, s string) *Polynomial {
 	return p
 }
 
-func parseMonomial(vb *Vocab, lex *lexer) (Monomial, error) {
+// parseMonomial reads one monomial's factors onto the builder's pending
+// term and returns its coefficient.
+func (b *PolyBuilder) parseMonomial(vb *Vocab, lex *lexer) (float64, error) {
 	coeff := 1.0
 	sawCoeff := false
 	lex.skipSpace()
@@ -71,7 +98,8 @@ func parseMonomial(vb *Vocab, lex *lexer) (Monomial, error) {
 			lex.next()
 		}
 	}
-	var pows []VarPow
+	pows := b.pairs
+	from := len(pows)
 	for {
 		lex.skipSpace()
 		if lex.eof() {
@@ -82,7 +110,7 @@ func parseMonomial(vb *Vocab, lex *lexer) (Monomial, error) {
 		case c >= '0' && c <= '9' || c == '.':
 			f, err := lex.number()
 			if err != nil {
-				return Monomial{}, err
+				return 0, err
 			}
 			coeff *= f
 			sawCoeff = true
@@ -95,16 +123,20 @@ func parseMonomial(vb *Vocab, lex *lexer) (Monomial, error) {
 				lex.skipSpace()
 				f, err := lex.number()
 				if err != nil {
-					return Monomial{}, err
+					return 0, err
 				}
 				if f != float64(int32(f)) || f < 1 {
-					return Monomial{}, fmt.Errorf("provenance: exponent must be a positive integer, got %v", f)
+					return 0, fmt.Errorf("provenance: exponent must be a positive integer, got %v", f)
 				}
 				pow = int32(f)
 			}
-			pows = append(pows, VarPow{Var: vb.Var(name), Pow: pow})
+			v, ok := vb.Lookup(name)
+			if !ok {
+				v = vb.Var(strings.Clone(name)) // the vocabulary keeps no view of s
+			}
+			pows = append(pows, VarPow{Var: v, Pow: pow})
 		default:
-			return Monomial{}, fmt.Errorf("provenance: unexpected %q at offset %d", c, lex.pos)
+			return 0, fmt.Errorf("provenance: unexpected %q at offset %d", c, lex.pos)
 		}
 		lex.skipSpace()
 		if lex.eof() {
@@ -115,22 +147,25 @@ func parseMonomial(vb *Vocab, lex *lexer) (Monomial, error) {
 			lex.next()
 			lex.skipSpace()
 			if lex.eof() {
-				return Monomial{}, fmt.Errorf("provenance: dangling multiplication at offset %d", lex.pos)
+				return 0, fmt.Errorf("provenance: dangling multiplication at offset %d", lex.pos)
 			}
 			continue
 		}
 		break
 	}
-	if len(pows) == 0 && !sawCoeff {
-		return Monomial{}, fmt.Errorf("provenance: empty monomial at offset %d", lex.pos)
+	b.pairs = pows
+	if len(pows) == from && !sawCoeff {
+		return 0, fmt.Errorf("provenance: empty monomial at offset %d", lex.pos)
 	}
-	pows, over := canonicalPairs(pows)
+	merged, over := canonicalPairs(pows[from:])
 	if over != 0 {
-		return Monomial{}, fmt.Errorf("provenance: exponent %d out of range at offset %d: an exponent is at most 2^31−1", over, lex.pos)
+		return 0, fmt.Errorf("provenance: exponent %d out of range at offset %d: an exponent is at most 2^31−1", over, lex.pos)
 	}
-	return Monomial{Coeff: coeff, vars: pows}, nil
+	b.pairs = pows[:from+len(merged)]
+	return coeff, nil
 }
 
+// lexer reads runes from src, one at a time, without copying it.
 type lexer struct {
 	src string
 	pos int
@@ -138,20 +173,29 @@ type lexer struct {
 
 func (l *lexer) eof() bool { return l.pos >= len(l.src) }
 
+// peek returns the rune at pos (utf8.RuneError for a byte that starts no
+// valid encoding).
 func (l *lexer) peek() rune {
-	r := []rune(l.src[l.pos:])
-	return r[0]
-}
-
-func (l *lexer) next() rune {
-	for i, r := range l.src[l.pos:] {
-		l.pos += i + runeLen(r)
-		return r
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		return rune(c)
 	}
-	return 0
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	return r
 }
 
-func runeLen(r rune) int { return len(string(r)) }
+// next returns the rune at pos and moves past it.
+func (l *lexer) next() rune {
+	if l.eof() {
+		return 0
+	}
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		l.pos++
+		return rune(c)
+	}
+	r, n := utf8.DecodeRuneInString(l.src[l.pos:])
+	l.pos += n
+	return r
+}
 
 func (l *lexer) skipSpace() {
 	for !l.eof() {

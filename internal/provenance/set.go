@@ -40,13 +40,22 @@ func NewSet(vb *Vocab) *Set {
 	return &Set{Vocab: vb, k: k, marks: make([]bool, 1)}
 }
 
-// Add appends a polynomial with an optional tag, extending the set's
-// kernel in O(new terms) plus, when the kernel's inverted index is built,
-// the cost of patching it. Like all Set mutation, Add must not run
-// concurrently with evaluation.
-func (s *Set) Add(tag string, p *Polynomial) {
+// Add appends a polynomial with an optional tag: AddKernel of its
+// compiled form.
+func (s *Set) Add(tag string, p *Polynomial) { s.AddKernel(tag, p.Compile()) }
+
+// AddKernel appends the polynomial of k, a one-polynomial float kernel over
+// the set's vocabulary (ParseKernel's, a PolyBuilder's or
+// Polynomial.Compile's), with an optional tag, extending the set's kernel
+// in O(new terms), its inverted index and baseline included when they are
+// built. Like all Set mutation, AddKernel must not run concurrently with
+// evaluation.
+func (s *Set) AddKernel(tag string, k *Compiled) {
+	if k.Len() != 1 {
+		panic("provenance: AddKernel needs a one-polynomial kernel")
+	}
 	from := len(s.k.vars)
-	s.k.Append([]*Polynomial{p}, []string{tag}) // the float carrier takes every coefficient
+	s.k.Append(k, []string{tag}) // the float carrier takes every coefficient
 	s.Tags = s.k.Tags
 	s.mark(s.k.vars[from:])
 }
@@ -91,8 +100,10 @@ func (s *Set) PolySize(i int) int { return int(s.k.polyOff[i+1] - s.k.polyOff[i]
 
 // Poly returns polynomial i as a fresh *Polynomial, built from the kernel's
 // terms; changing it does not change the set.
-func (s *Set) Poly(i int) *Polynomial {
-	k := s.k
+func (s *Set) Poly(i int) *Polynomial { return polyOf(&s.k.kernelArrays, i) }
+
+// polyOf builds polynomial i of the arrays as a map polynomial.
+func polyOf(k *kernelArrays[float64], i int) *Polynomial {
 	lo, hi := int(k.polyOff[i]), int(k.polyOff[i+1])
 	var buf []byte
 	ends := make([]int, 0, hi-lo)

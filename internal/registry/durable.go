@@ -2,7 +2,7 @@ package registry
 
 // Durable registry: sessions survive process restarts. EnableDurability
 // attaches a durable.Store; from then on every Create writes an initial
-// snapshot, every Session.Add is write-ahead logged before it is
+// snapshot, every Session.AddText is write-ahead logged before it is
 // acknowledged, and on-disk sessions from a previous process appear as
 // *dormant* names that recover lazily — the first Get that touches one
 // replays its snapshot + WAL into a live Engine. A warm restart therefore
@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"provabs/internal/durable"
-	"provabs/internal/provenance"
 	"provabs/internal/session"
 )
 
@@ -126,38 +125,13 @@ func (r *Registry) Shutdown() error {
 // Durable reports whether this session's adds are persisted.
 func (s *Session) Durable() bool { return s.store != nil }
 
-// Add appends a polynomial to the session. Under durability the add is
-// write-ahead logged, applied, and fsynced (subject to the store's
-// group-commit window) before Add returns nil — an acknowledged add
-// survives any subsequent crash. The store performs the {log, apply} pair
-// atomically so WAL order equals apply order and a concurrent snapshot
-// rotation can never cover a sequence whose add is missing; the fsync wait
-// happens outside that critical section so group commit can batch
-// concurrent adds.
-//
-// A persistence error fails the session for writes (see PersistErr): once
-// the fsync wait fails, the in-memory engine holds an add that was never
-// durable, and accepting more writes would silently widen the gap between
-// live and recovered answers. Reads keep working; a restart recovers the
-// session from its durable state (without the failed add).
-func (s *Session) Add(tag string, p *provenance.Polynomial) error {
-	if s.store == nil {
-		s.eng.Add(tag, p)
-		return nil
-	}
-	if err := s.PersistErr(); err != nil {
-		return err
-	}
-	wait, err := s.store.Add(s.eng, tag, p)
-	if err != nil {
-		return s.failPersistence(err)
-	}
-	if err := wait(); err != nil {
-		return s.failPersistence(err)
-	}
-	s.store.RotateIfNeeded(s.eng)
-	return nil
-}
+// A ParseError is an AddText error that rejected the polynomial's text:
+// nothing was applied or logged, and the session takes later adds. Every
+// other AddText error is a persistence failure (see PersistErr).
+type ParseError struct{ Err error }
+
+func (e *ParseError) Error() string { return e.Err.Error() }
+func (e *ParseError) Unwrap() error { return e.Err }
 
 // PersistErr returns the sticky persistence failure, if any. A non-nil
 // error means a WAL write or fsync failed: the session refuses further
@@ -183,14 +157,45 @@ func (s *Session) failPersistence(err error) error {
 }
 
 // AddText parses a polynomial in text form ("2·x·y + 3·z"), interning any
-// new variables, and applies it durably — the ingestion entry point for
-// the HTTP add stream.
+// new variables, and appends it to the session — the ingestion entry
+// point for the HTTP add stream. A polynomial that does not parse yields
+// a *ParseError. Without durability it is one Engine.AddText. Under
+// durability the parsed kernel is write-ahead logged, applied, and fsynced
+// (subject to the store's group-commit window) before AddText returns nil
+// — an acknowledged add survives any subsequent crash. The store performs
+// the {log, apply} pair atomically so WAL order equals apply order and a
+// concurrent snapshot rotation can never cover a sequence whose add is
+// missing; the fsync wait happens outside that critical section so group
+// commit can batch concurrent adds.
+//
+// A persistence error fails the session for writes (see PersistErr): once
+// the fsync wait fails, the in-memory engine holds an add that was never
+// durable, and accepting more writes would silently widen the gap between
+// live and recovered answers. Reads keep working; a restart recovers the
+// session from its durable state (without the failed add).
 func (s *Session) AddText(tag, src string) error {
-	p, err := s.eng.ParsePoly(src)
+	if s.store == nil {
+		if err := s.eng.AddText(tag, src); err != nil {
+			return &ParseError{err}
+		}
+		return nil
+	}
+	k, err := s.eng.ParseKernel(src)
 	if err != nil {
+		return &ParseError{err}
+	}
+	if err := s.PersistErr(); err != nil {
 		return err
 	}
-	return s.Add(tag, p)
+	wait, err := s.store.Add(s.eng, tag, k)
+	if err != nil {
+		return s.failPersistence(err)
+	}
+	if err := wait(); err != nil {
+		return s.failPersistence(err)
+	}
+	s.store.RotateIfNeeded(s.eng)
+	return nil
 }
 
 // Checkpoint writes a fresh snapshot and truncates the WAL. A no-op

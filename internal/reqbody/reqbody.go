@@ -1,9 +1,10 @@
 // Package reqbody reads a bounded HTTP body in one pass and lifts long
 // string members out of a JSON object body, so that encoding/json decodes
-// only the small remainder. The server and the gateway both read
-// session-create bodies, which carry a whole encoded provenance set or
-// snapshot as one base64 string, through it; the gateway reads every body
-// it buffers, request or backend response, with ReadAll.
+// only the small remainder, or nothing. The server and the gateway both
+// read session-create bodies, which carry a whole encoded provenance set
+// or snapshot as one base64 string, through it; the gateway reads every
+// body it buffers, request or backend response, with ReadAll; the server
+// lifts each add line's tag and polynomial (LiftAll).
 package reqbody
 
 import (
@@ -86,60 +87,8 @@ func ReadAll(dst []byte, src io.Reader, size int64) ([]byte, error) {
 // keys holds anything else than such a string.
 func Lift(body []byte, keys ...string) (rest []byte, vals [][]byte, ok bool) {
 	vals = make([][]byte, len(keys))
-	i := skipSpace(body, 0)
-	if i == len(body) || body[i] != '{' {
-		return nil, nil, false
-	}
-	i = skipSpace(body, i+1)
 	var cuts [][2]int // [start, end) of each lifted value's contents
-	for first := true; ; first = false {
-		if i < len(body) && body[i] == '}' && first {
-			i++
-			break
-		}
-		ks, ke, next := scanString(body, i)
-		if next < 0 {
-			return nil, nil, false
-		}
-		match := -1
-		for j, k := range keys {
-			if bytes.EqualFold(body[ks:ke], []byte(k)) {
-				if string(body[ks:ke]) != k || vals[j] != nil {
-					return nil, nil, false // encoding/json would fold or overwrite
-				}
-				match = j
-			}
-		}
-		i = skipSpace(body, next)
-		if i == len(body) || body[i] != ':' {
-			return nil, nil, false
-		}
-		i = skipSpace(body, i+1)
-		if match >= 0 {
-			vs, ve, next := scanString(body, i)
-			if next < 0 {
-				return nil, nil, false
-			}
-			vals[match] = body[vs:ve:ve]
-			cuts = append(cuts, [2]int{vs, ve})
-			i = next
-		} else if i = skipValue(body, i); i < 0 {
-			return nil, nil, false
-		}
-		i = skipSpace(body, i)
-		if i == len(body) {
-			return nil, nil, false
-		}
-		if body[i] == '}' {
-			i++
-			break
-		}
-		if body[i] != ',' {
-			return nil, nil, false
-		}
-		i = skipSpace(body, i+1)
-	}
-	if skipSpace(body, i) != len(body) {
+	if _, ok := members(body, keys, vals, &cuts); !ok {
 		return nil, nil, false
 	}
 	if len(cuts) == 0 {
@@ -156,6 +105,85 @@ func Lift(body []byte, keys ...string) (rest []byte, vals [][]byte, ok bool) {
 		from = c[1]
 	}
 	return append(rest, body[from:]...), vals, true
+}
+
+// LiftAll is Lift for an object body whose members are all named by keys:
+// it sets vals[j] to the value of keys[j] (a view into body; nil when the
+// object lacks the key) and reports true only when Lift would lift them
+// and the object has no other member. Decoding body with encoding/json
+// would then set exactly the fields named by keys, each to its lifted
+// bytes, so the caller need not decode it. LiftAll allocates nothing.
+func LiftAll(body []byte, vals [][]byte, keys ...string) bool {
+	clear(vals)
+	others, ok := members(body, keys, vals, nil)
+	return ok && others == 0
+}
+
+// members walks the top-level members of the JSON object body, setting
+// vals[j] to the string value of keys[j] and, when cuts is not nil,
+// recording each such value's bounds there. It returns the number of
+// other members, and ok false on anything Lift refuses.
+func members(body []byte, keys []string, vals [][]byte, cuts *[][2]int) (others int, ok bool) {
+	i := skipSpace(body, 0)
+	if i == len(body) || body[i] != '{' {
+		return 0, false
+	}
+	i = skipSpace(body, i+1)
+	for first := true; ; first = false {
+		if i < len(body) && body[i] == '}' && first {
+			i++
+			break
+		}
+		ks, ke, next := scanString(body, i)
+		if next < 0 {
+			return 0, false
+		}
+		match := -1
+		for j, k := range keys {
+			if bytes.EqualFold(body[ks:ke], []byte(k)) {
+				if string(body[ks:ke]) != k || vals[j] != nil {
+					return 0, false // encoding/json would fold or overwrite
+				}
+				match = j
+			}
+		}
+		i = skipSpace(body, next)
+		if i == len(body) || body[i] != ':' {
+			return 0, false
+		}
+		i = skipSpace(body, i+1)
+		if match >= 0 {
+			vs, ve, next := scanString(body, i)
+			if next < 0 {
+				return 0, false
+			}
+			vals[match] = body[vs:ve:ve]
+			if cuts != nil {
+				*cuts = append(*cuts, [2]int{vs, ve})
+			}
+			i = next
+		} else if i = skipValue(body, i); i < 0 {
+			return 0, false
+		} else {
+			others++
+		}
+		i = skipSpace(body, i)
+		if i == len(body) {
+			return 0, false
+		}
+		if body[i] == '}' {
+			i++
+			break
+		}
+		if body[i] != ',' {
+			return 0, false
+		}
+		i = skipSpace(body, i+1)
+	}
+	if skipSpace(body, i) != len(body) {
+		return 0, false
+	}
+	return others, true
 }
 
 func skipSpace(b []byte, i int) int {

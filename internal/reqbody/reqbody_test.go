@@ -2,6 +2,7 @@ package reqbody
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -64,6 +65,32 @@ func TestLift(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzLiftAll: whenever LiftAll lifts an add line, encoding/json decodes
+// the line into the add stream's struct without error and to the same tag
+// and polynomial, and without allocating.
+func FuzzLiftAll(f *testing.F) {
+	for _, s := range []string{`{"tag":"a1","poly":"2*x*y + 3"}`, ` {"poly":"x·y"} `, `{}`, `{"tag":"a","poly":"x","n":1}`,
+		`{"tag":"a","tag":"b"}`, `{"TAG":"a"}`, `{"tag":"a\u0041"}`, `{"poly":null}`, `{"tag":"a"`} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var vals [2][]byte
+		if !LiftAll(line, vals[:], "tag", "poly") {
+			return
+		}
+		var want struct {
+			Tag  string `json:"tag"`
+			Poly string `json:"poly"`
+		}
+		if err := json.Unmarshal(line, &want); err != nil || string(vals[0]) != want.Tag || string(vals[1]) != want.Poly {
+			t.Fatalf("LiftAll(%q) = %q, %q; encoding/json: %q, %q, %v", line, vals[0], vals[1], want.Tag, want.Poly, err)
+		}
+		if allocs := testing.AllocsPerRun(1, func() { LiftAll(line, vals[:], "tag", "poly") }); allocs != 0 {
+			t.Fatalf("LiftAll(%q) allocated %v times", line, allocs)
+		}
+	})
 }
 
 // unread fails the test if the body is read at all.

@@ -145,7 +145,7 @@ func checkKernelEquivalence[T any, C provenance.Carrier[T]](t *testing.T, name s
 		for i := range polys {
 			polys[i] = extra.Poly(i)
 		}
-		if k.Append(polys, extra.Tags) {
+		if k.Append(extra.Compiled(), extra.Tags) {
 			for _, p := range polys {
 				set.Add("", p)
 			}

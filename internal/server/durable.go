@@ -13,9 +13,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"provabs/internal/durable"
 	"provabs/internal/registry"
+	"provabs/internal/reqbody"
 	"provabs/internal/session"
 )
 
@@ -136,12 +138,22 @@ func (s *Server) handleAddStream(w http.ResponseWriter, r *http.Request, sess *r
 	scan.Buffer(make([]byte, 0, bufCap), int(s.maxLine))
 
 	wrote := false
+	var ackBuf []byte
 	writeAck := func(ack ackLine) bool {
 		if !wrote {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			wrote = true
 		}
-		if err := enc.Encode(ack); err != nil {
+		var err error
+		if ack.Error == "" {
+			// The common ack, as enc.Encode writes it.
+			ackBuf = strconv.AppendInt(append(ackBuf[:0], `{"index":`...), int64(ack.Index), 10)
+			ackBuf = append(ackBuf, "}\n"...)
+			_, err = w.Write(ackBuf)
+		} else {
+			err = enc.Encode(ack)
+		}
+		if err != nil {
 			s.logger.Printf("server: %s %s: ack write: %v", r.Method, r.URL.Path, err)
 			return false
 		}
@@ -154,6 +166,7 @@ func (s *Server) handleAddStream(w http.ResponseWriter, r *http.Request, sess *r
 
 	index := -1
 	var terminal error
+	var lifted [2][]byte
 	for scan.Scan() {
 		if sess.Closed() {
 			break
@@ -163,8 +176,12 @@ func (s *Server) handleAddStream(w http.ResponseWriter, r *http.Request, sess *r
 			continue
 		}
 		index++
+		// The common line holds only a plain tag and polynomial, lifted
+		// without encoding/json.
 		var req addLine
-		if err := json.Unmarshal(line, &req); err != nil {
+		if reqbody.LiftAll(line, lifted[:], "tag", "poly") {
+			req.Tag, req.Poly = string(lifted[0]), string(lifted[1])
+		} else if err := json.Unmarshal(line, &req); err != nil {
 			// Malformed JSON: the rest of the body cannot be trusted to be
 			// line-aligned.
 			terminal = fmt.Errorf("bad add line: %v", err)
@@ -176,20 +193,19 @@ func (s *Server) handleAddStream(w http.ResponseWriter, r *http.Request, sess *r
 			}
 			continue
 		}
-		// Parse and apply separately: a bad polynomial is this line's
-		// problem only, but a failure applying a parsed one is a
-		// persistence failure — acking later adds would promise a
-		// durability the log can no longer provide.
-		p, err := sess.Engine().ParsePoly(req.Poly)
-		if err != nil {
+		// A bad polynomial is this line's problem only, but a failure
+		// applying a parsed one is a persistence failure — acking later
+		// adds would promise a durability the log can no longer provide.
+		if err := sess.AddText(req.Tag, req.Poly); err != nil {
+			var bad *registry.ParseError
+			if !errors.As(err, &bad) {
+				terminal = err
+				break
+			}
 			if !writeAck(ackLine{Index: index, Error: err.Error()}) {
 				return
 			}
 			continue
-		}
-		if err := sess.Add(req.Tag, p); err != nil {
-			terminal = err
-			break
 		}
 		if !writeAck(ackLine{Index: index}) {
 			return

@@ -106,6 +106,7 @@ func Restore(st *SnapshotState, opts ...Option) (*Engine, error) {
 			VL:         st.VL,
 			Adequate:   st.Adequate,
 		}
+		e.subst = provenance.DenseSubstitution(st.Subst)
 	}
 	for _, o := range opts {
 		o(e)
@@ -117,12 +118,21 @@ func Restore(st *SnapshotState, opts ...Option) (*Engine, error) {
 // interning any new variable names, under the engine's exclusive lock.
 // All vocabulary writes funnel through the exclusive lock this way —
 // evaluation and query paths read the vocabulary under the shared lock —
-// so the Vocab itself needs no locking. This is the ingestion front door
-// for wire formats that carry polynomials as text.
+// so the Vocab itself needs no locking.
 func (e *Engine) ParsePoly(src string) (*provenance.Polynomial, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return provenance.Parse(e.set.Vocab, src)
+}
+
+// ParseKernel parses src as ParsePoly does into a one-polynomial kernel
+// (provenance.ParseKernel), for AddKernel: the ingestion front door for
+// callers that log an add between its parse and its apply, as a durable
+// session does. Callers that apply at once use AddText.
+func (e *Engine) ParseKernel(src string) (*provenance.Compiled, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return provenance.ParseKernel(e.set.Vocab, src)
 }
 
 // InternVars interns names in order under the engine's exclusive lock —

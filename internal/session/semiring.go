@@ -7,10 +7,12 @@ package session
 // scenario count. The float runtime is a field of the Engine whose kernel
 // is the active set's own storage: Open, Restore and Compress set it, Add
 // extends it through the set, and its accounting fills Stats' top-level
-// fields. The other carriers' kernels are compiled from the active set on
-// first use and live in a small map behind semMu, surfaced in
-// Stats.Semirings; Add mirrors its incremental Append into every live one
-// and Compress drops them all (the active set changed wholesale).
+// fields. The other carriers' runtimes live in a small map behind semMu,
+// surfaced in Stats.Semirings; each compiles its kernel from the active
+// set on first use. Add mirrors its incremental Append into every live
+// kernel, and Compress drops them all (the active set changed wholesale),
+// as does a mirror the carrier declines; a dropped kernel is compiled again
+// on next use, and its runtime's accounting carries on.
 //
 // Lock order: e.mu before e.semMu, everywhere.
 
@@ -72,11 +74,16 @@ type semRuntime interface {
 	// query runs a ScenQL plan compiled against set on this carrier (see
 	// Engine.runPlan).
 	query(ctx context.Context, e *Engine, p *scenql.Plan, set *provenance.Set, emit func(QueryRow) bool) ([]QueryRow, error)
-	// mirror appends one tagged polynomial incrementally, reporting false
-	// when the kernel must be rebuilt (the caller then drops the runtime
-	// and the next use recompiles). The float runtime is never mirrored:
-	// its kernel is the active set's, which Add extends.
-	mirror(tag string, p *provenance.Polynomial) bool
+	// mirror appends one tagged one-polynomial kernel incrementally,
+	// reporting false when the kernel must be rebuilt (the caller then
+	// drops it and the next use recompiles). The float runtime is never
+	// mirrored: its kernel is the active set's, which Add extends.
+	mirror(tag string, k *provenance.Compiled) bool
+	// compile builds the kernel from the active set when the runtime has
+	// none.
+	compile(s *provenance.Set) error
+	// drop discards the kernel and its baseline; the accounting stays.
+	drop()
 	// stats snapshots the runtime's accounting.
 	stats() SemiringStats
 	// describe summarizes the kernel for ScenQL EXPLAIN.
@@ -84,6 +91,9 @@ type semRuntime interface {
 }
 
 // semState is one carrier's compiled kernel plus its private accounting.
+// The kernel is nil while dropped; it is written under e.mu held
+// exclusively (drop, mirror) or, while nil, under semMu (compile), and
+// read after runtimeLocked returned the runtime.
 type semState[T any, C provenance.Carrier[T]] struct {
 	kernel    *provenance.Kernel[T, C]
 	base      baseSlot[T, C]
@@ -91,29 +101,41 @@ type semState[T any, C provenance.Carrier[T]] struct {
 	scenarios atomic.Int64 // evaluations run under e.mu.RLock, concurrently
 }
 
-func newSemState[T any, C provenance.Carrier[T]](cr C, s *provenance.Set) (*semState[T, C], error) {
-	k, err := provenance.CompileSet[T, C](cr, s)
-	if err != nil {
-		return nil, err
-	}
-	return &semState[T, C]{kernel: k}, nil
-}
-
-// newSemRuntime compiles the active set into the named non-float carrier.
-// Compilation fails when the provenance has coefficients the carrier
-// rejects (e.g. a fractional multiplicity under counting).
-func newSemRuntime(kind semiring.Kind, s *provenance.Set) (semRuntime, error) {
+// newSemRuntime returns the named non-float carrier's runtime, with no
+// kernel yet.
+func newSemRuntime(kind semiring.Kind) (semRuntime, error) {
 	switch kind {
 	case semiring.KindBool:
-		return newSemState[bool](semiring.Boolean{}, s)
+		return &semState[bool, semiring.Boolean]{}, nil
 	case semiring.KindCount:
-		return newSemState[int64](semiring.Counting{}, s)
+		return &semState[int64, semiring.Counting]{}, nil
 	case semiring.KindTropical:
-		return newSemState[float64](semiring.Tropical{}, s)
+		return &semState[float64, semiring.Tropical]{}, nil
 	case semiring.KindMinMax:
-		return newSemState[float64](semiring.MinMax{}, s)
+		return &semState[float64, semiring.MinMax]{}, nil
 	}
 	return nil, fmt.Errorf("session: no evaluation runtime for semiring %q", kind)
+}
+
+// compile compiles the set into the carrier unless the runtime holds a
+// kernel. It fails when the provenance has coefficients the carrier
+// rejects (e.g. a fractional multiplicity under counting).
+func (st *semState[T, C]) compile(s *provenance.Set) error {
+	if st.kernel != nil {
+		return nil
+	}
+	var cr C // every carrier is a stateless value
+	k, err := provenance.CompileSet[T, C](cr, s)
+	if err != nil {
+		return err
+	}
+	st.kernel = k
+	return nil
+}
+
+func (st *semState[T, C]) drop() {
+	st.kernel = nil
+	st.base.p.Store(nil)
 }
 
 func (st *semState[T, C]) batchOptions(e *Engine) hypo.BatchOptions {
@@ -153,8 +175,8 @@ func (st *semState[T, C]) query(ctx context.Context, e *Engine, p *scenql.Plan, 
 	}, emit)
 }
 
-func (st *semState[T, C]) mirror(tag string, p *provenance.Polynomial) bool {
-	return st.kernel.Append([]*provenance.Polynomial{p}, []string{tag})
+func (st *semState[T, C]) mirror(tag string, k *provenance.Compiled) bool {
+	return st.kernel == nil || st.kernel.Append(k, []string{tag})
 }
 
 func (st *semState[T, C]) describe() kernelDesc {
@@ -182,8 +204,10 @@ func (st *semState[T, C]) stats() SemiringStats {
 
 // runtimeLocked returns the evaluation runtime for kind against the
 // current active set: the float runtime (counting its kernel's first
-// evaluation in Stats' Compiles), or another carrier's, compiled on first
-// use. Callers hold e.mu (read or write).
+// evaluation in Stats' Compiles), or another carrier's, whose kernel is
+// compiled on first use and again after a drop. A carrier's runtime joins
+// the session's accounting with its first compiled kernel. Callers hold
+// e.mu (read or write).
 func (e *Engine) runtimeLocked(kind semiring.Kind) (semRuntime, error) {
 	if kind == semiring.KindFloat || kind == "" {
 		e.compiledLocked()
@@ -191,40 +215,48 @@ func (e *Engine) runtimeLocked(kind semiring.Kind) (semRuntime, error) {
 	}
 	e.semMu.Lock()
 	defer e.semMu.Unlock()
-	if rt, ok := e.sems[kind]; ok {
-		return rt, nil
+	rt, ok := e.sems[kind]
+	if !ok {
+		var err error
+		if rt, err = newSemRuntime(kind); err != nil {
+			return nil, err
+		}
 	}
-	rt, err := newSemRuntime(kind, e.active)
-	if err != nil {
+	if err := rt.compile(e.active); err != nil {
 		return nil, err
 	}
-	if e.sems == nil {
-		e.sems = map[semiring.Kind]semRuntime{}
+	if !ok {
+		if e.sems == nil {
+			e.sems = map[semiring.Kind]semRuntime{}
+		}
+		e.sems[kind] = rt
 	}
-	e.sems[kind] = rt
 	return rt, nil
 }
 
-// mirrorAddLocked incrementally appends the polynomial just added to the
-// active set into every live semiring kernel, dropping any whose in-place
-// Append declined (the next use recompiles, surfacing conversion errors
-// there). Callers hold e.mu exclusively.
-func (e *Engine) mirrorAddLocked(tag string, p *provenance.Polynomial) {
+// mirrorAddLocked incrementally appends the one-polynomial kernel just
+// added to the active set into every live semiring kernel, dropping any
+// whose in-place Append declined (the next use recompiles, surfacing
+// conversion errors there). Callers hold e.mu exclusively.
+func (e *Engine) mirrorAddLocked(tag string, k *provenance.Compiled) {
 	e.semMu.Lock()
 	defer e.semMu.Unlock()
-	for k, rt := range e.sems {
-		if !rt.mirror(tag, p) {
-			delete(e.sems, k)
+	for _, rt := range e.sems {
+		if !rt.mirror(tag, k) {
+			rt.drop()
 		}
 	}
 }
 
-// dropRuntimesLocked discards every semiring kernel; used when the active
-// set is replaced wholesale (Compress). Callers hold e.mu exclusively.
+// dropRuntimesLocked discards every semiring kernel and keeps their
+// accounting; used when the active set is replaced wholesale (Compress).
+// Callers hold e.mu exclusively.
 func (e *Engine) dropRuntimesLocked() {
 	e.semMu.Lock()
 	defer e.semMu.Unlock()
-	e.sems = nil
+	for _, rt := range e.sems {
+		rt.drop()
+	}
 }
 
 // semStatsLocked snapshots the per-carrier accounting (nil when no

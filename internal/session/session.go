@@ -21,10 +21,13 @@
 // ScenQL statements chain their micro-batches in every carrier.
 //
 // All methods are safe for concurrent use: evaluation paths share a read
-// lock, Compress and Add take it exclusively. Adding provenance after
-// compression re-abstracts the new polynomial under the selected
-// substitution and appends it to the cached compiled form in place, so the
-// next evaluation sees it without re-running selection or recompiling.
+// lock, Compress and Add take it exclusively. An add goes to the kernels'
+// arrays without a map: its text is parsed into a one-polynomial kernel
+// (AddText, ParseKernel), which after compression is re-abstracted under
+// the selected substitution with the same array image/sort/merge the
+// compression ran, and appended to the cached compiled form in place, so
+// the next evaluation sees it without re-running selection or
+// recompiling.
 // One caveat follows from that: the *provenance.Compiled returned by
 // Engine.Compiled is the live cache, extended in place by Add under the
 // engine's lock — callers that evaluate it directly (outside the Engine's
@@ -59,7 +62,11 @@ type Engine struct {
 	float semState[float64, provenance.Float] // kernel: the active set's storage
 
 	semMu sync.Mutex                   // guards sems; taken after e.mu
-	sems  map[semiring.Kind]semRuntime // non-float kernels, lazily built
+	sems  map[semiring.Kind]semRuntime // non-float runtimes; kernels built lazily
+
+	subst provenance.Substitution // comp.Subst in dense form, for Adds
+	parse provenance.PolyBuilder  // AddText's one-polynomial kernel; guarded by mu
+	image provenance.PolyBuilder  // an add's image under subst; guarded by mu
 
 	lastCompiled   atomic.Pointer[provenance.Compiled]
 	compiles       atomic.Int64
@@ -116,34 +123,63 @@ func (e *Engine) Compress(B int, opts ...CompressOption) (*core.Compression, err
 	if err != nil {
 		return nil, err
 	}
-	e.comp = comp
+	e.comp, e.subst = comp, provenance.DenseSubstitution(comp.Subst)
 	e.active = comp.Abstracted
 	e.set.Compiled().DropIndex() // only the active set is evaluated from here on
+	e.float.drop()               // the old kernel's baseline dies with it
 	e.float.kernel = e.active.Compiled()
-	e.float.base.p.Store(nil) // the old kernel's baseline dies with it
-	e.dropRuntimesLocked()    // the other carriers compiled the old active set
+	e.dropRuntimesLocked() // the other carriers compiled the old active set
 	return comp, nil
 }
 
-// Add appends a polynomial to the session's provenance. When a compression
-// is active the polynomial is abstracted under the selected substitution
-// and appended to the abstracted set too, so evaluation stays consistent
-// with selection without re-running it. The active set's kernel is
-// extended in place (Compiled.Append patches the flat arrays, the inverted
-// index and the baseline), so an Add-heavy session never recompiles —
-// Stats().Compiles stays constant across Add+WhatIf loops.
-func (e *Engine) Add(tag string, p *provenance.Polynomial) {
+// Add appends a polynomial to the session's provenance: AddKernel of its
+// compiled form.
+func (e *Engine) Add(tag string, p *provenance.Polynomial) { e.AddKernel(tag, p.Compile()) }
+
+// AddKernel appends the polynomial of k, a one-polynomial kernel over the
+// session's vocabulary (from ParseKernel or Polynomial.Compile), to the
+// session's provenance. When a compression is active the polynomial is
+// abstracted under the selected substitution and appended to the
+// abstracted set too, so evaluation stays consistent with selection
+// without re-running it. The active set's kernel is extended in place
+// (Kernel.Append patches the flat arrays, the inverted index and the
+// baseline), and so is every other carrier's live kernel, so an Add-heavy
+// session never recompiles — Stats().Compiles stays constant across
+// Add+WhatIf loops.
+func (e *Engine) AddKernel(tag string, k *provenance.Compiled) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.set.Add(tag, p)
-	active := p
+	e.addLocked(tag, k)
+}
+
+// AddText parses src, a polynomial in the set's text format, and appends
+// it as AddKernel does, under one exclusive lock, through kernels the
+// Engine reuses: an add line's whole engine cost, with no map and, once
+// the Engine's scratch has grown, no allocation but what the set's arrays
+// and new names need. A bad polynomial changes nothing but the
+// vocabulary, which keeps the names interned before the error.
+func (e *Engine) AddText(tag, src string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	k, err := e.parse.Parse(e.set.Vocab, src)
+	if err != nil {
+		return err
+	}
+	e.addLocked(tag, k)
+	return nil
+}
+
+// addLocked appends k's polynomial to the source set, its image under the
+// compression's substitution to the active set, and that image to every
+// other carrier's live kernel. Callers hold e.mu exclusively.
+func (e *Engine) addLocked(tag string, k *provenance.Compiled) {
+	e.set.AddKernel(tag, k)
+	active := k
 	if e.comp != nil {
-		ap := p
-		if len(e.comp.Subst) > 0 {
-			ap = p.Substitute(e.comp.Subst)
+		if len(e.subst) > 0 {
+			active = e.image.Substitute(k, e.subst)
 		}
-		e.active.Add(tag, ap)
-		active = ap
+		e.active.AddKernel(tag, active)
 	}
 	e.mirrorAddLocked(tag, active)
 	e.added.Add(1)

@@ -1018,3 +1018,49 @@ func TestStatsVariablesConcurrent(t *testing.T) {
 		t.Fatalf("Stats().Variables after a post-Compress Add = %d, want %d", got, want)
 	}
 }
+
+// TestCarrierStatsSurviveDrops: a carrier's accounting outlives its
+// kernel. Compress drops every non-float kernel, and so does a mirror the
+// carrier declines; their scenario counts carry on in Stats.Semirings, and
+// the next use compiles the kernel again.
+func TestCarrierStatsSurviveDrops(t *testing.T) {
+	vb := provenance.NewVocab()
+	set := provenance.NewSet(vb)
+	set.Add("a", provenance.MustParse(vb, "2·p1·m1 + 3·p1·m3 + f1·m1"))
+	set.Add("b", provenance.MustParse(vb, "p1·m3 + 4·f1·m1"))
+	e, err := Open(set, abstree.MustForest(abstree.MustParseTree("Year(q1(m1,m3))")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenario := []*hypo.Scenario{hypo.NewScenario().Set("p1", 2)}
+	count := func(want int64) {
+		t.Helper()
+		if got := e.Stats().Semirings["count"].Scenarios; got != want {
+			t.Errorf("count carrier reports %d scenarios, want %d", got, want)
+		}
+	}
+	for range 5 {
+		if _, err := e.WhatIfBatchIn(semiring.KindCount, scenario); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count(5)
+	if _, err := e.Compress(4); err != nil {
+		t.Fatal(err)
+	}
+	count(5)
+	rows, err := e.WhatIfBatchIn(semiring.KindCount, scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows[0][0].Value; got != int64(11) {
+		t.Errorf("counting answer after Compress %v, want 5·2 + 1 = 11", got)
+	}
+	count(6)
+	e.Add("c", provenance.MustParse(vb, "0.5·p1")) // no natural multiplicity: the mirror declines
+	count(6)
+	if _, err := e.WhatIfBatchIn(semiring.KindCount, scenario); err == nil {
+		t.Error("a counting what-if over a fractional coefficient succeeded")
+	}
+	count(6)
+}

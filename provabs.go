@@ -50,8 +50,9 @@
 // Engine.WhatIf answers a scenario, Engine.WhatIfBatch evaluates many in
 // parallel on the worker pool, Engine.StreamIn answers scenarios as they
 // arrive on a channel, and Engine.Query runs ScenQL sweeps. Engine.Add
-// appends provenance to the live compilation in place (Compiles stays 1),
-// and Engine.Compiled exposes that compilation for direct use.
+// and Engine.AddText append provenance to the live compilation in place
+// (Compiles stays 1), and Engine.Compiled exposes that compilation for
+// direct use.
 //
 // # Multi-session registry and the v1 server
 //
@@ -93,8 +94,8 @@
 // applies all of this transparently and reports
 // DeltaEvals/ChainedEvals/FullEvals/ShardedEvals plus the learned cutoff in
 // its Stats. Engine.Add extends the compiled form, its indexes and its
-// baseline in place (Compiled.Append), so an Add-heavy session never
-// recompiles.
+// baseline in place (Kernel.Append, in the add's own terms), so an
+// Add-heavy session never recompiles.
 //
 // # Semiring-generic evaluation
 //
@@ -361,7 +362,8 @@ func NewVocab() *Vocab { return provenance.NewVocab() }
 func NewSet(vb *Vocab) *Set { return provenance.NewSet(vb) }
 
 // Parse parses a polynomial in the paper's notation, e.g.
-// "220.8·p1·m1 + 240*p1*m3", interning variables into vb.
+// "220.8·p1·m1 + 240*p1*m3", interning variables into vb. Parsing takes
+// time linear in the length of src.
 func Parse(vb *Vocab, src string) (*Polynomial, error) { return provenance.Parse(vb, src) }
 
 // MustParse is Parse that panics on error.
